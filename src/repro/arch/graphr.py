@@ -13,12 +13,12 @@ GraphR [19] differs from HyVE on every level of the hierarchy:
 
 The machine exposes the same ``run`` interface as
 :class:`~repro.arch.machine.AcceleratorMachine` so every figure driver
-treats it uniformly.  Like the HyVE machine (PR 4), evaluation factors
-as simulate-once / price-many: :meth:`GraphRMachine.scheduled_counts`
-memoizes the Section 6 traffic quantities on a content key, and
-:func:`graphr_fold_many` prices a whole (algorithm x dataset) grid of
-counts records in vectorized array passes — bit-identical per cell to
-:meth:`GraphRMachine.run`.
+treats it uniformly.  Like the HyVE machine, evaluation factors as
+simulate-once / price-many: :meth:`GraphRMachine.scheduled_counts`
+memoizes the Section 6 traffic quantities on a content key, and one
+kernel prices them in vectorized array passes — over a whole
+(algorithm x dataset) grid in :func:`graphr_fold_many`, over a single
+cell in :meth:`GraphRMachine.run`.
 """
 
 from __future__ import annotations
@@ -35,19 +35,13 @@ from ..graph.graph import Graph
 from ..graph.stats import average_edges_per_nonempty_block
 from ..memory.base import AccessKind, AccessPattern
 from ..memory.regfile import RegisterFile
-from ..memory.reram import ReRAMChip, ReRAMConfig
+from ..memory.reram import ReRAMConfig
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
 from . import params, report as rpt
 from .config import Workload
 from .crossbar import CrossbarModel
-from .machine import (
-    FOOTPRINT_SLACK,
-    SimulationResult,
-    _DEVICE_MEMO,
-    _DEVICE_MEMO_CAP,
-    _device_cost_table,
-)
+from .machine import FOOTPRINT_SLACK, SimulationResult, _shared_device
 from .report import EnergyReport
 
 
@@ -93,26 +87,6 @@ class GraphRCounts:
 _GRAPHR_COUNTS_INT_FIELDS = frozenset(
     {"iterations", "vertex_bits", "edge_bits"}
 )
-
-
-def _shared_reram(config: ReRAMConfig) -> tuple[ReRAMChip, tuple[float, ...]]:
-    """Memoized ReRAM chip + unit-cost table (shares the machine memo).
-
-    The key shape matches :func:`repro.arch.machine._shared_device`, so
-    GraphR and the HyVE fold share one NVSim-lite solve for the default
-    ReRAM operating point.
-    """
-    key = ("reram", config)
-    entry = _DEVICE_MEMO.get(key)
-    if entry is None:
-        device = ReRAMChip(config)
-        entry = (device, _device_cost_table(device))
-        _DEVICE_MEMO[key] = entry
-        if len(_DEVICE_MEMO) > _DEVICE_MEMO_CAP:
-            _DEVICE_MEMO.popitem(last=False)
-    else:
-        _DEVICE_MEMO.move_to_end(key)
-    return entry
 
 
 class GraphRMachine:
@@ -209,108 +183,8 @@ class GraphRMachine:
             workload = Workload(workload)
         run = run_cached(algorithm, workload.graph)
         counts = self.scheduled_counts(algorithm, run, workload)
-        report = self._fold(run, counts, workload)
+        [report] = _graphr_kernel(self.config, [(run, counts, workload)])
         return SimulationResult(report=report, run=run)
-
-    # --- folding (price many) -------------------------------------------
-
-    def _fold(
-        self,
-        run: AlgorithmRun,
-        counts: GraphRCounts,
-        workload: Workload,
-    ) -> EnergyReport:
-        edges_per_iter = counts.edges_per_iter
-        vertices = counts.vertices
-        iters = counts.iterations
-        edges_total = counts.edges_total
-        navg = counts.navg
-        nonempty_blocks = counts.nonempty_blocks
-
-        crossbar = CrossbarModel(
-            navg=navg,
-            num_groups=self.config.num_crossbar_groups,
-        )
-        global_mem, _ = _shared_reram(self.config.reram)
-        regfile = RegisterFile(
-            self.config.regfile_bits * self.config.num_crossbar_groups
-        )
-
-        report = EnergyReport(
-            machine=self.config.label,
-            algorithm=run.algorithm,
-            graph=workload.name,
-            edges_traversed=edges_total,
-            iterations=iters,
-            time=0.0,
-        )
-
-        # --- edge storage: stream the edge list once per iteration ------
-        edge_stream_bits = edges_total * counts.edge_bits
-        stream = global_mem.transfer_cost(
-            AccessKind.READ, edge_stream_bits, AccessPattern.SEQUENTIAL
-        )
-        report.add(rpt.EDGE_MEMORY, stream.energy)
-
-        # --- global vertex traffic (Equations (7) and (9)) ----------------
-        loads_per_iter = 16.0 * nonempty_blocks          # N^R_{v,s}
-        stores_per_iter = vertices                        # N^W_{v,s}
-        load_bits = loads_per_iter * counts.vertex_bits * iters
-        store_bits = stores_per_iter * counts.vertex_bits * iters
-        load = global_mem.transfer_cost(
-            AccessKind.READ, load_bits, AccessPattern.SEQUENTIAL
-        )
-        store = global_mem.transfer_cost(
-            AccessKind.WRITE, store_bits, AccessPattern.SEQUENTIAL
-        )
-        report.add(rpt.OFFCHIP_VERTEX, load.energy + store.energy)
-
-        # --- local vertex traffic: register files --------------------------
-        rf_read = regfile.access_cost(AccessKind.READ, AccessPattern.RANDOM)
-        rf_write = regfile.access_cost(AccessKind.WRITE, AccessPattern.RANDOM)
-        words_per_vertex = counts.vertex_bits / 32.0
-        rf_energy = (
-            2.0 * edges_total * words_per_vertex * rf_read.energy
-            + edges_total * words_per_vertex * rf_write.energy
-            + (load_bits + store_bits) / 32.0 * rf_write.energy
-        )
-        report.add(rpt.ONCHIP_VERTEX, rf_energy)
-
-        # --- crossbar processing (Equations (11), (12), (15)) --------------
-        report.add(
-            rpt.PROCESSING,
-            edges_total * crossbar.energy_per_edge(run.algorithm),
-        )
-        requests = (
-            edge_stream_bits / global_mem.access_bits
-            + (load_bits + store_bits) / global_mem.access_bits
-        )
-        report.add(rpt.CONTROLLER,
-                   requests * params.CONTROLLER_REQUEST_ENERGY)
-
-        # --- time (Equation (16) dominates) ---------------------------------
-        # Crossbar processing, edge streaming and vertex transfers are
-        # pipelined across GEs; the slowest stage bounds the run.
-        t_crossbar = edges_total * crossbar.latency_per_edge(run.algorithm)
-        t_stream = stream.latency
-        t_vertex = load.latency + store.latency
-        duration = max(t_crossbar, t_stream, t_vertex)
-        report.time = duration
-
-        # --- background -------------------------------------------------------
-        footprint = (
-            edges_per_iter * counts.edge_bits
-            + vertices * counts.vertex_bits
-        ) * FOOTPRINT_SLACK
-        chips = max(1, math.ceil(footprint / self.config.reram.density_bits))
-        # GraphR has no BPG: random-ish block order defeats it.
-        report.add(rpt.EDGE_MEMORY_BG,
-                   chips * global_mem.background_energy(duration))
-        report.add(rpt.ONCHIP_VERTEX_BG,
-                   regfile.standby_power * duration)
-        logic_power = params.CONTROLLER_POWER + params.ROUTER_LEAKAGE
-        report.add(rpt.LOGIC_BG, logic_power * duration)
-        return report
 
 
 def graphr_fold_many(
@@ -319,45 +193,44 @@ def graphr_fold_many(
 ) -> list[EnergyReport]:
     """Price many (algorithm x dataset) cells on one GraphR config.
 
-    The vectorized counterpart of :meth:`GraphRMachine._fold`: the
-    dynamic-energy and time terms are evaluated as NumPy float64 array
-    passes mirroring the scalar fold expression for expression (same
-    operands, same association), and the per-cell tail (crossbar
-    occupancy, background integration, report assembly) replays the
-    scalar order exactly — so element ``i`` is bit-identical to
-    ``machine._fold(*cells[i])``.
+    Element ``i`` is bit-identical to the report of
+    ``machine.run`` on that cell: both price through the same kernel.
     """
     if not cells:
         return []
-    cfg = machine.config
     metrics = obs_metrics.get_metrics()
     metrics.counter(obs_metrics.GRAPHR_FOLD_CONFIGS).add(len(cells))
-    global_mem, costs = _shared_reram(cfg.reram)
+    return _graphr_kernel(machine.config, cells)
+
+
+def _graphr_kernel(
+    cfg: GraphRConfig,
+    cells: "list[tuple[AlgorithmRun, GraphRCounts, Workload]]",
+) -> list[EnergyReport]:
+    """The one GraphR pricing kernel (Section 6's equations).
+
+    The dynamic-energy and time terms are NumPy float64 array passes
+    over the cells; the per-cell tail (crossbar occupancy, background
+    integration, report assembly) runs in Python floats.
+    """
+    global_mem, costs = _shared_device(cfg.reram)
     (sr_lat, sr_en, sw_lat, sw_en, _, _, _, _, abits) = costs
     regfile = RegisterFile(cfg.regfile_bits * cfg.num_crossbar_groups)
     rf_read = regfile.access_cost(AccessKind.READ, AccessPattern.RANDOM)
     rf_write = regfile.access_cost(AccessKind.WRITE, AccessPattern.RANDOM)
 
-    edges_total = np.asarray(
-        [c.edges_total for _, c, _ in cells], dtype=np.float64
-    )
-    edge_bits = np.asarray(
-        [c.edge_bits for _, c, _ in cells], dtype=np.float64
-    )
-    vertex_bits = np.asarray(
-        [c.vertex_bits for _, c, _ in cells], dtype=np.float64
-    )
-    iters = np.asarray(
-        [c.iterations for _, c, _ in cells], dtype=np.float64
-    )
-    vertices = np.asarray(
-        [c.vertices for _, c, _ in cells], dtype=np.float64
-    )
-    nonempty = np.asarray(
-        [c.nonempty_blocks for _, c, _ in cells], dtype=np.float64
+    edges_total, edge_bits, vertex_bits, iters, vertices, nonempty = (
+        np.asarray(
+            [(c.edges_total, c.edge_bits, c.vertex_bits, c.iterations,
+              c.vertices, c.nonempty_blocks) for _, c, _ in cells],
+            dtype=np.float64,
+        ).T
     )
 
-    # --- vector passes (operand order mirrors the scalar fold) ----------
+    # --- vector passes ---------------------------------------------------
+    # Edge storage streams the edge list once per iteration; global
+    # vertex traffic follows Equations (7) and (9): 16 vertex loads per
+    # non-empty block, every vertex stored once.
     edge_stream_bits = edges_total * edge_bits
     stream_acc = edge_stream_bits / abits
     stream_en = sr_en * stream_acc
@@ -390,8 +263,10 @@ def graphr_fold_many(
     logic_power = params.CONTROLLER_POWER + params.ROUTER_LEAKAGE
 
     # --- tail: per-cell crossbar terms and report assembly --------------
-    # The crossbar occupancy ``1 - (7/8) ** navg`` stays scalar so the
-    # Python ``**`` of the scalar fold is replayed exactly.
+    # The crossbar occupancy ``1 - (7/8) ** navg`` is a Python ``**``
+    # per cell (Equations (11), (12), (15)); crossbar processing, edge
+    # streaming and vertex transfers are pipelined across GEs, so the
+    # slowest stage bounds the run (Equation (16)).
     reports: list[EnergyReport] = []
     for i, (run, counts, workload) in enumerate(cells):
         crossbar = CrossbarModel(
@@ -425,6 +300,7 @@ def graphr_fold_many(
             + counts.vertices * counts.vertex_bits
         ) * FOOTPRINT_SLACK
         chips = max(1, math.ceil(footprint / cfg.reram.density_bits))
+        # GraphR has no BPG: random-ish block order defeats it.
         report.add(rpt.EDGE_MEMORY_BG,
                    chips * global_mem.background_energy(duration))
         report.add(rpt.ONCHIP_VERTEX_BG,

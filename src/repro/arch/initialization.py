@@ -21,7 +21,14 @@ from ..graph.graph import Graph
 from ..memory.base import AccessKind, AccessPattern
 from ..model.preprocessing import hyve_preprocessing_time
 from .config import HyVEConfig, Workload, choose_num_intervals
-from .machine import FOOTPRINT_SLACK, AcceleratorMachine
+from .machine import (
+    FOOTPRINT_SLACK,
+    MIN_EDGE_CHIPS_PER_RANK,
+    MIN_VERTEX_CHIPS,
+    AcceleratorMachine,
+    _provision,
+    _shared_device,
+)
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,6 @@ def initialization_cost(
     if isinstance(workload, Graph):
         workload = Workload(workload)
     config = config or HyVEConfig()
-    machine = AcceleratorMachine(config)
     run = run_cached(algorithm, workload.graph)
 
     edges = run.edges_per_iteration * workload.edge_scale
@@ -66,8 +72,14 @@ def initialization_cost(
     edge_bits = edges * run.edge_bits * FOOTPRINT_SLACK
     vertex_bits = vertices * run.vertex_bits * FOOTPRINT_SLACK
 
-    edge_dev, edge_chips = machine._edge_device(edge_bits)
-    vertex_dev, vertex_chips = machine._vertex_device(vertex_bits)
+    edge_cfg, edge_chips = _provision(
+        config, config.edge_memory, edge_bits, MIN_EDGE_CHIPS_PER_RANK
+    )
+    vertex_cfg, vertex_chips = _provision(
+        config, config.offchip_vertex, vertex_bits, MIN_VERTEX_CHIPS
+    )
+    edge_dev, _ = _shared_device(edge_cfg)
+    vertex_dev, _ = _shared_device(vertex_cfg)
 
     edge_write = edge_dev.transfer_cost(
         AccessKind.WRITE, edge_bits, AccessPattern.SEQUENTIAL

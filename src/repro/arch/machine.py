@@ -10,7 +10,18 @@ execution time — the decomposition of Fig. 8 / Equations (1)-(2).
 One machine class covers every accelerator configuration of Fig. 16
 (acc+DRAM, acc+ReRAM, acc+SRAM+DRAM, acc+HyVE, acc+HyVE-opt): the
 configuration selects the technology at each level and the two
-optimisations; the folding logic is shared.
+optimisations.
+
+All pricing goes through one kernel.  Each device contributes a
+per-action unit-cost table; a grid of configs gathers those rows into a
+cost matrix, the dynamic-energy and busy-time terms are NumPy array
+passes over it, and a per-config tail plans bank power gating,
+integrates background power and assembles the report.
+:func:`fold_many` prices a grid against one schedule;
+:meth:`AcceleratorMachine.run` prices its single config through the
+same kernel.  A fault profile is a per-config overlay inside the kernel
+(SECDED cost tables, write-verify rounds, bank sparing), not a
+separate path.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +46,11 @@ from ..faults.resilience import (
     write_give_up_probability,
 )
 from ..graph.graph import Graph
-from ..memory.base import AccessCost, AccessKind, AccessPattern, MemoryDevice
-from ..memory.dram import DDR4Chip
+from ..memory.base import AccessKind, AccessPattern, MemoryDevice
+from ..memory.dram import DDR4Chip, DRAMConfig
 from ..memory.ecc import SECDEDDevice, secded_factor, secded_logic_energy
 from ..memory.powergate import BankPowerGating, GatingReport
-from ..memory.reram import ReRAMChip
+from ..memory.reram import ReRAMChip, ReRAMConfig
 from ..memory.sram import OnChipSRAM
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
@@ -101,32 +113,6 @@ class AcceleratorMachine:
     def label(self) -> str:
         return self.config.label
 
-    # --- device construction ------------------------------------------------
-
-    def _edge_device(self, footprint_bits: float) -> tuple[MemoryDevice, int]:
-        cfg = self.config
-        if cfg.edge_memory == MemoryTechnology.RERAM:
-            device: MemoryDevice = ReRAMChip(cfg.reram)
-            density = cfg.reram.density_bits
-        else:
-            device = DDR4Chip(cfg.dram)
-            density = cfg.dram.density_bits
-        chips = max(MIN_EDGE_CHIPS_PER_RANK,
-                    math.ceil(footprint_bits / density))
-        return device, chips
-
-    def _vertex_device(self, footprint_bits: float) -> tuple[MemoryDevice, int]:
-        cfg = self.config
-        if cfg.offchip_vertex == MemoryTechnology.RERAM:
-            device: MemoryDevice = ReRAMChip(cfg.reram)
-            density = cfg.reram.density_bits
-        else:
-            device = DDR4Chip(cfg.dram)
-            density = cfg.dram.density_bits
-        chips = max(MIN_VERTEX_CHIPS,
-                    math.ceil(footprint_bits / density))
-        return device, chips
-
     # --- main entry ---------------------------------------------------------
 
     def run(
@@ -153,7 +139,9 @@ class AcceleratorMachine:
 
                 counts = scheduled_counts(run, workload, self.config)
             with tracer.span("fold"):
-                report, fault_report = self._fold(run, counts, workload)
+                [(report, fault_report)] = _fold_kernel(
+                    run, counts, workload, [self.config], self.faults
+                )
         return SimulationResult(report=report, run=run, faults=fault_report)
 
     def run_counts(
@@ -167,445 +155,34 @@ class AcceleratorMachine:
         run = run_cached(algorithm, workload.graph)
         return ScheduleCounts.compute(run, workload, self.config)
 
-    # --- folding -------------------------------------------------------------
 
-    def _fold(
-        self,
-        run: AlgorithmRun,
-        counts: ScheduleCounts,
-        workload: Workload,
-    ) -> tuple[EnergyReport, FaultReport | None]:
-        cfg = self.config
-        edge_footprint = (
-            counts.edges_total / counts.iterations
-        ) * counts.edge_bits * FOOTPRINT_SLACK
-        vertex_footprint = counts.vertices * counts.vertex_bits * FOOTPRINT_SLACK
+# --- devices and their unit-cost tables -------------------------------------
 
-        edge_dev, edge_chips = self._edge_device(edge_footprint)
-        vertex_dev, vertex_chips = self._vertex_device(vertex_footprint)
-
-        # --- fault injection & resilience provisioning --------------------
-        # Every fault effect below is guarded on a non-zero profile; with
-        # faults disabled this whole section is skipped and the fold is
-        # bit-identical to the ideal-device model.
-        profile = self.faults
-        fault_active = profile is not None and not profile.is_zero
-        injector: FaultInjector | None = None
-        fault_report: FaultReport | None = None
-        sparing: BankSparingPlan | None = None
-        raw_edge_dev, raw_vertex_dev = edge_dev, vertex_dev
-        sram_ecc = 1.0
-        write_rounds = 1.0
-        if fault_active:
-            injector = FaultInjector(
-                profile,
-                tag=f"{cfg.label}|{run.algorithm}|{workload.name}",
-            )
-            fault_report = FaultReport(profile)
-            word_stats = injector.stuck_word_stats()
-            fault_report.corrected_word_fraction = (
-                word_stats.correctable_fraction
-            )
-            fault_report.remapped_word_fraction = (
-                word_stats.uncorrectable_fraction
-            )
-            reram_faulty = (
-                profile.effective_stuck_rate > 0
-                or profile.bank_failure_rate > 0
-            )
-            if cfg.edge_memory == MemoryTechnology.RERAM:
-                failed = injector.sample_failed_banks(
-                    edge_chips * cfg.reram.num_banks
-                )
-                sparing, edge_chips = BankSparingPlan.build(
-                    footprint_bits=edge_footprint,
-                    chips=edge_chips,
-                    banks_per_chip=cfg.reram.num_banks,
-                    bank_capacity_bits=cfg.reram.bank_capacity_bits,
-                    density_bits=cfg.reram.density_bits,
-                    failed_banks=failed,
-                    bad_word_fraction=word_stats.uncorrectable_fraction,
-                )
-                fault_report.failed_banks = failed
-                fault_report.spare_chips = sparing.spare_chips
-                fault_report.capacity_loss_fraction = (
-                    sparing.capacity_loss_fraction
-                )
-                fault_report.stuck_cells = injector.sample_stuck_cells(
-                    edge_chips * cfg.reram.density_bits
-                )
-            if (cfg.edge_memory == MemoryTechnology.RERAM and reram_faulty) or (
-                cfg.edge_memory == MemoryTechnology.DRAM
-                and profile.dram_upset_rate > 0
-            ):
-                edge_dev = SECDEDDevice(edge_dev)
-            if (
-                cfg.offchip_vertex == MemoryTechnology.RERAM and reram_faulty
-            ) or (
-                cfg.offchip_vertex == MemoryTechnology.DRAM
-                and profile.dram_upset_rate > 0
-            ):
-                vertex_dev = SECDEDDevice(vertex_dev)
-            if cfg.has_onchip and profile.sram_upset_rate > 0:
-                sram_ecc = secded_factor()
-            if profile.reram_write_fail_rate > 0:
-                write_rounds = expected_write_rounds(
-                    profile.reram_write_fail_rate, WRITE_RETRY_BOUND
-                )
-                fault_report.expected_write_rounds = write_rounds
-                fault_report.write_give_up_probability = (
-                    write_give_up_probability(
-                        profile.reram_write_fail_rate, WRITE_RETRY_BOUND
-                    )
-                )
-
-        sram = OnChipSRAM(cfg.sram_bits) if cfg.has_onchip else None
-        pu = ProcessingUnitModel(
-            sram_cycle=(
-                sram.point.read_latency
-                if sram is not None
-                else edge_dev.access_cost(
-                    AccessKind.READ, AccessPattern.RANDOM
-                ).latency / cfg.random_access_mlp
-            )
-        )
-        router = RouterModel(cfg.num_pus)
-
-        report = EnergyReport(
-            machine=cfg.label,
-            algorithm=run.algorithm,
-            graph=workload.name,
-            edges_traversed=counts.edges_total,
-            iterations=counts.iterations,
-            time=0.0,
-        )
-
-        # --- dynamic energy and busy times --------------------------------
-        edge_stream = edge_dev.transfer_cost(
-            AccessKind.READ, counts.edge_stream_bits, AccessPattern.SEQUENTIAL
-        )
-        seek_unit = edge_dev.access_cost(AccessKind.READ, AccessPattern.RANDOM)
-        seq_unit = edge_dev.access_cost(
-            AccessKind.READ, AccessPattern.SEQUENTIAL
-        )
-        seek_extra_latency = counts.block_seeks * max(
-            0.0, seek_unit.latency - seq_unit.latency
-        )
-        report.add(rpt.EDGE_MEMORY, edge_stream.energy)
-
-        load = vertex_dev.transfer_cost(
-            AccessKind.READ, counts.offchip_load_bits, AccessPattern.SEQUENTIAL
-        )
-        store = vertex_dev.transfer_cost(
-            AccessKind.WRITE, counts.offchip_store_bits,
-            AccessPattern.SEQUENTIAL,
-        )
-        # Machines without a scratchpad follow the same interval
-        # schedule, so their "random" vertex accesses land inside the
-        # active interval region: they hit open rows at region_hit_rate
-        # and move only a narrow burst (one 64-bit beat-pair), not the
-        # full 512-bit streaming access.
-        hit = cfg.region_hit_rate
-        rnd_read = _narrow_random_cost(vertex_dev, AccessKind.READ, hit)
-        rnd_write = _narrow_random_cost(vertex_dev, AccessKind.WRITE, hit)
-        # Write-verify retries multiply every ReRAM vertex write's energy
-        # and latency by the expected program-round count.
-        if write_rounds != 1.0 and cfg.offchip_vertex == MemoryTechnology.RERAM:
-            store = AccessCost(
-                store.latency * write_rounds, store.energy * write_rounds
-            )
-            rnd_write = AccessCost(
-                rnd_write.latency * write_rounds,
-                rnd_write.energy * write_rounds,
-            )
-        report.add(
-            rpt.OFFCHIP_VERTEX,
-            load.energy
-            + store.energy
-            + counts.random_read_ops * rnd_read.energy
-            + counts.random_write_ops * rnd_write.energy,
-        )
-
-        resil_energy = 0.0
-        if fault_report is not None:
-            if edge_dev is not raw_edge_dev:
-                resil_energy += (
-                    edge_stream.energy
-                    - raw_edge_dev.transfer_cost(
-                        AccessKind.READ,
-                        counts.edge_stream_bits,
-                        AccessPattern.SEQUENTIAL,
-                    ).energy
-                )
-            if vertex_dev is not raw_vertex_dev or (
-                write_rounds != 1.0
-                and cfg.offchip_vertex == MemoryTechnology.RERAM
-            ):
-                base_load = raw_vertex_dev.transfer_cost(
-                    AccessKind.READ,
-                    counts.offchip_load_bits,
-                    AccessPattern.SEQUENTIAL,
-                )
-                base_store = raw_vertex_dev.transfer_cost(
-                    AccessKind.WRITE,
-                    counts.offchip_store_bits,
-                    AccessPattern.SEQUENTIAL,
-                )
-                base_rnd_read = _narrow_random_cost(
-                    raw_vertex_dev, AccessKind.READ, hit
-                )
-                base_rnd_write = _narrow_random_cost(
-                    raw_vertex_dev, AccessKind.WRITE, hit
-                )
-                resil_energy += (
-                    (load.energy - base_load.energy)
-                    + (store.energy - base_store.energy)
-                    + counts.random_read_ops
-                    * (rnd_read.energy - base_rnd_read.energy)
-                    + counts.random_write_ops
-                    * (rnd_write.energy - base_rnd_write.energy)
-                )
-
-        if sram is not None:
-            read_unit = sram.access_cost(AccessKind.READ, AccessPattern.RANDOM)
-            write_unit = sram.access_cost(
-                AccessKind.WRITE, AccessPattern.RANDOM
-            )
-            onchip_energy = (
-                (counts.onchip_read_bits / sram.access_bits) * read_unit.energy
-                + (counts.onchip_write_bits / sram.access_bits)
-                * write_unit.energy
-            )
-            if sram_ecc != 1.0:
-                onchip_extra = onchip_energy * (
-                    sram_ecc - 1.0
-                ) + secded_logic_energy(
-                    counts.onchip_read_bits + counts.onchip_write_bits
-                )
-                onchip_energy += onchip_extra
-                resil_energy += onchip_extra
-            report.add(rpt.ONCHIP_VERTEX, onchip_energy)
-
-        report.add(
-            rpt.PROCESSING,
-            counts.pu_ops
-            * (pu.op_energy(run.algorithm) + params.PIPELINE_ENERGY_PER_EDGE),
-        )
-        report.add(
-            rpt.ROUTER,
-            router.transfer_energy(counts.router_words)
-            + router.reroute_energy(counts.reroute_events),
-        )
-        requests = (
-            counts.edge_stream_bits / edge_dev.access_bits
-            + counts.offchip_bits / vertex_dev.access_bits
-            + counts.random_read_ops
-            + counts.random_write_ops
-        )
-        report.add(
-            rpt.CONTROLLER, requests * params.CONTROLLER_REQUEST_ENERGY
-        )
-
-        # --- time ------------------------------------------------------------
-        t_stream = edge_stream.latency + seek_extra_latency
-        t_proc = (
-            counts.pu_ops
-            * pu.initiation_interval
-            * counts.imbalance
-            / cfg.num_pus
-        )
-        t_random_vertex = 0.0
-        if counts.random_read_ops or counts.random_write_ops:
-            t_random_vertex = (
-                counts.random_read_ops * rnd_read.latency
-                + counts.random_write_ops * rnd_write.latency
-            ) / min(cfg.random_access_mlp, cfg.num_pus)
-        t_step_overheads = counts.steps_total * (
-            params.SYNC_LATENCY + pu.pipeline_fill()
-        )
-        if cfg.data_sharing:
-            t_step_overheads += router.fill_latency(counts.steps_total)
-        t_processing_phase = (
-            max(t_stream, t_proc, t_random_vertex) + t_step_overheads
-        )
-        t_schedule = load.latency + store.latency
-
-        duration = t_processing_phase + t_schedule
-
-        # --- power gating (edge memory only, Section 4.1) -------------------
-        gating = GatingReport(0.0, 0, 0.0, 0.0)
-        if (
-            cfg.edge_memory == MemoryTechnology.RERAM
-            and cfg.power_gating.enabled
-        ):
-            gater = BankPowerGating(cfg.power_gating)
-            total_banks = edge_chips * cfg.reram.num_banks
-            active = (
-                1 if cfg.reram.subbank_interleaving else cfg.reram.num_banks
-            )
-            gating = gater.plan(
-                num_banks=total_banks,
-                active_banks=active,
-                streamed_bits=counts.edge_stream_bits,
-                bank_capacity_bits=cfg.reram.bank_capacity_bits,
-                duration=duration,
-                failed_banks=sparing.failed_banks if sparing else 0,
-                transition_factor=(
-                    sparing.transition_factor if sparing else 1.0
-                ),
-            )
-            duration += gating.overhead_time
-            report.add(rpt.EDGE_MEMORY, gating.overhead_energy)
-
-        report.time = duration
-
-        # --- background energy ------------------------------------------------
-        report.add(
-            rpt.EDGE_MEMORY_BG,
-            edge_chips
-            * edge_dev.background_energy(duration, gating.gated_fraction),
-        )
-        report.add(
-            rpt.OFFCHIP_VERTEX_BG,
-            vertex_chips * vertex_dev.background_energy(duration),
-        )
-        if sram is not None:
-            sram_bg = cfg.num_pus * sram.background_energy(duration)
-            if sram_ecc != 1.0:
-                resil_energy += sram_bg * (sram_ecc - 1.0)
-                sram_bg *= sram_ecc
-            report.add(rpt.ONCHIP_VERTEX_BG, sram_bg)
-        logic_power = (
-            cfg.num_pus * pu.leakage_power
-            + router.leakage_power
-            + params.CONTROLLER_POWER
-        )
-        report.add(rpt.LOGIC_BG, logic_power * duration)
-
-        # --- injected-fault accounting -------------------------------------
-        if fault_report is not None and injector is not None:
-            if edge_dev is not raw_edge_dev:
-                resil_energy += edge_chips * (
-                    edge_dev.background_energy(duration, gating.gated_fraction)
-                    - raw_edge_dev.background_energy(
-                        duration, gating.gated_fraction
-                    )
-                )
-            if vertex_dev is not raw_vertex_dev:
-                resil_energy += vertex_chips * (
-                    vertex_dev.background_energy(duration)
-                    - raw_vertex_dev.background_energy(duration)
-                )
-            if sparing is not None and sparing.spare_chips:
-                resil_energy += sparing.spare_chips * (
-                    raw_edge_dev.background_energy(
-                        duration, gating.gated_fraction
-                    )
-                )
-            dram_bits = 0.0
-            if cfg.offchip_vertex == MemoryTechnology.DRAM:
-                dram_bits += counts.offchip_bits
-            if cfg.edge_memory == MemoryTechnology.DRAM:
-                dram_bits += counts.edge_stream_bits
-            flips = injector.sample_transient_flips(
-                dram_bits, profile.dram_upset_rate
-            )
-            uncorrectable = injector.uncorrectable_flip_count(
-                dram_bits, profile.dram_upset_rate
-            )
-            if sram is not None:
-                sram_bits = counts.onchip_read_bits + counts.onchip_write_bits
-                flips += injector.sample_transient_flips(
-                    sram_bits, profile.sram_upset_rate
-                )
-                uncorrectable += injector.uncorrectable_flip_count(
-                    sram_bits, profile.sram_upset_rate
-                )
-            fault_report.transient_flips_corrected = flips
-            fault_report.transient_flips_uncorrectable = uncorrectable
-            fault_report.add_energy(resil_energy)
-
-        # --- observability ---------------------------------------------------
-        metrics = obs_metrics.get_metrics()
-        metrics.counter(obs_metrics.EDGES_STREAMED).add(counts.edges_total)
-        metrics.counter(obs_metrics.BPG_BANK_WAKES).add(gating.transitions)
-        metrics.counter(obs_metrics.ROUTER_ROTATIONS).add(
-            counts.reroute_events
-        )
-        tracer = get_tracer()
-        if tracer.enabled:
-            # The processing phase is the max of three overlapped
-            # services; attribute it to whichever dominated, so phase
-            # times sum exactly to the report's modelled time.
-            from ..obs.attribution import emit_report
-
-            phase_times = {p: 0.0 for p in
-                           ("stream", "process", "schedule", "gating")}
-            if t_stream >= t_proc and t_stream >= t_random_vertex:
-                phase_times["stream"] += t_stream
-            elif t_proc >= t_random_vertex:
-                phase_times["process"] += t_proc
-            else:
-                phase_times["schedule"] += t_random_vertex
-            phase_times["process"] += t_step_overheads
-            phase_times["schedule"] += t_schedule
-            phase_times["gating"] += gating.overhead_time
-            emit_report(
-                tracer, report, phase_times,
-                detail={
-                    "t_stream": t_stream,
-                    "t_compute": t_proc,
-                    "t_random_vertex": t_random_vertex,
-                    "t_step_overheads": t_step_overheads,
-                    "bank_wake_transitions": gating.transitions,
-                },
-            )
-        return report, fault_report
-
-
-def _narrow_random_cost(
-    device: MemoryDevice,
-    kind: AccessKind,
-    hit_rate: float,
-    burst_bits: int = 64,
-) -> "AccessCost":
-    """Cost of one narrow random access at a given row-hit rate.
-
-    A hit pays only the data-movement share of a sequential access,
-    scaled to the narrow burst; a miss additionally pays the full
-    activation premium (random cost minus the unused wide burst).
-    """
-    from ..memory.base import AccessCost, AccessPattern
-
-    seq = device.access_cost(kind, AccessPattern.SEQUENTIAL)
-    rnd = device.access_cost(kind, AccessPattern.RANDOM)
-    narrow = burst_bits / device.access_bits
-    hit_energy = seq.energy * narrow
-    activation_premium = max(0.0, rnd.energy - seq.energy)
-    miss_energy = hit_energy + activation_premium
-    return AccessCost(
-        latency=hit_rate * seq.latency + (1.0 - hit_rate) * rnd.latency,
-        energy=hit_rate * hit_energy + (1.0 - hit_rate) * miss_energy,
-    )
-
-
-# --- batched folding (simulate once, price many) ---------------------------
-
-#: Shared, memoized device instances for the batch fold, each paired
-#: with its unit-cost table (the access costs the gather loop needs,
-#: precomputed once per technology point).  Device models are pure cost
-#: functions of their frozen configs (stats helpers are never called on
-#: this path), so instances can be shared; ReRAM construction in
-#: particular runs an NVSim-lite solve worth caching.
+#: Shared, memoized device instances, each paired with its unit-cost
+#: table (every access cost the kernel can ask of it, evaluated once per
+#: operating point).  Device models are pure cost functions of their
+#: frozen configs (stats helpers are never called while pricing), so
+#: instances can be shared; ReRAM construction in particular runs an
+#: NVSim-lite solve worth caching.
 _DEVICE_MEMO: OrderedDict = OrderedDict()
 _SRAM_MEMO: OrderedDict = OrderedDict()
 _DEVICE_MEMO_CAP = 64
 
+#: Columns of a unit-cost table: sequential/random x read/write latency
+#: and energy, then the native access width.
+(_SR_LAT, _SR_EN, _SW_LAT, _SW_EN,
+ _RR_LAT, _RR_EN, _RW_LAT, _RW_EN, _ABITS) = range(9)
+
+
+def clear_device_memos() -> None:
+    """Forget every memoized device, e.g. after patching a constant of a
+    device model."""
+    _DEVICE_MEMO.clear()
+    _SRAM_MEMO.clear()
+
 
 def _device_cost_table(device: MemoryDevice) -> tuple[float, ...]:
-    """(sr_lat, sr_en, sw_lat, sw_en, rr_lat, rr_en, rw_lat, rw_en,
-    access_bits) — every unit cost the batch gather can ask of a
-    device, evaluated once when the device enters the memo."""
+    """One row of the kernel's (configs x actions) cost matrix."""
     sr = device.access_cost(AccessKind.READ, AccessPattern.SEQUENTIAL)
     sw = device.access_cost(AccessKind.WRITE, AccessPattern.SEQUENTIAL)
     rr = device.access_cost(AccessKind.READ, AccessPattern.RANDOM)
@@ -615,47 +192,203 @@ def _device_cost_table(device: MemoryDevice) -> tuple[float, ...]:
             float(device.access_bits))
 
 
-def _shared_device(
-    tech: str, config: HyVEConfig
-) -> tuple[MemoryDevice, tuple[float, ...]]:
-    if tech == MemoryTechnology.RERAM:
-        key = ("reram", config.reram)
-    else:
-        key = ("dram", config.dram)
-    entry = _DEVICE_MEMO.get(key)
+def _memoized(memo: OrderedDict, key, build):
+    """LRU lookup of ``key`` in ``memo``, filled by ``build()``."""
+    entry = memo.get(key)
     if entry is None:
-        device = (
-            ReRAMChip(config.reram)
-            if tech == MemoryTechnology.RERAM
-            else DDR4Chip(config.dram)
-        )
-        entry = (device, _device_cost_table(device))
-        _DEVICE_MEMO[key] = entry
-        if len(_DEVICE_MEMO) > _DEVICE_MEMO_CAP:
-            _DEVICE_MEMO.popitem(last=False)
+        entry = memo[key] = build()
+        if len(memo) > _DEVICE_MEMO_CAP:
+            memo.popitem(last=False)
     else:
-        _DEVICE_MEMO.move_to_end(key)
+        memo.move_to_end(key)
     return entry
+
+
+def _shared_device(
+    config: ReRAMConfig | DRAMConfig, secded: bool = False
+) -> tuple[MemoryDevice, tuple[float, ...]]:
+    """Memoized device for ``config`` (SECDED-wrapped when ``secded``)
+    and its unit-cost table.
+
+    Keyed on the device config itself, so the HyVE and GraphR kernels
+    share one NVSim-lite solve per ReRAM operating point.
+    """
+    def build():
+        if secded:
+            device: MemoryDevice = SECDEDDevice(_shared_device(config)[0])
+        elif isinstance(config, ReRAMConfig):
+            device = ReRAMChip(config)
+        else:
+            device = DDR4Chip(config)
+        return device, _device_cost_table(device)
+
+    return _memoized(_DEVICE_MEMO, (config, secded), build)
 
 
 def _shared_sram(
     capacity_bits: int,
 ) -> tuple[OnChipSRAM, tuple[float, ...]]:
     """(sram, (cycle, read_energy, write_energy, access_bits))."""
-    entry = _SRAM_MEMO.get(capacity_bits)
-    if entry is None:
+    def build():
         sram = OnChipSRAM(capacity_bits)
         read = sram.access_cost(AccessKind.READ, AccessPattern.RANDOM)
         write = sram.access_cost(AccessKind.WRITE, AccessPattern.RANDOM)
-        entry = (sram, (sram.point.read_latency, read.energy,
-                        write.energy, float(sram.access_bits)))
-        _SRAM_MEMO[capacity_bits] = entry
-        if len(_SRAM_MEMO) > _DEVICE_MEMO_CAP:
-            _SRAM_MEMO.popitem(last=False)
-    else:
-        _SRAM_MEMO.move_to_end(capacity_bits)
-    return entry
+        return sram, (sram.point.read_latency, read.energy, write.energy,
+                      float(sram.access_bits))
 
+    return _memoized(_SRAM_MEMO, capacity_bits, build)
+
+
+def _provision(
+    config: HyVEConfig, tech: str, footprint_bits: float, min_chips: int
+) -> tuple[ReRAMConfig | DRAMConfig, int]:
+    """(device config, chip count) holding ``footprint_bits`` in a level
+    built from ``tech`` (anything but ReRAM is commodity DRAM)."""
+    device = config.reram if tech == MemoryTechnology.RERAM else config.dram
+    chips = max(min_chips, math.ceil(footprint_bits / device.density_bits))
+    return device, chips
+
+
+# --- fault overlay ----------------------------------------------------------
+
+@dataclass
+class _FaultOverlay:
+    """One config's injected faults, as edits to the kernel's inputs.
+
+    SECDED-protected levels gather their unit costs from the wrapped
+    device, write-verify rounds scale the vertex writes, and bank
+    sparing grows the edge chip count and feeds BPG planning.
+    :meth:`settle` charges what these cost over the ideal devices.
+    """
+
+    injector: FaultInjector
+    report: FaultReport
+    raw_edge: MemoryDevice
+    raw_vertex: MemoryDevice
+    sparing: BankSparingPlan | None = None
+    edge_ecc: bool = False
+    vertex_ecc: bool = False
+    sram_ecc: float = 1.0
+    #: Expected program rounds per vertex write (1.0 unless the vertex
+    #: memory is ReRAM).
+    write_rounds: float = 1.0
+
+    @classmethod
+    def build(
+        cls,
+        profile: FaultProfile,
+        cfg: HyVEConfig,
+        tag: str,
+        edge_footprint: float,
+        edge_chips: int,
+        raw_edge: MemoryDevice,
+        raw_vertex: MemoryDevice,
+    ) -> tuple["_FaultOverlay", int]:
+        """Draw the config's boot-time faults; returns the overlay and the
+        (possibly spared-up) edge chip count."""
+        injector = FaultInjector(profile, tag=tag)
+        report = FaultReport(profile)
+        word_stats = injector.stuck_word_stats()
+        report.corrected_word_fraction = word_stats.correctable_fraction
+        report.remapped_word_fraction = word_stats.uncorrectable_fraction
+        overlay = cls(injector, report, raw_edge, raw_vertex)
+        if cfg.edge_memory == MemoryTechnology.RERAM:
+            failed = injector.sample_failed_banks(
+                edge_chips * cfg.reram.num_banks
+            )
+            overlay.sparing, edge_chips = BankSparingPlan.build(
+                footprint_bits=edge_footprint,
+                chips=edge_chips,
+                banks_per_chip=cfg.reram.num_banks,
+                bank_capacity_bits=cfg.reram.bank_capacity_bits,
+                density_bits=cfg.reram.density_bits,
+                failed_banks=failed,
+                bad_word_fraction=word_stats.uncorrectable_fraction,
+            )
+            report.failed_banks = failed
+            report.spare_chips = overlay.sparing.spare_chips
+            report.capacity_loss_fraction = (
+                overlay.sparing.capacity_loss_fraction
+            )
+            report.stuck_cells = injector.sample_stuck_cells(
+                edge_chips * cfg.reram.density_bits
+            )
+        ecc = {
+            MemoryTechnology.RERAM: (profile.effective_stuck_rate > 0
+                                     or profile.bank_failure_rate > 0),
+            MemoryTechnology.DRAM: profile.dram_upset_rate > 0,
+        }
+        overlay.edge_ecc = ecc.get(cfg.edge_memory, False)
+        overlay.vertex_ecc = ecc.get(cfg.offchip_vertex, False)
+        if cfg.has_onchip and profile.sram_upset_rate > 0:
+            overlay.sram_ecc = secded_factor()
+        if profile.reram_write_fail_rate > 0:
+            rounds = expected_write_rounds(
+                profile.reram_write_fail_rate, WRITE_RETRY_BOUND
+            )
+            report.expected_write_rounds = rounds
+            report.write_give_up_probability = write_give_up_probability(
+                profile.reram_write_fail_rate, WRITE_RETRY_BOUND
+            )
+            if cfg.offchip_vertex == MemoryTechnology.RERAM:
+                overlay.write_rounds = rounds
+        return overlay, edge_chips
+
+    def settle(
+        self,
+        cfg: HyVEConfig,
+        counts: ScheduleCounts,
+        resil_energy: float,
+        duration: float,
+        gating: GatingReport,
+        edge: tuple[MemoryDevice, int],
+        vertex: tuple[MemoryDevice, int],
+    ) -> FaultReport:
+        """Add the background-power share of the resilience energy, draw
+        the run's transient upsets, and close the fault report."""
+        (edge_dev, edge_chips), (vertex_dev, vertex_chips) = edge, vertex
+        gated = gating.gated_fraction
+        if self.edge_ecc:
+            resil_energy += edge_chips * (
+                edge_dev.background_energy(duration, gated)
+                - self.raw_edge.background_energy(duration, gated)
+            )
+        if self.vertex_ecc:
+            resil_energy += vertex_chips * (
+                vertex_dev.background_energy(duration)
+                - self.raw_vertex.background_energy(duration)
+            )
+        if self.sparing is not None and self.sparing.spare_chips:
+            resil_energy += self.sparing.spare_chips * (
+                self.raw_edge.background_energy(duration, gated)
+            )
+        injector, upset = self.injector, self.injector.profile
+        dram_bits = 0.0
+        if cfg.offchip_vertex == MemoryTechnology.DRAM:
+            dram_bits += counts.offchip_bits
+        if cfg.edge_memory == MemoryTechnology.DRAM:
+            dram_bits += counts.edge_stream_bits
+        flips = injector.sample_transient_flips(
+            dram_bits, upset.dram_upset_rate
+        )
+        uncorrectable = injector.uncorrectable_flip_count(
+            dram_bits, upset.dram_upset_rate
+        )
+        if cfg.has_onchip:
+            sram_bits = counts.onchip_read_bits + counts.onchip_write_bits
+            flips += injector.sample_transient_flips(
+                sram_bits, upset.sram_upset_rate
+            )
+            uncorrectable += injector.uncorrectable_flip_count(
+                sram_bits, upset.sram_upset_rate
+            )
+        self.report.transient_flips_corrected = flips
+        self.report.transient_flips_uncorrectable = uncorrectable
+        self.report.add_energy(resil_energy)
+        return self.report
+
+
+# --- the pricing kernel -----------------------------------------------------
 
 def _check_grid_config(
     config: HyVEConfig, head: HyVEConfig, counts: ScheduleCounts
@@ -701,197 +434,254 @@ def fold_many(
 ) -> list[EnergyReport]:
     """Price one :class:`ScheduleCounts` against a grid of configs.
 
-    The vectorized counterpart of the ideal-device (no fault profile)
-    ``_fold``: per-config unit costs are gathered from memoized device
-    models, the dynamic-energy and busy-time terms are evaluated as
-    NumPy float64 array passes that mirror the scalar fold expression
-    for expression (same operands, same association, same IEEE-754
-    operations), and the per-config tail (BPG planning, background
-    integration, report assembly) replays the scalar order exactly —
-    so element ``i`` is bit-identical to
-    ``AcceleratorMachine(configs[i]).run(...).report``.
+    Element ``i`` is bit-identical to
+    ``AcceleratorMachine(configs[i]).run(...).report``: both price
+    through the same kernel.  Every config must share the schedule
+    described by ``counts`` (grouping by
+    :func:`repro.perf.batch.counts_cache_key` guarantees this);
+    mismatches raise :class:`ConfigError`.
+    """
+    return [report for report, _ in fold_grid(run, counts, workload,
+                                              configs)]
 
-    Every config must share the schedule described by ``counts``
-    (grouping by :func:`repro.perf.batch.counts_cache_key` guarantees
-    this); mismatches raise :class:`ConfigError`.
+
+def fold_grid(
+    run: AlgorithmRun,
+    counts: ScheduleCounts,
+    workload: Workload,
+    configs: list[HyVEConfig],
+    faults: FaultProfile | None = None,
+) -> list[tuple[EnergyReport, FaultReport | None]]:
+    """:func:`fold_many` under an optional fault profile.
+
+    Returns ``(report, fault report)`` per config, bit-identical to
+    ``AcceleratorMachine(configs[i], faults=faults).run(...)``; the
+    fault report is ``None`` without an active profile.
     """
     if not configs:
         return []
     head = configs[0]
     for config in configs:
         _check_grid_config(config, head, counts)
-    onchip = head.has_onchip
-    tracer = get_tracer()
     metrics = obs_metrics.get_metrics()
     metrics.counter(obs_metrics.FOLD_MANY_CONFIGS).add(len(configs))
-    with tracer.span(
+    with get_tracer().span(
         "fold_many",
         algorithm=run.algorithm,
         graph=workload.name,
         configs=len(configs),
     ):
-        return _fold_many_impl(run, counts, workload, configs, onchip)
+        return _fold_kernel(run, counts, workload, configs, faults)
 
 
-def _fold_many_impl(
+class _Traffic(NamedTuple):
+    """Per-config energy (J) and latency (s) of the memory traffic."""
+
+    stream_en: np.ndarray
+    stream_lat: np.ndarray
+    load_en: np.ndarray
+    load_lat: np.ndarray
+    store_en: np.ndarray
+    store_lat: np.ndarray
+    rnd_r_en: np.ndarray
+    rnd_r_lat: np.ndarray
+    rnd_w_en: np.ndarray
+    rnd_w_lat: np.ndarray
+
+
+def _traffic(
+    counts: ScheduleCounts,
+    edge: np.ndarray,
+    vertex: np.ndarray,
+    hit: np.ndarray,
+    write_rounds: np.ndarray | None = None,
+) -> _Traffic:
+    """Price the edge stream and the off-chip vertex traffic from the
+    edge and vertex cost matrices (one row per config).
+
+    ``write_rounds`` multiplies the vertex writes after their transfer
+    and narrow-burst terms (write-verify retries).
+    """
+    e_acc = counts.edge_stream_bits / edge[:, _ABITS]
+    load_acc = counts.offchip_load_bits / vertex[:, _ABITS]
+    store_acc = counts.offchip_store_bits / vertex[:, _ABITS]
+    store_en = vertex[:, _SW_EN] * store_acc
+    store_lat = vertex[:, _SW_LAT] * store_acc
+
+    # Machines without a scratchpad follow the same interval schedule,
+    # so their "random" vertex accesses land inside the active interval
+    # region: they hit open rows at region_hit_rate and move only a
+    # narrow burst (one 64-bit beat-pair), not the full 512-bit
+    # streaming access.  A hit pays the data-movement share of a
+    # sequential access; a miss adds the activation premium.
+    narrow = 64.0 / vertex[:, _ABITS]
+    hit_en_r = vertex[:, _SR_EN] * narrow
+    miss_en_r = hit_en_r + np.maximum(
+        0.0, vertex[:, _RR_EN] - vertex[:, _SR_EN]
+    )
+    hit_en_w = vertex[:, _SW_EN] * narrow
+    miss_en_w = hit_en_w + np.maximum(
+        0.0, vertex[:, _RW_EN] - vertex[:, _SW_EN]
+    )
+    rnd_w_lat = hit * vertex[:, _SW_LAT] + (1.0 - hit) * vertex[:, _RW_LAT]
+    rnd_w_en = hit * hit_en_w + (1.0 - hit) * miss_en_w
+    if write_rounds is not None:
+        store_lat = store_lat * write_rounds
+        store_en = store_en * write_rounds
+        rnd_w_lat = rnd_w_lat * write_rounds
+        rnd_w_en = rnd_w_en * write_rounds
+    return _Traffic(
+        stream_en=edge[:, _SR_EN] * e_acc,
+        stream_lat=edge[:, _SR_LAT] * e_acc,
+        load_en=vertex[:, _SR_EN] * load_acc,
+        load_lat=vertex[:, _SR_LAT] * load_acc,
+        store_en=store_en,
+        store_lat=store_lat,
+        rnd_r_en=hit * hit_en_r + (1.0 - hit) * miss_en_r,
+        rnd_r_lat=(
+            hit * vertex[:, _SR_LAT] + (1.0 - hit) * vertex[:, _RR_LAT]
+        ),
+        rnd_w_en=rnd_w_en,
+        rnd_w_lat=rnd_w_lat,
+    )
+
+
+def _fold_kernel(
     run: AlgorithmRun,
     counts: ScheduleCounts,
     workload: Workload,
     configs: list[HyVEConfig],
-    onchip: bool,
-) -> list[EnergyReport]:
+    faults: FaultProfile | None = None,
+) -> list[tuple[EnergyReport, FaultReport | None]]:
+    """The one HyVE pricing kernel (Equations (1)-(2), Fig. 8).
+
+    Gathers each config's unit-cost rows from memoized devices,
+    evaluates the dynamic-energy and busy-time terms as NumPy float64
+    passes over the grid, then runs the per-config tail: BPG planning,
+    background integration and report assembly.  A non-zero ``faults``
+    profile overlays each config (:class:`_FaultOverlay`); with none the
+    overlay code never runs, so ideal reports are untouched by it.
+    """
+    fault_active = faults is not None and not faults.is_zero
+    onchip = configs[0].has_onchip
     edge_footprint = (
         counts.edges_total / counts.iterations
     ) * counts.edge_bits * FOOTPRINT_SLACK
     vertex_footprint = counts.vertices * counts.vertex_bits * FOOTPRINT_SLACK
 
-    # --- gather: per-config devices and unit costs (memoized) ----------
-    edge_devs: list[MemoryDevice] = []
-    vertex_devs: list[MemoryDevice] = []
+    # --- gather: per-config devices, chips and unit-cost rows ----------
+    edges: list[tuple[MemoryDevice, int]] = []
+    vertices: list[tuple[MemoryDevice, int]] = []
     srams: list[OnChipSRAM] = []
-    edge_chips: list[int] = []
-    vertex_chips: list[int] = []
-    gather: dict[str, list[float]] = {
-        name: []
-        for name in (
-            "e_sr_lat", "e_sr_en", "e_rr_lat", "e_rr_en", "e_abits",
-            "v_sr_lat", "v_sr_en", "v_sw_lat", "v_sw_en",
-            "v_rr_lat", "v_rr_en", "v_rw_lat", "v_rw_en", "v_abits",
-            "hit", "mlp", "ii", "s_r_en", "s_w_en", "s_abits",
+    overlays: list[_FaultOverlay | None] = [None] * len(configs)
+    edge_rows: list[tuple[float, ...]] = []
+    vertex_rows: list[tuple[float, ...]] = []
+    raw_rows: list[tuple[tuple[float, ...], tuple[float, ...]]] = []
+    knobs: list[tuple[float, ...]] = []
+    for i, cfg in enumerate(configs):
+        edge_cfg, edge_chips = _provision(
+            cfg, cfg.edge_memory, edge_footprint, MIN_EDGE_CHIPS_PER_RANK
         )
-    }
-    op_energy = 0.0
-    pipeline_fill = 0.0
-    for cfg in configs:
-        edge_dev, e_costs = _shared_device(cfg.edge_memory, cfg)
-        vertex_dev, v_costs = _shared_device(cfg.offchip_vertex, cfg)
-        edge_devs.append(edge_dev)
-        vertex_devs.append(vertex_dev)
-        density = (
-            cfg.reram.density_bits
-            if cfg.edge_memory == MemoryTechnology.RERAM
-            else cfg.dram.density_bits
+        vertex_cfg, vertex_chips = _provision(
+            cfg, cfg.offchip_vertex, vertex_footprint, MIN_VERTEX_CHIPS
         )
-        edge_chips.append(
-            max(MIN_EDGE_CHIPS_PER_RANK,
-                math.ceil(edge_footprint / density))
-        )
-        density = (
-            cfg.reram.density_bits
-            if cfg.offchip_vertex == MemoryTechnology.RERAM
-            else cfg.dram.density_bits
-        )
-        vertex_chips.append(
-            max(MIN_VERTEX_CHIPS, math.ceil(vertex_footprint / density))
-        )
+        edge_dev, e_costs = _shared_device(edge_cfg)
+        vertex_dev, v_costs = _shared_device(vertex_cfg)
+        if fault_active:
+            overlay, edge_chips = _FaultOverlay.build(
+                faults, cfg, f"{cfg.label}|{run.algorithm}|{workload.name}",
+                edge_footprint, edge_chips, edge_dev, vertex_dev,
+            )
+            overlays[i] = overlay
+            raw_rows.append((e_costs, v_costs))
+            if overlay.edge_ecc:
+                edge_dev, e_costs = _shared_device(edge_cfg, secded=True)
+            if overlay.vertex_ecc:
+                vertex_dev, v_costs = _shared_device(vertex_cfg, secded=True)
+        edges.append((edge_dev, edge_chips))
+        vertices.append((vertex_dev, vertex_chips))
+        edge_rows.append(e_costs)
+        vertex_rows.append(v_costs)
         if onchip:
-            sram, s_costs = _shared_sram(cfg.sram_bits)
+            sram, (sram_cycle, s_r_en, s_w_en, s_abits) = _shared_sram(
+                cfg.sram_bits
+            )
             srams.append(sram)
-            sram_cycle, s_r_en, s_w_en, s_abits = s_costs
         else:
-            sram_cycle = e_costs[4] / cfg.random_access_mlp  # rnd-read lat
+            sram_cycle = e_costs[_RR_LAT] / cfg.random_access_mlp
             s_r_en = s_w_en = 0.0
             s_abits = 1.0
         pu = ProcessingUnitModel(sram_cycle=sram_cycle)
-        op_energy = pu.op_energy(run.algorithm)
-        pipeline_fill = pu.pipeline_fill()
-        g = gather
-        g["e_sr_lat"].append(e_costs[0])
-        g["e_sr_en"].append(e_costs[1])
-        g["e_rr_lat"].append(e_costs[4])
-        g["e_rr_en"].append(e_costs[5])
-        g["e_abits"].append(e_costs[8])
-        g["v_sr_lat"].append(v_costs[0])
-        g["v_sr_en"].append(v_costs[1])
-        g["v_sw_lat"].append(v_costs[2])
-        g["v_sw_en"].append(v_costs[3])
-        g["v_rr_lat"].append(v_costs[4])
-        g["v_rr_en"].append(v_costs[5])
-        g["v_rw_lat"].append(v_costs[6])
-        g["v_rw_en"].append(v_costs[7])
-        g["v_abits"].append(v_costs[8])
-        g["hit"].append(cfg.region_hit_rate)
-        g["mlp"].append(float(min(cfg.random_access_mlp, cfg.num_pus)))
-        g["ii"].append(pu.initiation_interval)
-        g["s_r_en"].append(s_r_en)
-        g["s_w_en"].append(s_w_en)
-        g["s_abits"].append(s_abits)
-    a = {name: np.asarray(vals, dtype=np.float64)
-         for name, vals in gather.items()}
+        knobs.append((cfg.region_hit_rate,
+                      float(min(cfg.random_access_mlp, cfg.num_pus)),
+                      pu.initiation_interval, s_r_en, s_w_en, s_abits))
+    edge = np.asarray(edge_rows, dtype=np.float64)
+    vertex = np.asarray(vertex_rows, dtype=np.float64)
+    hit, mlp, ii, s_r_en, s_w_en, s_abits = np.asarray(
+        knobs, dtype=np.float64
+    ).T
 
     # --- vector passes: dynamic energy and busy time -------------------
-    # Each expression mirrors the scalar fold's operand order exactly.
-    e_accesses = counts.edge_stream_bits / a["e_abits"]
-    edge_stream_en = a["e_sr_en"] * e_accesses
-    edge_stream_lat = a["e_sr_lat"] * e_accesses
+    write_rounds = extra_edge = extra_vertex = None
+    if fault_active:
+        write_rounds = np.asarray([o.write_rounds for o in overlays])
+    t = _traffic(counts, edge, vertex, hit, write_rounds)
+    if fault_active:
+        raw_edge, raw_vertex = (np.asarray(rows, dtype=np.float64)
+                                for rows in zip(*raw_rows))
+        base = _traffic(counts, raw_edge, raw_vertex, hit)
+        extra_edge = t.stream_en - base.stream_en
+        extra_vertex = (
+            (t.load_en - base.load_en)
+            + (t.store_en - base.store_en)
+            + counts.random_read_ops * (t.rnd_r_en - base.rnd_r_en)
+            + counts.random_write_ops * (t.rnd_w_en - base.rnd_w_en)
+        )
     seek_extra = counts.block_seeks * np.maximum(
-        0.0, a["e_rr_lat"] - a["e_sr_lat"]
+        0.0, edge[:, _RR_LAT] - edge[:, _SR_LAT]
     )
-
-    load_acc = counts.offchip_load_bits / a["v_abits"]
-    load_en = a["v_sr_en"] * load_acc
-    load_lat = a["v_sr_lat"] * load_acc
-    store_acc = counts.offchip_store_bits / a["v_abits"]
-    store_en = a["v_sw_en"] * store_acc
-    store_lat = a["v_sw_lat"] * store_acc
-
-    # _narrow_random_cost, vectorized (64-bit burst).
-    narrow = 64.0 / a["v_abits"]
-    hit = a["hit"]
-    hit_en_r = a["v_sr_en"] * narrow
-    miss_en_r = hit_en_r + np.maximum(0.0, a["v_rr_en"] - a["v_sr_en"])
-    rnd_r_lat = hit * a["v_sr_lat"] + (1.0 - hit) * a["v_rr_lat"]
-    rnd_r_en = hit * hit_en_r + (1.0 - hit) * miss_en_r
-    hit_en_w = a["v_sw_en"] * narrow
-    miss_en_w = hit_en_w + np.maximum(0.0, a["v_rw_en"] - a["v_sw_en"])
-    rnd_w_lat = hit * a["v_sw_lat"] + (1.0 - hit) * a["v_rw_lat"]
-    rnd_w_en = hit * hit_en_w + (1.0 - hit) * miss_en_w
-
     offchip_en = (
-        load_en
-        + store_en
-        + counts.random_read_ops * rnd_r_en
-        + counts.random_write_ops * rnd_w_en
+        t.load_en
+        + t.store_en
+        + counts.random_read_ops * t.rnd_r_en
+        + counts.random_write_ops * t.rnd_w_en
     )
     if onchip:
         onchip_en = (
-            (counts.onchip_read_bits / a["s_abits"]) * a["s_r_en"]
-            + (counts.onchip_write_bits / a["s_abits"]) * a["s_w_en"]
+            (counts.onchip_read_bits / s_abits) * s_r_en
+            + (counts.onchip_write_bits / s_abits) * s_w_en
         )
-    else:
-        onchip_en = np.zeros(len(configs))
-
     processing_en = counts.pu_ops * (
-        op_energy + params.PIPELINE_ENERGY_PER_EDGE
+        pu.op_energy(run.algorithm) + params.PIPELINE_ENERGY_PER_EDGE
     )
     router = RouterModel(counts.num_pus)
     router_en = router.transfer_energy(
         counts.router_words
     ) + router.reroute_energy(counts.reroute_events)
     requests = (
-        e_accesses
-        + counts.offchip_bits / a["v_abits"]
+        counts.edge_stream_bits / edge[:, _ABITS]
+        + counts.offchip_bits / vertex[:, _ABITS]
         + counts.random_read_ops
         + counts.random_write_ops
     )
     controller_en = requests * params.CONTROLLER_REQUEST_ENERGY
 
-    t_stream = edge_stream_lat + seek_extra
-    t_proc = counts.pu_ops * a["ii"] * counts.imbalance / counts.num_pus
+    t_stream = t.stream_lat + seek_extra
+    t_proc = counts.pu_ops * ii * counts.imbalance / counts.num_pus
     if counts.random_read_ops or counts.random_write_ops:
         t_random = (
-            counts.random_read_ops * rnd_r_lat
-            + counts.random_write_ops * rnd_w_lat
-        ) / a["mlp"]
+            counts.random_read_ops * t.rnd_r_lat
+            + counts.random_write_ops * t.rnd_w_lat
+        ) / mlp
     else:
         t_random = np.zeros(len(configs))
-    t_step = counts.steps_total * (params.SYNC_LATENCY + pipeline_fill)
+    t_step = counts.steps_total * (params.SYNC_LATENCY + pu.pipeline_fill())
     if configs[0].data_sharing:
         t_step += router.fill_latency(counts.steps_total)
     t_processing_phase = (
         np.maximum(np.maximum(t_stream, t_proc), t_random) + t_step
     )
-    t_schedule = load_lat + store_lat
+    t_schedule = t.load_lat + t.store_lat
     duration0 = t_processing_phase + t_schedule
 
     logic_power = (
@@ -903,14 +693,21 @@ def _fold_many_impl(
     # --- tail: per-config gating, background, report assembly ----------
     # Inherently per element (dict insertion order, BPG branch); every
     # value is narrowed to a Python float so reports round-trip through
-    # repr()/JSON exactly like the scalar path's.
-    reports: list[EnergyReport] = []
+    # repr()/JSON exactly.
+    results: list[tuple[EnergyReport, FaultReport | None]] = []
     metrics = obs_metrics.get_metrics()
     edges_streamed = metrics.counter(obs_metrics.EDGES_STREAMED)
     bank_wakes = metrics.counter(obs_metrics.BPG_BANK_WAKES)
     rotations = metrics.counter(obs_metrics.ROUTER_ROTATIONS)
     tracer = get_tracer()
     for i, cfg in enumerate(configs):
+        overlay = overlays[i]
+        resil_energy = 0.0
+        if overlay is not None:
+            if overlay.edge_ecc:
+                resil_energy += float(extra_edge[i])
+            if overlay.vertex_ecc or overlay.write_rounds != 1.0:
+                resil_energy += float(extra_vertex[i])
         report = EnergyReport(
             machine=cfg.label,
             algorithm=run.algorithm,
@@ -919,23 +716,35 @@ def _fold_many_impl(
             iterations=counts.iterations,
             time=0.0,
         )
-        report.add(rpt.EDGE_MEMORY, float(edge_stream_en[i]))
+        report.add(rpt.EDGE_MEMORY, float(t.stream_en[i]))
         report.add(rpt.OFFCHIP_VERTEX, float(offchip_en[i]))
         if onchip:
-            report.add(rpt.ONCHIP_VERTEX, float(onchip_en[i]))
+            onchip_energy = float(onchip_en[i])
+            if overlay is not None and overlay.sram_ecc != 1.0:
+                onchip_extra = onchip_energy * (
+                    overlay.sram_ecc - 1.0
+                ) + secded_logic_energy(
+                    counts.onchip_read_bits + counts.onchip_write_bits
+                )
+                onchip_energy += onchip_extra
+                resil_energy += onchip_extra
+            report.add(rpt.ONCHIP_VERTEX, onchip_energy)
         report.add(rpt.PROCESSING, processing_en)
         report.add(rpt.ROUTER, router_en)
         report.add(rpt.CONTROLLER, float(controller_en[i]))
 
+        (edge_dev, edge_chips), (vertex_dev, vertex_chips) = (
+            edges[i], vertices[i]
+        )
         duration = float(duration0[i])
         gating = GatingReport(0.0, 0, 0.0, 0.0)
         if (
             cfg.edge_memory == MemoryTechnology.RERAM
             and cfg.power_gating.enabled
         ):
-            gater = BankPowerGating(cfg.power_gating)
-            gating = gater.plan(
-                num_banks=edge_chips[i] * cfg.reram.num_banks,
+            sparing = overlay.sparing if overlay is not None else None
+            gating = BankPowerGating(cfg.power_gating).plan(
+                num_banks=edge_chips * cfg.reram.num_banks,
                 active_banks=(
                     1 if cfg.reram.subbank_interleaving
                     else cfg.reram.num_banks
@@ -943,6 +752,10 @@ def _fold_many_impl(
                 streamed_bits=counts.edge_stream_bits,
                 bank_capacity_bits=cfg.reram.bank_capacity_bits,
                 duration=duration,
+                failed_banks=sparing.failed_banks if sparing else 0,
+                transition_factor=(
+                    sparing.transition_factor if sparing else 1.0
+                ),
             )
             duration += gating.overhead_time
             report.add(rpt.EDGE_MEMORY, gating.overhead_energy)
@@ -950,26 +763,34 @@ def _fold_many_impl(
 
         report.add(
             rpt.EDGE_MEMORY_BG,
-            edge_chips[i]
-            * edge_devs[i].background_energy(
-                duration, gating.gated_fraction
-            ),
+            edge_chips
+            * edge_dev.background_energy(duration, gating.gated_fraction),
         )
         report.add(
             rpt.OFFCHIP_VERTEX_BG,
-            vertex_chips[i] * vertex_devs[i].background_energy(duration),
+            vertex_chips * vertex_dev.background_energy(duration),
         )
         if onchip:
-            report.add(
-                rpt.ONCHIP_VERTEX_BG,
-                cfg.num_pus * srams[i].background_energy(duration),
-            )
+            sram_bg = cfg.num_pus * srams[i].background_energy(duration)
+            if overlay is not None and overlay.sram_ecc != 1.0:
+                resil_energy += sram_bg * (overlay.sram_ecc - 1.0)
+                sram_bg *= overlay.sram_ecc
+            report.add(rpt.ONCHIP_VERTEX_BG, sram_bg)
         report.add(rpt.LOGIC_BG, logic_power * duration)
+        fault_report = None
+        if overlay is not None:
+            fault_report = overlay.settle(
+                cfg, counts, resil_energy, duration, gating,
+                edges[i], vertices[i],
+            )
 
         edges_streamed.add(counts.edges_total)
         bank_wakes.add(gating.transitions)
         rotations.add(counts.reroute_events)
         if tracer.enabled:
+            # The processing phase is the max of three overlapped
+            # services; attribute it to whichever dominated, so phase
+            # times sum exactly to the report's modelled time.
             from ..obs.attribution import emit_report
 
             ts, tp, trv = (
@@ -996,8 +817,8 @@ def _fold_many_impl(
                     "bank_wake_transitions": gating.transitions,
                 },
             )
-        reports.append(report)
-    return reports
+        results.append((report, fault_report))
+    return results
 
 
 def make_machine(

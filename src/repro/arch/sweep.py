@@ -45,7 +45,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
 from ..perf.shm import resolve_workload, share_workload
 from .config import HyVEConfig, Workload
-from .machine import AcceleratorMachine, fold_many
+from .machine import AcceleratorMachine, fold_grid
 from .report import EnergyReport
 
 #: Consecutive broken-pool events a parallel sweep absorbs by
@@ -91,10 +91,10 @@ class SweepPolicy:
         batch: evaluate the serial path simulate-once / price-many: the
             pending points are grouped by shared schedule-counts key
             (:class:`BatchPlan`) and each group is priced by one
-            vectorized :func:`repro.arch.machine.fold_many` call,
+            vectorized :func:`repro.arch.machine.fold_grid` call,
             bit-identical per point to the plain loop.  Batching only
             engages when it cannot change semantics — no per-point
-            timeout, no fault profile, serial evaluation — and any
+            timeout, serial evaluation — and any
             batch failure falls back to the per-point path (with its
             full retry/backoff/isolation behaviour).  Set False to
             force the plain per-point loop.
@@ -427,20 +427,6 @@ def _evaluate_parallel(
                              attempts + lost_attempts[idx])
 
 
-def _batchable(policy: SweepPolicy, faults) -> bool:
-    """Whether the serial path may evaluate simulate-once / price-many.
-
-    Batching must be invisible: a per-point timeout bounds each
-    evaluation's wall clock individually, and a fault profile perturbs
-    devices per machine — both force the plain per-point loop.
-    """
-    return (
-        policy.batch
-        and policy.timeout is None
-        and (faults is None or faults.is_zero)
-    )
-
-
 @dataclass(frozen=True)
 class BatchPlan:
     """Pending sweep points grouped by shared schedule-counts key.
@@ -449,7 +435,8 @@ class BatchPlan:
     (``run``), then each group — configurations whose
     :func:`repro.perf.batch.counts_cache_key` matches — shares one
     Equations (3)-(8) expansion and is priced by a single vectorized
-    :func:`repro.arch.machine.fold_many` pass.  Any group that fails to
+    :func:`repro.arch.machine.fold_grid` pass (under the sweep's fault
+    profile, if any).  Any group that fails to
     batch is re-priced point by point with the full retry/backoff/
     isolation loop, so the observable results (reports, attempt counts,
     error messages, checkpoint records) match the plain loop exactly.
@@ -496,8 +483,8 @@ class BatchPlan:
                     counts = scheduled_counts(
                         self.run, workload, configs[0]
                     )
-                    reports = fold_many(
-                        self.run, counts, workload, configs
+                    priced = fold_grid(
+                        self.run, counts, workload, configs, faults
                     )
             except Exception:
                 # The batched fold rejected the group; price its
@@ -508,7 +495,7 @@ class BatchPlan:
                         faults, replace(policy, isolate_errors=True),
                     )
                 continue
-            for idx, report in zip(group, reports):
+            for idx, (report, _) in zip(group, priced):
                 outcomes[idx] = (report, None, 1)
 
 
@@ -600,7 +587,10 @@ def sweep(
     else:
         plan: BatchPlan | None = None
         batch_error: BaseException | None = None
-        if pending and _batchable(policy, faults):
+        # Batching must be invisible: a per-point timeout bounds each
+        # evaluation's wall clock individually, so it forces the plain
+        # per-point loop.
+        if pending and policy.batch and policy.timeout is None:
             try:
                 run = run_cached(algorithm_factory(), workload.graph)
             except Exception as exc:

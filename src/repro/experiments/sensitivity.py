@@ -17,7 +17,7 @@ from unittest import mock
 
 from ..algorithms import PageRank
 from ..arch.config import HyVEConfig, MemoryTechnology
-from ..arch.machine import AcceleratorMachine
+from ..arch.machine import AcceleratorMachine, clear_device_memos
 from ..memory.powergate import PowerGatingPolicy
 from .common import ExperimentResult, geomean, workloads
 
@@ -34,13 +34,21 @@ PERTURBED_CONSTANTS = (
 
 @contextmanager
 def perturbed(module_path: str, attribute: str, factor: float):
-    """Temporarily scale one module-level constant."""
+    """Temporarily scale one module-level constant.
+
+    The pricing kernel memoizes devices built from these constants, so
+    the memo is emptied on entry and again on exit.
+    """
     import importlib
 
     module = importlib.import_module(module_path)
     original = getattr(module, attribute)
-    with mock.patch.object(module, attribute, original * factor):
-        yield
+    clear_device_memos()
+    try:
+        with mock.patch.object(module, attribute, original * factor):
+            yield
+    finally:
+        clear_device_memos()
 
 
 def opt_over_sd() -> float:

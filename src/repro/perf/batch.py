@@ -22,9 +22,10 @@ Entry points:
 * :func:`scheduled_counts` — drop-in memoized
   :meth:`~repro.arch.scheduler.ScheduleCounts.compute`.
 * :func:`run_grid` — evaluate one algorithm x workload against many
-  configurations, grouping them by counts key and pricing each group
-  with one vectorized fold; bit-identical to a loop of
-  :meth:`AcceleratorMachine.run` calls.
+  configurations (under an optional fault profile), grouping them by
+  counts key and pricing each group with one pass of the pricing
+  kernel; bit-identical to a loop of :meth:`AcceleratorMachine.run`
+  calls, which price through the same kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 from ..algorithms.base import EdgeCentricAlgorithm
 from ..algorithms.runner import AlgorithmRun, run_cached
 from ..arch.config import HyVEConfig, Workload, choose_num_intervals
-from ..arch.machine import AcceleratorMachine, SimulationResult, fold_many
+from ..arch.machine import SimulationResult, fold_grid
 from ..arch.scheduler import ScheduleCounts
 from ..graph.graph import Graph
 from ..obs.trace import get_tracer
@@ -156,25 +157,15 @@ def run_grid(
     for c in configs]`` but structured simulate-once / price-many: the
     algorithm converges once (run cache), each distinct counts key is
     expanded once (counts cache), and every group of configurations
-    sharing a key is priced by one vectorized :func:`fold_many` pass.
-
-    Fault-injected evaluations are not batchable — the injector
-    perturbs devices and provisioning per machine — so a non-zero
-    ``faults`` profile falls back to the serial path (which is
-    per-config deterministic: the injector seeds on the config label).
+    sharing a key is priced by one vectorized :func:`fold_grid` pass —
+    fault profiles included (each config's injector seeds on its
+    label, so the draws match the per-config runs).
     """
     if isinstance(workload, Graph):
         workload = Workload(workload)
     configs = list(configs)
     if not configs:
         return []
-    if faults is not None and not faults.is_zero:
-        return [
-            AcceleratorMachine(config, faults=faults).run(
-                algorithm, workload
-            )
-            for config in configs
-        ]
     tracer = get_tracer()
     with tracer.span(
         "run_grid",
@@ -191,11 +182,12 @@ def run_grid(
                 counts = scheduled_counts(
                     run, workload, configs[indices[0]]
                 )
-            reports = fold_many(
-                run, counts, workload, [configs[i] for i in indices]
+            priced = fold_grid(
+                run, counts, workload, [configs[i] for i in indices],
+                faults,
             )
-            for idx, report in zip(indices, reports):
+            for idx, (report, fault_report) in zip(indices, priced):
                 results[idx] = SimulationResult(
-                    report=report, run=run, faults=None
+                    report=report, run=run, faults=fault_report
                 )
     return results  # type: ignore[return-value]

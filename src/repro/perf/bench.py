@@ -111,8 +111,9 @@ def bench_sweep_scenario(
     every point shares one schedule-counts expansion.  Three timed
     passes over identical points:
 
-    * ``serial_s`` — the pre-batching per-point pipeline: one
-      ``ScheduleCounts.compute`` plus one scalar fold per point.
+    * ``serial_s`` — the per-point pipeline: a loop of
+      :meth:`AcceleratorMachine.run`, one single-config pricing pass
+      per point.
     * ``batch_cold_s`` — :func:`repro.perf.batch.run_grid` with empty
       counts/device memos (first batched evaluation in a process).
     * ``batch_warm_s`` — the same call again, memos warm.
@@ -132,7 +133,6 @@ def bench_sweep_scenario(
     from ..arch import machine as machine_mod
     from ..arch.config import HyVEConfig, Workload
     from ..arch.machine import AcceleratorMachine
-    from ..arch.scheduler import ScheduleCounts
     from ..graph.generators import rmat
     from ..memory.dram import DRAMConfig
     from ..memory.powergate import PowerGatingPolicy
@@ -167,13 +167,10 @@ def bench_sweep_scenario(
 
             start = time.perf_counter()
             for config in configs:
-                machine = AcceleratorMachine(config)
-                counts = ScheduleCounts.compute(run, workload, config)
-                machine._fold(run, counts, workload)
+                AcceleratorMachine(config).run(algorithm, workload)
             serial_s += time.perf_counter() - start
 
-            machine_mod._DEVICE_MEMO.clear()
-            machine_mod._SRAM_MEMO.clear()
+            machine_mod.clear_device_memos()
             start = time.perf_counter()
             run_grid(algorithm, workload, configs)
             batch_cold_s += time.perf_counter() - start
@@ -260,8 +257,7 @@ def bench_tune_scenario(repeats: int = 3) -> dict:
     try:
         scratch = tempfile.mkdtemp(prefix="repro-bench-tune-")
         set_run_cache(RunCache(directory=scratch))
-        machine_mod._DEVICE_MEMO.clear()
-        machine_mod._SRAM_MEMO.clear()
+        machine_mod.clear_device_memos()
         run_cached(algorithm, workload.graph)  # untimed convergence
 
         start = time.perf_counter()
@@ -353,8 +349,7 @@ def _clear_hot_memos() -> None:
 
     vc_mod._CSR_MEMO.clear()
     runner_mod._TRANSFORM_MEMO.clear()
-    machine_mod._DEVICE_MEMO.clear()
-    machine_mod._SRAM_MEMO.clear()
+    machine_mod.clear_device_memos()
     fig20_mod._CAPPED_MEMO.clear()
     stats_mod._NONEMPTY_MEMO.clear()
     partition_mod._PARTITION_MEMO.clear()

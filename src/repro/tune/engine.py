@@ -78,7 +78,7 @@ def _price(
     HyVE configs go through the simulate-once/price-many grid
     (:func:`~repro.arch.sweep.sweep_axis`); GraphR configurations share
     one cached traffic expansion per (run, workload), so each extra
-    config is a cheap scalar fold; the CPU baseline is closed-form.
+    config is a cheap one-cell fold; the CPU baseline is closed-form.
     """
     from ..arch.sweep import sweep_axis
 

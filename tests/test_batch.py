@@ -3,7 +3,7 @@
 The contract under test is *bit-identity*: the memoized counts plus the
 vectorized fold must reproduce the serial pipeline exactly — same
 report fields, same energy-dict insertion order, same ``repr`` of every
-float — across machines, algorithms, workloads, fault fallback, and
+float — across machines, algorithms, workloads, fault profiles, and
 the sweep's batched serial path.
 """
 
@@ -193,15 +193,26 @@ class TestBatchedSweep:
         for line in ckpt_a.read_text().splitlines():
             json.loads(line)  # every record stays valid JSON
 
-    def test_faulted_sweep_not_batched_still_identical(self, small_rmat):
+    def test_faulted_sweep_batches_identically(self, small_rmat):
+        from repro.obs import metrics as obs_metrics
+
         workload = Workload(small_rmat)
-        faults = make_profile("mild", seed=3)
         batched_policy, serial_policy = self._policies()
-        a = sweep("num_pus", [4, 8], PageRank, workload,
-                  policy=batched_policy, faults=faults)
-        b = sweep("num_pus", [4, 8], PageRank, workload,
-                  policy=serial_policy, faults=faults)
-        assert points_to_csv(a) == points_to_csv(b)
+        priced = obs_metrics.get_metrics().counter(
+            obs_metrics.FOLD_MANY_CONFIGS
+        )
+        # A pricing-only axis: every point shares one counts key, so the
+        # batched sweep prices all three points in one kernel pass.
+        values = [0.5, 0.85, 1.0]
+        for profile in ("mild", "harsh", "worn"):
+            faults = make_profile(profile, seed=3)
+            before = priced.value
+            a = sweep("region_hit_rate", values, PageRank, workload,
+                      policy=batched_policy, faults=faults)
+            assert priced.value - before == len(values), profile
+            b = sweep("region_hit_rate", values, PageRank, workload,
+                      policy=serial_policy, faults=faults)
+            assert points_to_csv(a) == points_to_csv(b), profile
 
 
 class TestImbalanceMemo:
