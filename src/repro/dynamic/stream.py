@@ -14,14 +14,14 @@ item 3).  Three pieces:
   published values may lag the log by at most ``K - 1`` updates, and a
   flush (value refresh) happens whenever ``K`` updates are pending or
   a query arrives.  ``K = 1`` degenerates to eager exact maintenance.
-  BFS and CC refresh *incrementally* for insert-only deltas (monotone
-  min-relaxation from the previous fixpoint — exact, because the
-  fixpoint is unique); deletions and PR fall back to a from-scratch
-  rebuild of the canonical snapshot through the run cache, which is
-  bit-identical by construction.  Either way, every published value is
-  bit-identical (exact ints for BFS/CC, 1e-12 for PR) to a full
-  rebuild of ``snapshot_at(t)`` — the ``stream-rebuild-identity``
-  oracle enforces this over generated logs.
+  BFS and CC refresh *incrementally* (monotone min-relaxation from the
+  previous fixpoint — exact, because the fixpoint is unique — after a
+  local repair for deletions); PR and first-time initialisation
+  rebuild the canonical snapshot from scratch through the run cache,
+  which is bit-identical by construction.  Either way, every
+  published value is bit-identical (exact ints for BFS/CC, 1e-12 for
+  PR) to a full rebuild of ``snapshot_at(t)`` — the
+  ``stream-rebuild-identity`` oracle enforces this over generated logs.
 * :func:`measure_stream` — a :class:`StreamThroughputResult` bench:
   sustained updates/second under concurrent pricing queries, compared
   against a serial-replay baseline that rebuilds the graph from the
@@ -364,25 +364,42 @@ def _sorted_member(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return (pos < haystack.size) & (haystack[probe] == needles)
 
 
+def _swap_words(keys: np.ndarray) -> np.ndarray:
+    """Packed ``(a << 32) | b`` keys as ``(b << 32) | a``."""
+    return ((keys & 0xFFFFFFFF) << 32) | (keys >> 32)
+
+
+def _segment_rows(keys: np.ndarray, vertices: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a sorted packed-key array whose high word is one of
+    ``vertices``, plus the position in ``vertices`` each row belongs to.
+
+    Two binary searches per vertex find its segment; the segments are
+    then expanded to row indices without touching the rest of the
+    array, so the cost is O(|vertices| log |keys| + rows)."""
+    lo = np.searchsorted(keys, vertices << 32)
+    counts = np.searchsorted(keys, (vertices + 1) << 32) - lo
+    owner = np.repeat(np.arange(vertices.size), counts)
+    first = np.cumsum(counts) - counts
+    return np.arange(owner.size) + (lo - first)[owner], owner
+
+
 class _RelaxEdges:
     """Segment structure for repeated exact scatter-min sweeps over one
     fixed edge-support set.
 
     ``np.minimum.at`` pays a heavy per-duplicate penalty on *every*
-    sweep; the refixpoint loops instead sort each scatter direction
-    once and reduce per-target segments with ``np.minimum.reduceat`` —
-    the same exact minimum, with the sort amortised across all sweeps
-    of a flush and shared between the BFS and CC refreshes.  The packed
-    support keys arrive sorted by ``(src, dst)``, so the backward
-    direction (scatter into ``src``) is free; the forward direction
-    sorts the swapped keys once.
+    sweep; the CC refixpoint loop instead reduces per-target segments
+    of a target-sorted edge order with ``np.minimum.reduceat`` — the
+    same exact minimum.  The engine keeps the support sorted both by
+    ``(src, dst)`` and by ``(dst, src)``, so both scatter directions
+    are cut into segments straight from those arrays, without a sort.
     """
 
     __slots__ = ("fwd", "bwd")
 
-    def __init__(self, keys: np.ndarray) -> None:
+    def __init__(self, keys: np.ndarray, rev: np.ndarray) -> None:
         self.bwd = self._segments(keys & 0xFFFFFFFF, keys >> 32)
-        rev = np.sort(((keys & 0xFFFFFFFF) << 32) | (keys >> 32))
         self.fwd = self._segments(rev & 0xFFFFFFFF, rev >> 32)
 
     @staticmethod
@@ -396,19 +413,13 @@ class _RelaxEdges:
         return gather, starts, target[starts]
 
 
-def _sweep_min(values: np.ndarray, direction, plus_one: bool = False) -> bool:
-    """One exact scatter-min sweep; returns True iff any value improved.
-
-    ``plus_one`` adds the unit hop cost while leaving ``UNREACHED``
-    saturated (BFS relaxation); without it the sweep is plain min-label
-    propagation (CC)."""
+def _sweep_min(values: np.ndarray, direction) -> bool:
+    """One exact scatter-min sweep of min-label propagation; returns
+    True iff any value improved."""
     gather, starts, targets = direction
     if not targets.size:
         return False
-    cand = values[gather]
-    if plus_one:
-        np.add(cand, 1, out=cand, where=cand != UNREACHED)
-    mins = np.minimum.reduceat(cand, starts)
+    mins = np.minimum.reduceat(values[gather], starts)
     improved = mins < values[targets]
     if not improved.any():
         return False
@@ -416,87 +427,100 @@ def _sweep_min(values: np.ndarray, direction, plus_one: bool = False) -> bool:
     return True
 
 
+def _tight(levels: np.ndarray, parent: np.ndarray,
+           child: np.ndarray) -> np.ndarray:
+    """Mask of edges ``parent -> child`` on a shortest-hop path."""
+    lp = levels[parent]
+    return (lp != UNREACHED) & (lp + 1 == levels[child])
+
+
+def _orphaned(levels: np.ndarray, candidates: np.ndarray, rev: np.ndarray,
+              invalid: np.ndarray) -> np.ndarray:
+    """The ``candidates`` left without a tight in-edge from a vertex
+    outside ``invalid`` (in-edges looked up in the ``(dst, src)``-sorted
+    support ``rev``)."""
+    rows, owner = _segment_rows(rev, candidates)
+    parent = rev[rows] & 0xFFFFFFFF
+    held = _tight(levels, parent, rev[rows] >> 32) & ~invalid[parent]
+    return candidates[np.bincount(owner[held],
+                                  minlength=candidates.size) == 0]
+
+
 def _bfs_delete_repair(previous: np.ndarray, dropped: np.ndarray,
-                       keys: np.ndarray) -> tuple[np.ndarray, int]:
+                       keys: np.ndarray, rev: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Invalidate exactly the region a support deletion can orphan.
 
     A dropped edge ``(u, v)`` only matters if it was *tight*
     (``level[u] + 1 == level[v]``).  Its target is orphaned when no
     tight in-edge remains in the current support; orphaning then
     propagates — a vertex whose every tight parent was invalidated is
-    invalid too.  The closure runs as a vectorized worklist over
-    per-level rounds, decrementing tight-support counts.  Surviving
-    levels are provably achievable on the current support, so after
-    setting the invalidated region to ``UNREACHED`` the array is a
-    valid upper-bound seed for :func:`_bfs_refixpoint` — and when
-    nothing is invalidated the previous levels are already exact.
+    invalid too.  The closure runs as a worklist over per-level rounds:
+    each round follows the tight out-edges of the newly invalid
+    vertices (segments of the ``(src, dst)``-sorted support ``keys``)
+    and re-checks the tight in-edges of the vertices they reach
+    (segments of the ``(dst, src)``-sorted ``rev``), so the work is
+    proportional to the orphaned region's edges, not to the support.
+    Surviving levels are provably achievable on the current support, so
+    after setting the invalidated region to ``UNREACHED`` the array is
+    a valid upper-bound seed for :func:`_bfs_push` — and when nothing
+    is invalidated the previous levels are already exact.
 
-    Returns ``(levels, invalidated_count)``; ``levels`` is ``previous``
-    itself (not a copy) when the count is zero.
+    Returns ``(levels, invalidated)``: ``invalidated`` holds the ids of
+    the orphaned vertices, and ``levels`` is ``previous`` itself (not a
+    copy) when it is empty.
     """
     du = dropped >> 32
     dv = dropped & 0xFFFFFFFF
-    dl = previous[du]
-    seeds = dv[(dl != UNREACHED) & (dl + 1 == previous[dv])]
-    if not seeds.size:
-        # No dropped edge was tight — levels provably unchanged, and
-        # the O(support) scan below never runs.
-        return previous, 0
-    src = keys >> 32
-    dst = keys & 0xFFFFFFFF
-    lu = previous[src]
-    tight = (lu != UNREACHED) & (lu + 1 == previous[dst])
-    tsrc = src[tight]
-    tdst = dst[tight]
-    support = np.bincount(tdst, minlength=previous.size)
-    seeds = np.unique(seeds)
-    frontier = seeds[support[seeds] == 0]
-    if not frontier.size:
-        return previous, 0
     invalid = np.zeros(previous.size, dtype=bool)
-    invalid[frontier] = True
+    frontier = _orphaned(previous, np.unique(dv[_tight(previous, du, dv)]),
+                         rev, invalid)
     while frontier.size:
-        newly = np.zeros(previous.size, dtype=bool)
-        newly[frontier] = True
-        sel = newly[tsrc]
-        hit = tdst[sel]
-        support -= np.bincount(hit, minlength=previous.size)
-        hit = np.unique(hit)
-        frontier = hit[(support[hit] <= 0) & ~invalid[hit]]
         invalid[frontier] = True
+        rows, _ = _segment_rows(keys, frontier)
+        child = keys[rows] & 0xFFFFFFFF
+        hit = np.unique(child[_tight(previous, keys[rows] >> 32, child)])
+        frontier = _orphaned(previous, hit[~invalid[hit]], rev, invalid)
+    invalidated = np.flatnonzero(invalid)
+    if not invalidated.size:
+        return previous, invalidated
     values = previous.copy()
-    values[invalid] = UNREACHED
-    return values, int(np.count_nonzero(invalid))
+    values[invalidated] = UNREACHED
+    return values, invalidated
 
 
-def _bfs_refixpoint(values: np.ndarray, edges: _RelaxEdges) -> np.ndarray:
-    """Relax BFS hop levels to the fixpoint from valid upper bounds.
+def _bfs_push(levels: np.ndarray, src: np.ndarray, dst: np.ndarray,
+              keys: np.ndarray) -> np.ndarray:
+    """Relax BFS hop levels to the fixpoint by frontier push.
 
-    When the incoming levels are achievable upper bounds on the new
-    shortest hop distances (true after insertions, and after
-    :func:`_bfs_delete_repair` has reset the orphaned region),
-    unit-weight Bellman-Ford relaxation converges to the unique
-    fixpoint — exactly the levels a from-scratch BFS computes."""
-    values = values.copy()
-    while _sweep_min(values, edges.fwd, plus_one=True):
-        pass
-    return values
-
-
-def _bfs_delta_unchanged(values: np.ndarray, added: np.ndarray) -> bool:
-    """True iff no inserted support edge can lower any BFS level.
-
-    The previous levels are a fixpoint of the old support; if every new
-    edge ``(u, v)`` already satisfies ``level[v] <= level[u] + 1`` they
-    are consistent (and still achievable) on the new support too — so
-    by uniqueness they *are* the new levels, and the flush can skip the
-    relaxation sweeps entirely."""
-    if not added.size:
-        return True
-    lu = values[added >> 32]
-    lv = values[added & 0xFFFFFFFF]
-    reach = lu != UNREACHED
-    return not np.any(lu[reach] + 1 < lv[reach])
+    ``levels`` must be achievable upper bounds on the new shortest hop
+    distances (true after insertions, and after
+    :func:`_bfs_delete_repair` has reset the orphaned region), and the
+    candidate edges ``src -> dst`` must include every support edge that
+    can lower a level — the added edges and the in-edges of the
+    invalidated vertices; every other edge already satisfied the old
+    fixpoint.  Each round relaxes the candidates and then follows the
+    out-edges (segments of the ``(src, dst)``-sorted support ``keys``)
+    of just the vertices whose level dropped.  Unit-weight Bellman-Ford
+    from valid upper bounds converges to the unique fixpoint — exactly
+    the levels a from-scratch BFS computes.  Returns ``levels`` itself
+    when no level drops, a relaxed copy otherwise."""
+    owned = False
+    while src.size:
+        cand = levels[src]
+        reach = cand != UNREACHED
+        cand = cand[reach] + 1
+        dst = dst[reach]
+        better = cand < levels[dst]
+        if not better.any():
+            break
+        if not owned:
+            levels, owned = levels.copy(), True
+        dst = dst[better]
+        np.minimum.at(levels, dst, cand[better])
+        rows, _ = _segment_rows(keys, np.unique(dst))
+        src, dst = keys[rows] >> 32, keys[rows] & 0xFFFFFFFF
+    return levels
 
 
 def _cc_delta_unchanged(values: np.ndarray, added: np.ndarray) -> bool:
@@ -600,15 +624,21 @@ class StreamEngine:
             for a in self.algorithms
         }
         #: live edge multiset as parallel sorted arrays (packed key,
-        #: multiplicity) — updated by vectorized merges per chunk
+        #: multiplicity) — updated by vectorized merges per chunk.  Every
+        #: update replaces the arrays; none is ever changed in place.
         self._live_keys = np.empty(0, dtype=np.int64)
         self._live_mult = np.empty(0, dtype=np.int64)
+        #: the same support packed ``(dst << 32) | src`` and sorted — the
+        #: in-edge order, kept up to date per chunk
+        self._live_rev = np.empty(0, dtype=np.int64)
         self._num_edges = 0
         self._pending = 0
-        #: edge support (distinct live keys) at the last value refresh;
-        #: the flush diffs it against the live support to decide which
-        #: incremental path is sound
-        self._support_at_refresh = np.empty(0, dtype=np.int64)
+        #: edge support (distinct live keys) at the last value refresh —
+        #: a reference to that refresh's ``_live_keys``, not a copy
+        self._support_at_refresh = self._live_keys
+        #: sorted unique keys of each chunk applied since that refresh;
+        #: the flush probes only these to find the support delta
+        self._touched: list[np.ndarray] = []
         self._values: dict[str, np.ndarray] = {}
         self._values_time = -1
         self._temporal: tuple[int, TemporalGraph] | None = None
@@ -706,14 +736,18 @@ class StreamEngine:
 
         Sorted merge of (live keys, chunk keys) without re-sorting the
         whole live array: insert the genuinely-new keys, then add the
-        net deltas in place.
+        net deltas to a fresh multiplicity array.  The ``(dst, src)``
+        order gains the keys that entered the support and loses those
+        that left it, and the chunk's unique keys are recorded for the
+        next flush.
         """
         keys = (chunk[:, 2] << 32) | chunk[:, 3]
         delta = np.where(chunk[:, 1] == 0, 1, -1).astype(np.int64)
         uk, inv = np.unique(keys, return_inverse=True)
         net = np.zeros(uk.size, dtype=np.int64)
         np.add.at(net, inv, delta)
-        fresh = uk[~_sorted_member(self._live_keys, uk)]
+        was = _sorted_member(self._live_keys, uk)
+        fresh = uk[~was]
         if fresh.size:
             where = np.searchsorted(self._live_keys, fresh)
             merged = np.insert(self._live_keys, where, fresh)
@@ -721,10 +755,22 @@ class StreamEngine:
         else:
             merged = self._live_keys
             mult = self._live_mult.copy()
-        mult[np.searchsorted(merged, uk)] += net
+        at = np.searchsorted(merged, uk)
+        mult[at] += net
+        now = mult[at] > 0
         keep = mult > 0
         self._live_keys = merged[keep]
         self._live_mult = mult[keep]
+        rev = self._live_rev
+        gone = uk[was & ~now]
+        if gone.size:
+            rev = np.delete(rev, np.searchsorted(
+                rev, np.sort(_swap_words(gone))))
+        born = np.sort(_swap_words(uk[now & ~was]))
+        if born.size:
+            rev = np.insert(rev, np.searchsorted(rev, born), born)
+        self._live_rev = rev
+        self._touched.append(uk)
         self._num_edges += int(delta.sum())
 
     def replay(self, log: UpdateLog) -> int:
@@ -745,6 +791,14 @@ class StreamEngine:
         (query-time flushes do this, so time-sliced pricing at the
         same instant reuses the run); contract flushes between queries
         skip the cache store.
+
+        Cost: the support delta comes from probing only the keys the
+        pending chunks touched, and the whole BFS refresh (delete
+        repair and frontier push) follows segments of the two sorted
+        support orders, so both cost O(touched keys + affected edges)
+        up to log factors.  A CC refresh that must relax still sweeps
+        the whole support, O(support) per sweep: a deletion re-seeds
+        every component it touches, the giant one included.
         """
         if self._pending == 0:
             return
@@ -752,39 +806,40 @@ class StreamEngine:
         with get_tracer().span("stream.flush", t=t, pending=self._pending,
                                log=self.log.name):
             live = self._live_keys
-            dropped = self._support_at_refresh[
-                ~_sorted_member(live, self._support_at_refresh)]
-            added = live[~_sorted_member(self._support_at_refresh, live)]
+            touched = np.unique(np.concatenate(self._touched))
+            before = _sorted_member(self._support_at_refresh, touched)
+            after = _sorted_member(live, touched)
+            dropped = touched[before & ~after]
+            added = touched[after & ~before]
             # BFS/CC see only the edge *support*, so incremental
             # refreshes first test just the added-support delta (most
             # flushes change nothing provable), then relax over the
             # distinct-key arrays; the multiset snapshot Graph is
             # materialised lazily, only when some algorithm rebuilds.
-            edges: _RelaxEdges | None = None
+            rev = self._live_rev
             snapshot: Graph | None = None
             for name in self.algorithms:
                 previous = self._values.get(name)
                 values = None
                 if previous is not None and name == "cc":
                     if dropped.size:
-                        edges = edges or _RelaxEdges(live)
                         values = _cc_refixpoint(
-                            _cc_delete_seed(previous, dropped), edges)
+                            _cc_delete_seed(previous, dropped),
+                            _RelaxEdges(live, rev))
                     elif _cc_delta_unchanged(previous, added):
                         values = previous
                     else:
-                        edges = edges or _RelaxEdges(live)
-                        values = _cc_refixpoint(previous, edges)
+                        values = _cc_refixpoint(previous,
+                                                _RelaxEdges(live, rev))
                 elif previous is not None and name == "bfs":
-                    orphans = 0
-                    if dropped.size:
-                        values, orphans = _bfs_delete_repair(
-                            previous, dropped, live)
-                    else:
-                        values = previous
-                    if orphans or not _bfs_delta_unchanged(values, added):
-                        edges = edges or _RelaxEdges(live)
-                        values = _bfs_refixpoint(values, edges)
+                    values, orphans = _bfs_delete_repair(
+                        previous, dropped, live, rev)
+                    rows, _ = _segment_rows(rev, orphans)
+                    values = _bfs_push(
+                        values,
+                        np.concatenate([added >> 32, rev[rows] & 0xFFFFFFFF]),
+                        np.concatenate([added & 0xFFFFFFFF, rev[rows] >> 32]),
+                        live)
                 if values is not None:
                     self.stats.incremental_refreshes += 1
                 else:
@@ -801,7 +856,8 @@ class StreamEngine:
         get_metrics().counter(STALENESS_FLUSHES).add(1)
         self._values_time = t
         self._pending = 0
-        self._support_at_refresh = self._live_keys.copy()
+        self._support_at_refresh = self._live_keys
+        self._touched = []
 
     # --- queries ---------------------------------------------------------
 
