@@ -452,16 +452,17 @@ class BatchPlan:
         workload: Workload,
         configs_by_index: Sequence[tuple[int, HyVEConfig]],
     ) -> "BatchPlan":
-        from ..perf.batch import counts_cache_key
+        from ..perf.batch import group_by_counts_key
 
-        groups: dict[str, list[int]] = {}
-        for idx, config in configs_by_index:
-            groups.setdefault(
-                counts_cache_key(run, workload, config), []
-            ).append(idx)
+        groups = group_by_counts_key(
+            run, workload, [config for _, config in configs_by_index]
+        )
         return cls(
             run=run,
-            groups=tuple(tuple(g) for g in groups.values()),
+            groups=tuple(
+                tuple(configs_by_index[pos][0] for pos in positions)
+                for positions in groups.values()
+            ),
         )
 
     def evaluate(

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..algorithms.base import EdgeCentricAlgorithm
 from ..algorithms.runner import AlgorithmRun, run_cached
@@ -83,21 +83,37 @@ def counts_cache_key(
     the SRAM operating point at fixed P, hit rates, MLP) do not appear
     here, which is what lets a sweep over them simulate once.
     """
+    return _counts_keyer(run, workload)(config)
+
+
+def _counts_keyer(
+    run: AlgorithmRun, workload: Workload
+) -> Callable[[HyVEConfig], str]:
+    """:func:`counts_cache_key` for one (run, workload), as a function
+    of the configuration alone.
+
+    The run digest is the costly part of a key and does not depend on
+    the configuration, so a grid computes it once, not once per config.
+    """
     vertices = run.num_vertices * workload.vertex_scale
-    p = choose_num_intervals(config, vertices, run.vertex_bits)
-    return "|".join(
-        (
-            workload.graph.fingerprint(),
-            _run_digest(run),
-            f"n{config.num_pus}",
-            f"p{p}",
-            f"oc{int(config.has_onchip)}",
-            f"ds{int(config.data_sharing)}",
-            f"hp{int(config.hash_placement)}",
-            f"vs{workload.vertex_scale!r}",
-            f"es{workload.edge_scale!r}",
+    head = (workload.graph.fingerprint(), _run_digest(run))
+    tail = (f"vs{workload.vertex_scale!r}", f"es{workload.edge_scale!r}")
+
+    def key(config: HyVEConfig) -> str:
+        p = choose_num_intervals(config, vertices, run.vertex_bits)
+        return "|".join(
+            (
+                *head,
+                f"n{config.num_pus}",
+                f"p{p}",
+                f"oc{int(config.has_onchip)}",
+                f"ds{int(config.data_sharing)}",
+                f"hp{int(config.hash_placement)}",
+                *tail,
+            )
         )
-    )
+
+    return key
 
 
 def _counts_from_record(record: dict) -> ScheduleCounts:
@@ -137,11 +153,10 @@ def group_by_counts_key(
     configs: Sequence[HyVEConfig],
 ) -> dict[str, list[int]]:
     """Indices of ``configs`` grouped by shared counts key (ordered)."""
+    key = _counts_keyer(run, workload)
     groups: dict[str, list[int]] = {}
     for idx, config in enumerate(configs):
-        groups.setdefault(
-            counts_cache_key(run, workload, config), []
-        ).append(idx)
+        groups.setdefault(key(config), []).append(idx)
     return groups
 
 

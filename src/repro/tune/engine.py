@@ -43,7 +43,7 @@ from ..obs.metrics import (
     get_metrics,
 )
 from ..obs.trace import get_tracer
-from ..perf.batch import counts_cache_key
+from ..perf.batch import group_by_counts_key
 from .frontier import FrontierPoint, ParetoFrontier
 from .pareto import pareto_mask
 from .space import BACKEND_HYVE, Candidate, SearchSpace
@@ -57,14 +57,21 @@ ENGINES = (EXHAUSTIVE, GUIDED)
 def _enumerate(
     spaces: Sequence[SearchSpace],
 ) -> tuple[list[Candidate], int]:
-    """Concatenate spaces into one globally indexed candidate list."""
+    """Concatenate spaces into one globally indexed candidate list.
+
+    A space numbers its candidates from 0, so only the spaces after the
+    first need re-indexing.
+    """
     candidates: list[Candidate] = []
     skipped = 0
     for space in spaces:
         cands, skip = space.candidates()
         skipped += skip
-        for cand in cands:
-            candidates.append(replace(cand, index=len(candidates)))
+        offset = len(candidates)
+        candidates.extend(
+            replace(cand, index=offset + cand.index) if offset else cand
+            for cand in cands
+        )
     return candidates, skipped
 
 
@@ -175,11 +182,9 @@ def _successive_halving(
     if budget >= len(candidates):
         return list(zip(candidates, _price(algorithm, workload, candidates)))
     run = run_cached(algorithm, workload.graph)
-    groups: dict[str, list[int]] = {}
-    for pos, cand in enumerate(candidates):
-        key = counts_cache_key(run, workload, cand.config)
-        groups.setdefault(key, []).append(pos)
-    survivors = list(groups.values())
+    survivors = list(group_by_counts_key(
+        run, workload, [cand.config for cand in candidates]
+    ).values())
     rng = np.random.default_rng(seed)
     priced: dict[int, EnergyReport] = {}
     remaining = budget

@@ -1,22 +1,40 @@
 """Exact vectorized Pareto-frontier extraction (minimization).
 
 The tuner's objective vectors are tiny tuples — (time, energy, EDP) —
-over up to tens of thousands of priced configurations, so the
-non-dominated set is computed exactly with one blocked NumPy dominance
-matrix rather than an approximate sort.  Duplicated frontier points
-all survive (neither strictly dominates the other), which keeps the
-extraction order-independent: permuting the input rows permutes the
-mask identically.
+over up to tens of thousands of priced configurations, of which only a
+few dozen survive.  So the extraction never builds the n x n dominance
+matrix: rows are sorted lexicographically, which puts every row's
+dominators before it, and each block of rows is tested only against
+itself and the non-dominated rows of the earlier blocks.  The cost is
+O(n log n) for the sort plus O(n x (frontier + block)) comparisons,
+instead of O(n^2).
+
+The result depends only on the set of rows, never their order, and
+duplicated frontier points all survive (neither strictly dominates the
+other): permuting the input rows permutes the mask identically.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Rows per dominance block: bounds the broadcast matrix at
-#: ``_BLOCK x n x k`` floats, so a 10^5-point space stays in cache-sized
-#: chunks instead of allocating an n^2 boolean matrix at once.
+#: Rows per dominance block.  Each block is compared with the frontier
+#: found so far and with itself, so the block term of the cost is
+#: ``_BLOCK`` comparisons per row.
 _BLOCK = 256
+
+
+def _covered(by: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``out[i, j]`` is true when ``by[j] <= rows[i]`` on every column.
+
+    Looping over the few columns keeps every temporary two-dimensional;
+    a NaN compares false, so a row holding one neither covers nor is
+    covered.
+    """
+    out = np.ones((len(rows), len(by)), dtype=bool)
+    for col in range(rows.shape[1]):
+        out &= by[:, col] <= rows[:, col, None]
+    return out
 
 
 def pareto_mask(objectives: np.ndarray) -> np.ndarray:
@@ -38,17 +56,34 @@ def pareto_mask(objectives: np.ndarray) -> np.ndarray:
             f"objectives must be a 2-D (points x objectives) array, "
             f"got shape {points.shape}"
         )
-    n = points.shape[0]
-    mask = np.ones(n, dtype=bool)
-    if n == 0:
-        return mask
-    for start in range(0, n, _BLOCK):
-        block = points[start:start + _BLOCK]
-        # le[i, j]: candidate j is <= block row i on every objective;
-        # lt[i, j]: ... and strictly better somewhere => j dominates i.
-        le = (points[None, :, :] <= block[:, None, :]).all(axis=-1)
-        lt = (points[None, :, :] < block[:, None, :]).any(axis=-1)
-        mask[start:start + _BLOCK] = ~(le & lt).any(axis=1)
+    n, k = points.shape
+    if n == 0 or k == 0:
+        return np.ones(n, dtype=bool)
+    # A dominator is <= everywhere and differs somewhere, so it sorts
+    # strictly before the row it dominates.
+    order = np.lexsort(points.T[::-1])
+    ordered = points[order]
+    # Equal rows never dominate each other and share every verdict, so
+    # only the first of each run of equal rows is tested.
+    first = np.ones(n, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    distinct = ordered[first]
+    # Between distinct rows, "<= everywhere" already means dominance.
+    keep = np.empty(len(distinct), dtype=bool)
+    frontier = distinct[:0]
+    for start in range(0, len(distinct), _BLOCK):
+        block = distinct[start:start + _BLOCK]
+        within = _covered(block, block)
+        np.fill_diagonal(within, False)
+        # A row dominated from an earlier block is dominated by a
+        # frontier row of an earlier block too (dominance is
+        # transitive), so those blocks' dominated rows can be dropped.
+        survive = ~(within.any(axis=1)
+                    | _covered(frontier, block).any(axis=1))
+        keep[start:start + len(block)] = survive
+        frontier = np.concatenate([frontier, block[survive]])
+    mask = np.empty(n, dtype=bool)
+    mask[order] = keep[np.cumsum(first) - 1]
     return mask
 
 

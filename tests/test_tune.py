@@ -82,9 +82,42 @@ class TestParetoMask:
             )
             assert mask[i] == (not dominated)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_ties_and_special_values_match_naive(self, k):
+        # Signed zeros compare equal; a NaN compares false, so its row
+        # neither dominates nor is dominated.
+        rng = np.random.default_rng(k)
+        values = np.array([-np.inf, -0.0, 0.0, 1.0, 2.0, np.inf, np.nan])
+        for _ in range(40):
+            pts = rng.choice(values, size=(int(rng.integers(1, 30)), k))
+            assert pareto_mask(pts).tolist() == _naive_mask(pts)
+
+    def test_frontier_spanning_many_blocks_matches_naive(self):
+        # 700 trade-off points all survive, so later blocks test against
+        # a frontier several blocks long; each has a dominated shadow.
+        rng = np.random.default_rng(11)
+        x = rng.random(700)
+        front = np.stack([x, 1.0 - x, rng.random(700)], axis=1)
+        pts = np.concatenate([front, front + rng.random((700, 1)) * 1e-3])
+        perm = rng.permutation(len(pts))
+        mask = pareto_mask(pts[perm])
+        assert mask.tolist() == _naive_mask(pts[perm])
+        assert (mask == (perm < 700)).all()
+
+    def test_no_columns_keeps_every_row(self):
+        assert pareto_mask(np.empty((3, 0))).tolist() == [True] * 3
+
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             pareto_mask(np.array([1.0, 2.0]))
+
+
+def _naive_mask(pts: np.ndarray) -> list[bool]:
+    """Row i survives iff no row is <= it everywhere and < somewhere."""
+    return [
+        not ((pts <= a).all(axis=1) & (pts < a).any(axis=1)).any()
+        for a in pts
+    ]
 
 
 # --- SearchSpace -------------------------------------------------------------
