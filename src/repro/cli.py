@@ -497,14 +497,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         removed = cache.clear(disk=True)
         print(f"removed {removed} cached run(s)")
         return 0
-    if args.action == "migrate":
-        try:
-            report = cache.migrate()
-        except StoreError as exc:
-            print(f"migrate failed: {exc}", file=sys.stderr)
-            return 1
-        print(report.format())
-        return 0
     if args.action == "verify":
         try:
             report = cache.verify_store()
@@ -527,9 +519,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     print(f"directory:      {info['directory'] or '(disk cache disabled)'}")
     print(f"backend:        {info['backend'] or '(none)'}")
     print(f"salt:           {info['salt']}")
-    print(f"disk entries:   {info['disk_entries']}"
-          + (f" (+{info['legacy_files']} unmigrated legacy file(s))"
-             if info['legacy_files'] else ""))
+    print(f"disk entries:   {info['disk_entries']}")
     print(f"disk bytes:     {info['disk_bytes']:,}"
           + (f" (budget {info['max_bytes']:,})"
              if info['max_bytes'] else ""))
@@ -720,12 +710,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="inspect or maintain the persistent run "
                                 "cache (see docs/robustness.md)")
     cache.add_argument("action",
-                       choices=("info", "clear", "migrate", "verify",
-                                "vacuum"),
+                       choices=("info", "clear", "verify", "vacuum"),
                        help="info: show location/size/stats; "
                             "clear: delete all cached runs; "
-                            "migrate: adopt legacy file-per-entry "
-                            "caches into the SQLite store; "
                             "verify: integrity-scan the store "
                             "(exit 1 if anything was quarantined); "
                             "vacuum: drop quarantined rows and "

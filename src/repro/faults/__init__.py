@@ -19,9 +19,9 @@ docs/architecture.md (mechanisms and costs).
 
 :mod:`repro.faults.chaos` extends the same discipline to the
 *infrastructure* the reproduction runs on (the SQLite result store,
-single-flight locks, process-pool workers): seedable torn writes, bit
-flips, stale locks, slow I/O and killed workers, with an all-zero
-profile guaranteed to be an exact pass-through.  See docs/robustness.md.
+process-pool workers): seedable torn writes, bit flips, slow I/O and
+killed workers, with an all-zero profile guaranteed to be an exact
+pass-through.  See docs/robustness.md.
 """
 
 from .chaos import (

@@ -4,16 +4,13 @@ The :mod:`repro.faults` package perturbs the **simulated** memory
 hierarchy (stuck ReRAM cells, DRAM upsets) and PR 1 proved the machine
 model absorbs them.  This module applies the same discipline to the
 infrastructure the reproduction itself runs on — the SQLite result
-store (:mod:`repro.perf.store`), the single-flight locks of
-:mod:`repro.perf.cache`, and the process-pool sweep workers of
+store (:mod:`repro.perf.store`) and the process-pool sweep workers of
 :mod:`repro.arch.sweep`:
 
 * **torn writes** — a stored payload is truncated while its checksum
   describes the full write (the classic crash-mid-write shape);
 * **bit flips** — one payload bit of a committed entry is flipped in
   place, checksum untouched (bit rot / torn page);
-* **stale locks** — a single-flight lock file appears whose recorded
-  owner PID is already dead (a crashed peer);
 * **slow I/O** — bounded random sleeps before store operations
   (saturated disk, network filesystem);
 * **killed workers** — a sweep worker process exits hard
@@ -28,18 +25,15 @@ the ``chaos-recovery`` and ``zero-chaos`` oracles (docs/robustness.md
 has the taxonomy and recovery contract).
 
 Install via :func:`chaos_context` (or :func:`set_chaos`); hooks are
-consulted through :func:`get_chaos` by the store, cache and sweep
-layers and cost one ``None`` check when chaos is off.
+consulted through :func:`get_chaos` by the store and sweep layers and
+cost one ``None`` check when chaos is off.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import os
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, fields
 
@@ -52,7 +46,6 @@ from ..obs import metrics as obs_metrics
 _RATE_FIELDS = (
     "torn_write_rate",
     "bit_flip_rate",
-    "stale_lock_rate",
     "slow_io_rate",
     "kill_worker_rate",
 )
@@ -68,8 +61,6 @@ class ChaosProfile:
             prefix of its payload (checksum still covers the whole).
         bit_flip_rate: probability a committed entry gets one payload
             bit flipped in place after the write.
-        stale_lock_rate: probability a dead-owner lock file is planted
-            before a single-flight claim.
         slow_io_rate: probability a store operation sleeps first.
         slow_io_max_s: upper bound of one injected sleep (seconds).
         kill_worker_rate: probability a sweep *worker process* exits
@@ -81,7 +72,6 @@ class ChaosProfile:
     seed: int = 0
     torn_write_rate: float = 0.0
     bit_flip_rate: float = 0.0
-    stale_lock_rate: float = 0.0
     slow_io_rate: float = 0.0
     slow_io_max_s: float = 0.002
     kill_worker_rate: float = 0.0
@@ -122,11 +112,10 @@ CHAOS_PROFILES: dict[str, ChaosProfile] = {
         bit_flip_rate=0.01,
         slow_io_rate=0.10,
     ),
-    # Everything at once: crashing peers, rotting media, dying workers.
+    # Everything at once: torn writes, rotting media, dying workers.
     "hostile": ChaosProfile(
         torn_write_rate=0.25,
         bit_flip_rate=0.20,
-        stale_lock_rate=0.25,
         slow_io_rate=0.20,
         kill_worker_rate=0.30,
     ),
@@ -166,11 +155,9 @@ class ChaosInjector:
             np.random.SeedSequence([0xC4A05, profile.seed & 0xFFFFFFFF])
         )
         self._install_pid = os.getpid()
-        self._dead_pid: int | None = None
         self.counts: dict[str, int] = {
             "torn_write": 0,
             "bit_flip": 0,
-            "stale_lock": 0,
             "slow_io": 0,
             "kill_worker": 0,
         }
@@ -215,32 +202,6 @@ class ChaosInjector:
         if self._fire(self.profile.bit_flip_rate):
             self._record("bit_flip")
             store.corrupt_bit(key, int(self._rng.integers(0, 1 << 20)))
-
-    # --- lock hooks -------------------------------------------------------
-
-    def _find_dead_pid(self) -> int:
-        """A PID guaranteed dead: spawn-and-reap a trivial child."""
-        if self._dead_pid is None:
-            proc = subprocess.Popen(
-                [sys.executable, "-c", ""],
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            )
-            proc.wait()
-            self._dead_pid = proc.pid
-        return self._dead_pid
-
-    def maybe_stale_lock(self, lock_path) -> None:
-        """Maybe plant a lock file owned by a dead process."""
-        if not self._fire(self.profile.stale_lock_rate):
-            return
-        self._record("stale_lock")
-        try:
-            lock_path.parent.mkdir(parents=True, exist_ok=True)
-            lock_path.write_text(json.dumps(
-                {"pid": self._find_dead_pid(), "created": time.time()}
-            ))
-        except OSError:
-            pass
 
     # --- worker hooks -----------------------------------------------------
 

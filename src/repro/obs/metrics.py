@@ -71,15 +71,10 @@ CONVERGENCE_ITERATIONS = "convergence_iterations"
 #: Result-store entries that failed their checksum on read and were
 #: moved to the quarantine table (then recomputed by the caller).
 STORE_QUARANTINED = "store_quarantined_entries"
-#: Orphaned ``*.tmp`` files (interrupted atomic writes) removed on
-#: store open and by ``repro cache clear``.
-STORE_TMP_CLEANED = "store_tmp_files_cleaned"
 #: Entries evicted from the result store to stay under the size budget.
 STORE_EVICTIONS = "store_evictions"
 #: SQLite busy/locked retries absorbed by the jittered-backoff loop.
 STORE_BUSY_RETRIES = "store_busy_retries"
-#: Single-flight locks broken because their recorded owner was dead.
-STORE_LOCKS_BROKEN = "store_locks_broken"
 #: Process pools respawned after a worker death broke the pool.
 SWEEP_POOL_RESPAWNS = "sweep_pool_respawns"
 #: Sweeps that degraded to serial after repeated pool failures.

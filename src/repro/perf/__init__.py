@@ -17,7 +17,7 @@ changing any reproduced number:
 The disk store's location is controlled by ``$REPRO_CACHE_DIR`` (then
 ``$XDG_CACHE_HOME/hyve-repro``, then ``~/.cache/hyve-repro``) and its
 size budget by ``$REPRO_CACHE_MAX_BYTES``; the CLI surfaces it via
-``repro cache info|clear|migrate|verify|vacuum`` and warms it under
+``repro cache info|clear|verify|vacuum`` and warms it under
 ``repro experiment --jobs N``.  Cache lookups are observable: every
 hit/miss increments the ``cache_hits``/``cache_misses`` counters of
 :mod:`repro.obs.metrics`.  Layout and invalidation rules are documented
@@ -35,21 +35,17 @@ from .cache import (
 )
 from .bench import bench_experiments, write_bench
 from .store import (
-    MigrationReport,
     SQLiteStore,
     VerifyReport,
-    clean_orphan_tmp,
     payload_checksum,
 )
 
 __all__ = [
     "CacheStats",
-    "MigrationReport",
     "RunCache",
     "SQLiteStore",
     "VerifyReport",
     "bench_experiments",
-    "clean_orphan_tmp",
     "default_cache_dir",
     "get_run_cache",
     "payload_checksum",

@@ -29,12 +29,9 @@ connection when it notices a new PID, so process-pool sweep workers
 inherit a store object but talk to the database through their own
 handle.
 
-Migration from the legacy file layout is one explicit call
-(:meth:`SQLiteStore.migrate_from_files`, surfaced as ``repro cache
-migrate``); unmigrated legacy files are still *read* transparently by
-:class:`~repro.perf.cache.RunCache` as a fallback.  The durability
-model, quarantine semantics and chaos-testing story are documented in
-docs/robustness.md.
+The store is the cache's only disk level: files of the pre-store
+layout are neither read nor adopted.  The durability model, quarantine
+semantics and chaos-testing story are documented in docs/robustness.md.
 """
 
 from __future__ import annotations
@@ -66,10 +63,6 @@ BUSY_TIMEOUT_MS = 5_000
 #: exponential backoff (the second line of defence).
 BUSY_RETRIES = 5
 BUSY_BACKOFF_S = 0.01
-
-#: Orphaned ``*.tmp`` files older than this are removed on store open;
-#: younger ones may belong to an in-flight legacy writer and are kept.
-TMP_MAX_AGE_S = 600.0
 
 _ENTRY_COLUMNS = (
     "key", "kind", "payload", "checksum", "size",
@@ -115,34 +108,6 @@ def _is_busy(exc: sqlite3.OperationalError) -> bool:
     return "locked" in text or "busy" in text
 
 
-def clean_orphan_tmp(directory: Path, max_age_s: float | None = None) -> int:
-    """Remove ``*.tmp`` leftovers of interrupted atomic writes.
-
-    ``max_age_s`` keeps files younger than the threshold (they may
-    belong to a live legacy writer); ``None`` removes every match.
-    Returns the number of files removed and bumps the
-    ``store_tmp_files_cleaned`` counter.
-    """
-    removed = 0
-    if not directory.exists():
-        return 0
-    now = time.time()
-    for entry in directory.glob("*.tmp"):
-        try:
-            if max_age_s is not None:
-                if now - entry.stat().st_mtime < max_age_s:
-                    continue
-            entry.unlink()
-            removed += 1
-        except OSError:
-            continue
-    if removed:
-        obs_metrics.get_metrics().counter(
-            obs_metrics.STORE_TMP_CLEANED
-        ).add(removed)
-    return removed
-
-
 @dataclass
 class VerifyReport:
     """Outcome of one integrity scan (``repro cache verify``)."""
@@ -160,24 +125,6 @@ class VerifyReport:
                  f"{len(self.quarantined)} quarantined"]
         for key in self.quarantined:
             lines.append(f"  quarantined: {key}")
-        return "\n".join(lines)
-
-
-@dataclass
-class MigrationReport:
-    """Outcome of one legacy-file migration (``repro cache migrate``)."""
-
-    migrated: int = 0
-    bytes_migrated: int = 0
-    skipped: list[str] = field(default_factory=list)
-    tmp_removed: int = 0
-
-    def format(self) -> str:
-        lines = [f"migrated {self.migrated} entr(ies) "
-                 f"({self.bytes_migrated:,} B) into the SQLite store, "
-                 f"removed {self.tmp_removed} orphaned tmp file(s)"]
-        for name in self.skipped:
-            lines.append(f"  skipped corrupt legacy file: {name}")
         return "\n".join(lines)
 
 
@@ -218,7 +165,6 @@ class SQLiteStore:
         self._orphaned_conns: list[sqlite3.Connection] = []
         self._jitter = random.Random(os.getpid())
         self.directory.mkdir(parents=True, exist_ok=True)
-        clean_orphan_tmp(self.directory, TMP_MAX_AGE_S)
         self._open()
 
     @property
@@ -583,58 +529,3 @@ class SQLiteStore:
             "bytes_before": before,
             "bytes_after": after,
         }
-
-    # --- migration --------------------------------------------------------
-
-    def migrate_from_files(
-        self, directory: str | Path | None = None
-    ) -> MigrationReport:
-        """One-shot adoption of the legacy file-per-entry layout.
-
-        Every readable ``<key>.npz`` / ``scalar-*.json`` /
-        ``counts-*.json`` becomes a store entry (keyed on its stem) and
-        the source file is removed; an unreadable legacy file is
-        renamed ``<name>.corrupt`` so re-running ``migrate`` converges.
-        """
-        import io as _io
-        import json as _json
-        import zipfile as _zipfile
-
-        import numpy as _np
-
-        directory = Path(directory) if directory else self.directory
-        report = MigrationReport()
-        report.tmp_removed = clean_orphan_tmp(directory, max_age_s=None)
-        patterns = (
-            ("*.npz", "run"),
-            ("scalar-*.json", "scalar"),
-            ("counts-*.json", "counts"),
-        )
-        for pattern, kind in patterns:
-            for entry in sorted(directory.glob(pattern)):
-                try:
-                    payload = entry.read_bytes()
-                    if kind == "run":
-                        with _np.load(_io.BytesIO(payload),
-                                      allow_pickle=False) as npz:
-                            _json.loads(str(npz["meta"]))
-                    else:
-                        _json.loads(payload.decode("utf-8"))
-                except (OSError, ValueError, KeyError,
-                        _json.JSONDecodeError, _zipfile.BadZipFile):
-                    report.skipped.append(entry.name)
-                    try:
-                        entry.rename(
-                            entry.with_name(entry.name + ".corrupt")
-                        )
-                    except OSError:
-                        pass
-                    continue
-                self.put(entry.stem, payload, kind=kind)
-                report.migrated += 1
-                report.bytes_migrated += len(payload)
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
-        return report

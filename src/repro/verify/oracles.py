@@ -17,7 +17,7 @@ promise identical results disagree.  Three families are registered:
   linearity under power-of-two ``edge_scale``, and zero-fault-profile
   pass-through;
 * *infrastructure-chaos recovery* — runs against a result store under
-  injected torn writes, bit flips and stale locks
+  injected torn writes, bit flips and slow I/O
   (:mod:`repro.faults.chaos`) must recover to bit-identical reports,
   and an all-zero chaos profile must be an exact pass-through;
 * *streaming conformance* — a :class:`repro.dynamic.stream.StreamEngine`
@@ -397,7 +397,6 @@ def scale_linearity(case: Case) -> None:
 _RECOVERY_CHAOS = dict(
     torn_write_rate=0.30,
     bit_flip_rate=0.25,
-    stale_lock_rate=0.25,
     slow_io_rate=0.10,
     slow_io_max_s=0.0005,
 )
@@ -405,7 +404,7 @@ _RECOVERY_CHAOS = dict(
 
 @oracle(
     "chaos-recovery",
-    "runs against a store under torn writes / bit flips / stale locks "
+    "runs against a store under torn writes / bit flips / slow I/O "
     "recover to bit-identical reports",
     stride=2,
 )

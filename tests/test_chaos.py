@@ -4,11 +4,8 @@ The central invariants, mirroring the device-fault layer of PR 1: the
 injector is deterministic per (profile, seed), an all-zero profile
 draws no entropy and perturbs nothing, and every injected fault is
 *absorbed* by the robustness machinery — torn writes and bit flips are
-quarantined and recomputed, stale locks are broken, and results stay
-bit-identical.
+quarantined and recomputed, and results stay bit-identical.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -80,7 +77,6 @@ class TestZeroPassThrough:
         payload = b"x" * 100
         assert injector.filter_payload("k", payload) is payload
         injector.io_delay()
-        injector.maybe_stale_lock(None)  # must not even touch the path
         assert injector._rng.bit_generator.state == state_before
         assert injector.total_injections == 0
 
@@ -144,37 +140,6 @@ class TestStoreAbsorbsChaos:
             store.put("k", bytes(64), kind="run")
         after = registry.counter(obs_metrics.CHAOS_INJECTIONS).value
         assert after == before + 1
-
-
-class TestStaleLockInjection:
-    def test_planted_lock_names_dead_owner_and_is_broken(self, tmp_path):
-        """The injected stale lock is exactly the artefact the cache's
-        dead-owner reclaim must absorb: plant one, then watch a cache
-        lookup break it and proceed."""
-        from repro.algorithms import PageRank
-        from repro.graph import rmat
-        from repro.perf.cache import RunCache
-
-        profile = ChaosProfile(seed=4, stale_lock_rate=1.0)
-        graph = rmat(64, 256, seed=9, name="chaos-rmat")
-        cache = RunCache(directory=tmp_path / "store")
-        key = cache.key(PageRank(), graph)
-        lock = cache._lock_path(key)
-        with chaos_context(profile) as injector:
-            run = cache.get_or_run(PageRank(), graph)
-        assert injector.counts["stale_lock"] == 1
-        assert run.iterations > 0
-        assert not lock.exists()  # broken and cleaned up
-
-    def test_planted_lock_payload_is_dead_pid(self, tmp_path):
-        profile = ChaosProfile(seed=4, stale_lock_rate=1.0)
-        injector = ChaosInjector(profile)
-        lock = tmp_path / "x.lock"
-        injector.maybe_stale_lock(lock)
-        owner = json.loads(lock.read_text())
-        import os
-        with pytest.raises(ProcessLookupError):
-            os.kill(owner["pid"], 0)
 
 
 class TestKillWorkerGuard:

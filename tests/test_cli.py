@@ -191,22 +191,10 @@ class TestCacheCommand:
         finally:
             set_run_cache(None)
 
-    def test_rejects_unknown_action(self):
+    @pytest.mark.parametrize("action", ["compact", "migrate"])
+    def test_rejects_unknown_action(self, action):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["cache", "compact"])
-
-    def test_migrate_adopts_legacy_files(self, capsys, tmp_path):
-        from repro.perf.cache import temporary_run_cache
-
-        directory = tmp_path / "store"
-        directory.mkdir()
-        (directory / "scalar-ab12.json").write_text(
-            '{"name": "s", "value": 2.5, "salt": "v"}')
-        with temporary_run_cache(directory):
-            assert main(["cache", "migrate"]) == 0
-            out = capsys.readouterr().out
-            assert "migrated 1 entr(ies)" in out
-        assert not (directory / "scalar-ab12.json").exists()
+            build_parser().parse_args(["cache", action])
 
     def test_verify_flags_quarantine(self, capsys, tmp_path):
         from repro.perf.cache import temporary_run_cache
@@ -236,7 +224,7 @@ class TestCacheCommand:
         from repro.perf.cache import temporary_run_cache
 
         with temporary_run_cache(""):  # memory-only: no disk store
-            for action in ("migrate", "verify", "vacuum"):
+            for action in ("verify", "vacuum"):
                 assert main(["cache", action]) == 1
         assert "failed" in capsys.readouterr().err
 

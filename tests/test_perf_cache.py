@@ -1,15 +1,11 @@
 """Tests for the persistent content-addressed run cache.
 
 Covers the two-level (memory LRU + SQLite disk store) cache, key
-derivation from algorithm signatures, the scalar statistic store, the
-legacy file-layout fallback, and the cross-process single-flight
-protocol including dead-owner lock reclaim.
+derivation from algorithm signatures, the scalar statistic store, and
+that files of the pre-store layout are never read.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -205,74 +201,24 @@ class TestVertexCentricEntries:
         assert cache.info()["disk_entries"] == 2
 
 
-class TestSingleFlight:
-    def test_stale_legacy_lock_falls_back_to_compute(self, cache, graph):
-        """An *empty* (pre-PID-format) lock left by a crashed peer must
-        not wedge the cache: after the timeout the caller computes."""
-        cache.singleflight_timeout = 0.05
-        key = cache.key(PageRank(), graph)
-        cache.directory.mkdir(parents=True, exist_ok=True)
-        cache._lock_path(key).touch()
-        run = cache.get_or_run(PageRank(), graph)
-        assert run.iterations > 0
+class TestStoreIsOnlyDiskLevel:
+    def test_legacy_scalar_file_ignored_not_adopted(self, tmp_path, graph):
+        """A file of the pre-store layout carries no checksum: it must
+        be neither served nor adopted into the store."""
+        probe = RunCache(directory=tmp_path / "probe")
+        probe.get_or_scalar("edges", graph, lambda: 7.0)
+        (key,) = probe._disk().keys(kind="scalar")
 
-    def test_waiter_adopts_peer_result(self, cache, graph):
-        """If the stored entry appears while waiting on the lock, the
-        waiter loads it instead of recomputing."""
-        # Pre-store the entry with a throwaway cache, then hold a lock
-        # naming this (live) process as the owner, so it is not broken.
-        peer = RunCache(directory=cache.directory, salt=cache.salt)
-        stored = peer.get_or_run(PageRank(), graph)
-        key = cache.key(PageRank(), graph)
-        lock = cache._lock_path(key)
-        lock.write_text(json.dumps({"pid": os.getpid(), "created": 0.0}))
-        try:
-            run = cache.get_or_run(PageRank(), graph)
-        finally:
-            if lock.exists():
-                lock.unlink()
-        np.testing.assert_array_equal(run.values, stored.values)
-
-    def test_dead_owner_lock_broken_immediately(self, cache, graph):
-        """A lock recording a dead PID is reclaimed on sight — no
-        timeout wait — and the store_locks_broken counter records it."""
-        from repro.obs import metrics as obs_metrics
-
-        # A PID guaranteed dead: spawn-and-reap a trivial child.
-        proc = subprocess.Popen([sys.executable, "-c", ""])
-        proc.wait()
-        cache.singleflight_timeout = 30.0  # a wait would hang the test
-        key = cache.key(PageRank(), graph)
-        cache.directory.mkdir(parents=True, exist_ok=True)
-        lock = cache._lock_path(key)
-        lock.write_text(json.dumps({"pid": proc.pid, "created": 0.0}))
-        before = obs_metrics.get_metrics().counter(
-            obs_metrics.STORE_LOCKS_BROKEN
-        ).value
-        run = cache.get_or_run(PageRank(), graph)
-        assert run.iterations > 0
-        assert not lock.exists()
-        after = obs_metrics.get_metrics().counter(
-            obs_metrics.STORE_LOCKS_BROKEN
-        ).value
-        assert after == before + 1
-
-    def test_live_owner_lock_respected_until_timeout(self, cache, graph):
-        """A lock owned by a live process is honoured: the waiter only
-        computes once the single-flight timeout expires."""
-        cache.singleflight_timeout = 0.05
-        key = cache.key(PageRank(), graph)
-        cache.directory.mkdir(parents=True, exist_ok=True)
-        lock = cache._lock_path(key)
-        lock.write_text(json.dumps({"pid": os.getpid(), "created": 0.0}))
-        try:
-            run = cache.get_or_run(PageRank(), graph)
-            survived = lock.exists()
-        finally:
-            if lock.exists():
-                lock.unlink()
-        assert run.iterations > 0
-        assert survived  # never broken: the owner is alive
+        directory = tmp_path / "store"
+        directory.mkdir()
+        (directory / f"{key}.json").write_text(
+            json.dumps({"name": "edges", "value": 99.0, "salt": "x"}))
+        cache = RunCache(directory=directory)
+        assert cache.get_or_scalar("edges", graph, lambda: 7.0) == 7.0
+        assert cache.stats.disk_hits == 0
+        assert cache.stats.misses == 1
+        stored = json.loads(cache._disk().get(key).decode("utf-8"))
+        assert stored["value"] == 7.0
 
 
 class TestDefaultDirectory:

@@ -1,13 +1,12 @@
 """Unit tests for the crash-safe SQLite result store.
 
 Covers checksummed round-trips, quarantine-on-corruption, LRU size
-budgeting, provenance columns, verify/vacuum maintenance, legacy-file
-migration, orphaned-tmp cleanup and the busy-retry loop.  The
+budgeting, provenance columns, verify/vacuum maintenance and the
+busy-retry loop.  The
 multi-process stress and kill-mid-write scenarios live in
 tests/test_store_stress.py and tests/test_crash_consistency.py.
 """
 
-import json
 import sqlite3
 import time
 
@@ -15,11 +14,7 @@ import pytest
 
 from repro.errors import StoreError
 from repro.obs import metrics as obs_metrics
-from repro.perf.store import (
-    SQLiteStore,
-    clean_orphan_tmp,
-    payload_checksum,
-)
+from repro.perf.store import SQLiteStore, payload_checksum
 
 
 @pytest.fixture
@@ -217,35 +212,6 @@ class TestSchemaGuard:
             SQLiteStore(tmp_path / "cache")
 
 
-class TestTmpCleanup:
-    def test_open_removes_stale_tmp(self, tmp_path):
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        stale = directory / "half-written.npz.tmp"
-        stale.write_bytes(b"garbage")
-        import os
-        old = time.time() - 3600
-        os.utime(stale, (old, old))
-        fresh = directory / "in-flight.npz.tmp"
-        fresh.write_bytes(b"maybe live")
-        registry = obs_metrics.get_metrics()
-        before = registry.counter(obs_metrics.STORE_TMP_CLEANED).value
-        SQLiteStore(directory)
-        assert not stale.exists()
-        assert fresh.exists()  # young: may belong to a live writer
-        after = registry.counter(obs_metrics.STORE_TMP_CLEANED).value
-        assert after == before + 1
-
-    def test_clean_orphan_tmp_unbounded_age(self, tmp_path):
-        (tmp_path / "a.tmp").write_bytes(b"1")
-        (tmp_path / "b.tmp").write_bytes(b"2")
-        assert clean_orphan_tmp(tmp_path, max_age_s=None) == 2
-        assert clean_orphan_tmp(tmp_path, max_age_s=None) == 0
-
-    def test_missing_directory_is_zero(self, tmp_path):
-        assert clean_orphan_tmp(tmp_path / "absent") == 0
-
-
 class _FlakyConn:
     """Connection proxy whose ``execute`` fails with a chosen error for
     the first ``failures`` calls matching ``match`` (sqlite3.Connection
@@ -297,98 +263,3 @@ class TestBusyRetry:
         with pytest.raises(sqlite3.OperationalError):
             store.put("k", b"data", kind="run")
         assert proxy.calls == 1
-
-
-class TestMigration:
-    def test_migrates_all_legacy_kinds(self, tmp_path, monkeypatch):
-        import io
-
-        import numpy as np
-
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        buffer = io.BytesIO()
-        np.savez(buffer, meta=np.asarray(json.dumps({"algorithm": "pr"})),
-                 values=np.arange(4.0),
-                 active_sources=np.asarray([], dtype=np.int64))
-        (directory / "abc123.npz").write_bytes(buffer.getvalue())
-        (directory / "scalar-d4.json").write_text(
-            json.dumps({"name": "s", "value": 1.5, "salt": "v"}))
-        (directory / "counts-e5.json").write_text(
-            json.dumps({"key": "k", "salt": "v", "counts": {}}))
-        (directory / "leftover.tmp").write_bytes(b"x")
-        store = SQLiteStore(directory)
-        report = store.migrate_from_files()
-        assert report.migrated == 3
-        assert report.skipped == []
-        assert report.tmp_removed == 1
-        assert store.get("abc123") == buffer.getvalue()
-        assert store.keys(kind="scalar") == ["scalar-d4"]
-        assert store.keys(kind="counts") == ["counts-e5"]
-        # Sources are gone: re-running converges to a no-op.
-        assert not list(directory.glob("*.npz"))
-        assert not list(directory.glob("*.json"))
-        again = store.migrate_from_files()
-        assert again.migrated == 0
-
-    def test_batched_sweep_byte_identical_on_migrated_store(
-        self, tmp_path
-    ):
-        """The acceptance bar for migration: sweep CSV and checkpoint
-        outputs from a store populated via legacy-file migration are
-        byte-identical to those from a freshly computed store."""
-        from repro.algorithms import PageRank
-        from repro.arch.sweep import SweepPolicy, points_to_csv, sweep
-        from repro.graph import rmat
-        from repro.perf.cache import RunCache, temporary_run_cache
-
-        graph = rmat(64, 256, seed=5, name="mig-rmat")
-        values = [0.25, 0.75, 1.0]
-
-        def run_sweep(directory, ckpt):
-            with temporary_run_cache(directory):
-                points = sweep(
-                    "region_hit_rate", values, PageRank, graph,
-                    policy=SweepPolicy(checkpoint_path=ckpt),
-                )
-            return points_to_csv(points)
-
-        fresh_dir = tmp_path / "fresh"
-        baseline_csv = run_sweep(fresh_dir, tmp_path / "a.jsonl")
-
-        # Export the fresh store's entries into the legacy
-        # file-per-entry layout, then migrate them back in.
-        legacy_dir = tmp_path / "legacy"
-        legacy_dir.mkdir()
-        source = SQLiteStore(fresh_dir)
-        exported = 0
-        for kind, suffix in (("run", ".npz"), ("scalar", ".json"),
-                             ("counts", ".json")):
-            for key in source.keys(kind=kind):
-                (legacy_dir / f"{key}{suffix}").write_bytes(
-                    source.get(key)
-                )
-                exported += 1
-        assert exported >= 1
-        cache = RunCache(directory=legacy_dir)
-        report = cache.migrate()
-        assert report.migrated == exported
-        assert report.skipped == []
-
-        migrated_csv = run_sweep(legacy_dir, tmp_path / "b.jsonl")
-        assert migrated_csv == baseline_csv
-        assert ((tmp_path / "b.jsonl").read_bytes()
-                == (tmp_path / "a.jsonl").read_bytes())
-
-    def test_corrupt_legacy_file_skipped_and_renamed(self, tmp_path):
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        (directory / "bad.npz").write_bytes(b"not a zip at all")
-        (directory / "scalar-bad.json").write_text("{truncated")
-        store = SQLiteStore(directory)
-        report = store.migrate_from_files()
-        assert report.migrated == 0
-        assert sorted(report.skipped) == ["bad.npz", "scalar-bad.json"]
-        assert (directory / "bad.npz.corrupt").exists()
-        assert (directory / "scalar-bad.json.corrupt").exists()
-        assert "skipped" in report.format()
