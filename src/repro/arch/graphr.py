@@ -214,7 +214,7 @@ def _graphr_kernel(
     integration, report assembly) runs in Python floats.
     """
     global_mem, costs = _shared_device(cfg.reram)
-    (sr_lat, sr_en, sw_lat, sw_en, _, _, _, _, abits) = costs
+    (sr_lat, sr_en, sw_lat, sw_en, _, _, _, _, abits, *_) = costs
     regfile = RegisterFile(cfg.regfile_bits * cfg.num_crossbar_groups)
     rf_read = regfile.access_cost(AccessKind.READ, AccessPattern.RANDOM)
     rf_write = regfile.access_cost(AccessKind.WRITE, AccessPattern.RANDOM)

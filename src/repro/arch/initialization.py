@@ -26,7 +26,8 @@ from .machine import (
     MIN_EDGE_CHIPS_PER_RANK,
     MIN_VERTEX_CHIPS,
     AcceleratorMachine,
-    _provision,
+    _chips,
+    _device_config,
     _shared_device,
 )
 
@@ -72,12 +73,10 @@ def initialization_cost(
     edge_bits = edges * run.edge_bits * FOOTPRINT_SLACK
     vertex_bits = vertices * run.vertex_bits * FOOTPRINT_SLACK
 
-    edge_cfg, edge_chips = _provision(
-        config, config.edge_memory, edge_bits, MIN_EDGE_CHIPS_PER_RANK
-    )
-    vertex_cfg, vertex_chips = _provision(
-        config, config.offchip_vertex, vertex_bits, MIN_VERTEX_CHIPS
-    )
+    edge_cfg = _device_config(config, config.edge_memory)
+    vertex_cfg = _device_config(config, config.offchip_vertex)
+    edge_chips = _chips(edge_cfg, edge_bits, MIN_EDGE_CHIPS_PER_RANK)
+    vertex_chips = _chips(vertex_cfg, vertex_bits, MIN_VERTEX_CHIPS)
     edge_dev, _ = _shared_device(edge_cfg)
     vertex_dev, _ = _shared_device(vertex_cfg)
 

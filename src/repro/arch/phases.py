@@ -24,11 +24,9 @@ from ..errors import ConfigError
 from ..graph.graph import Graph
 from ..graph.hash_partition import hash_partition
 from ..memory.base import AccessKind, AccessPattern
-from ..memory.dram import DDR4Chip
-from ..memory.reram import ReRAMChip
-from ..memory.sram import OnChipSRAM
 from . import params
-from .config import HyVEConfig, MemoryTechnology, Workload
+from .config import HyVEConfig, Workload
+from .machine import _device_config, _shared_device, _shared_sram
 from .processing_unit import ProcessingUnitModel
 
 
@@ -94,18 +92,12 @@ def schedule_phases(
     sizes = partition.interval_sizes()
     q = p // n
 
-    # Device costs.
-    vertex_dev = (
-        DDR4Chip(config.dram)
-        if config.offchip_vertex == MemoryTechnology.DRAM
-        else ReRAMChip(config.reram)
+    # Device costs, from the devices the pricing kernel shares.
+    vertex_dev, _ = _shared_device(
+        _device_config(config, config.offchip_vertex)
     )
-    edge_dev = (
-        ReRAMChip(config.reram)
-        if config.edge_memory == MemoryTechnology.RERAM
-        else DDR4Chip(config.dram)
-    )
-    sram = OnChipSRAM(config.sram_bits)
+    edge_dev, _ = _shared_device(_device_config(config, config.edge_memory))
+    sram, _ = _shared_sram(config.sram_bits)
     pu = ProcessingUnitModel(sram_cycle=sram.point.read_latency)
     seq_read = vertex_dev.access_cost(AccessKind.READ, AccessPattern.SEQUENTIAL)
     seq_write = vertex_dev.access_cost(

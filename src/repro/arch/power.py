@@ -10,7 +10,6 @@ term disappears from every phase except the streaming ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..algorithms.base import EdgeCentricAlgorithm
@@ -18,12 +17,16 @@ from ..algorithms.runner import run_cached
 from ..errors import ConfigError
 from ..graph.graph import Graph
 from ..memory.base import AccessKind, AccessPattern
-from ..memory.dram import DDR4Chip
-from ..memory.reram import ReRAMChip
-from ..memory.sram import OnChipSRAM
 from . import params
 from .config import HyVEConfig, MemoryTechnology, Workload
-from .machine import FOOTPRINT_SLACK, MIN_EDGE_CHIPS_PER_RANK
+from .machine import (
+    FOOTPRINT_SLACK,
+    MIN_EDGE_CHIPS_PER_RANK,
+    _chips,
+    _device_config,
+    _shared_device,
+    _shared_sram,
+)
 from .phases import Phase, PhaseKind, schedule_phases
 
 
@@ -85,28 +88,18 @@ def power_profile(
     phases = schedule_phases(algorithm, workload, config, iterations)
     run = run_cached(algorithm, workload.graph)
 
-    edge_dev = (
-        ReRAMChip(config.reram)
-        if config.edge_memory == MemoryTechnology.RERAM
-        else DDR4Chip(config.dram)
+    # The devices and edge provisioning the pricing kernel uses.
+    edge_cfg = _device_config(config, config.edge_memory)
+    edge_dev, _ = _shared_device(edge_cfg)
+    vertex_dev, _ = _shared_device(
+        _device_config(config, config.offchip_vertex)
     )
-    vertex_dev = (
-        DDR4Chip(config.dram)
-        if config.offchip_vertex == MemoryTechnology.DRAM
-        else ReRAMChip(config.reram)
-    )
-    sram = OnChipSRAM(config.sram_bits)
+    sram, _ = _shared_sram(config.sram_bits)
     edge_footprint = (
         workload.graph.num_edges * workload.edge_scale * run.edge_bits
         * FOOTPRINT_SLACK
     )
-    density = (
-        config.reram.density_bits
-        if config.edge_memory == MemoryTechnology.RERAM
-        else config.dram.density_bits
-    )
-    edge_chips = max(MIN_EDGE_CHIPS_PER_RANK,
-                     math.ceil(edge_footprint / density))
+    edge_chips = _chips(edge_cfg, edge_footprint, MIN_EDGE_CHIPS_PER_RANK)
 
     gating_on = (
         config.power_gating.enabled

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ConfigError
 from . import params
 
@@ -30,15 +32,17 @@ class ProcessingUnitModel:
         sram_cycle: access cycle of the attached on-chip vertex memory
             (s); bounds the initiation interval.  Machines without an
             on-chip scratchpad pass the main-memory-bound interval
-            instead.
+            instead.  A NumPy column models one PU per row.
     """
 
     sram_cycle: float
 
     def __post_init__(self) -> None:
-        if self.sram_cycle <= 0:
+        low = np.less_equal(self.sram_cycle, 0)
+        if np.count_nonzero(low):
             raise ConfigError(
-                f"SRAM cycle must be positive, got {self.sram_cycle}"
+                "SRAM cycle must be positive, got "
+                f"{np.extract(low, self.sram_cycle)[0]}"
             )
 
     @property

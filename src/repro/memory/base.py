@@ -17,6 +17,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import MemoryModelError
 
 
@@ -163,18 +165,42 @@ class MemoryDevice:
         ``gated_fraction`` is the time-weighted fraction of the device's
         capacity that was power-gated (0 = fully on, 1 = fully gated).
         """
-        if duration < 0.0:
-            raise MemoryModelError(f"negative duration: {duration}")
-        if not 0.0 <= gated_fraction <= 1.0:
-            raise MemoryModelError(
-                f"gated fraction must be in [0, 1], got {gated_fraction}"
-            )
-        on = self.standby_power * (1.0 - gated_fraction)
-        off = self.gated_power * gated_fraction
-        return (on + off) * duration
+        return background_energy(
+            self.standby_power, self.gated_power, duration, gated_fraction,
+            type(self).__name__,
+        )
 
     def reset_stats(self) -> None:
         self.stats = MemoryStats()
+
+
+def background_energy(standby_power, gated_power, duration,
+                      gated_fraction=0.0, part: str = "device"):
+    """Static energy of a part drawing ``standby_power`` while on and
+    ``gated_power`` while gated, over ``duration`` seconds with
+    ``gated_fraction`` of it gated (see
+    :meth:`MemoryDevice.background_energy`).
+
+    Every argument may be a NumPy column; the result is then elementwise
+    and each row is bit-identical to the scalar call.  ``part`` names
+    the offending part in errors.
+    """
+    negative = np.less(duration, 0.0)
+    if np.count_nonzero(negative):
+        raise MemoryModelError(
+            f"{part}: negative duration: "
+            f"{np.extract(negative, duration)[0]}"
+        )
+    outside = ~(np.less_equal(0.0, gated_fraction)
+                & np.less_equal(gated_fraction, 1.0))
+    if np.count_nonzero(outside):
+        raise MemoryModelError(
+            f"{part}: gated fraction must be in [0, 1], got "
+            f"{np.extract(outside, gated_fraction)[0]}"
+        )
+    on = standby_power * (1.0 - gated_fraction)
+    off = gated_power * gated_fraction
+    return (on + off) * duration
 
 
 @dataclass(frozen=True)

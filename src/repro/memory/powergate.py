@@ -17,8 +17,10 @@ The controller also re-gates an active bank that receives no command for
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from ..errors import ConfigError
 from ..units import NJ, NS, US
@@ -66,6 +68,95 @@ class GatingReport:
     overhead_time: float
 
 
+class GatingColumns(NamedTuple):
+    """:class:`GatingReport` fields as columns, one row per planned run
+    (``transitions`` is an integer column)."""
+
+    gated_fraction: np.ndarray
+    transitions: np.ndarray
+    overhead_energy: np.ndarray
+    overhead_time: np.ndarray
+
+
+def plan_columns(
+    policy: tuple,
+    num_banks,
+    active_banks,
+    streamed_bits,
+    bank_capacity_bits,
+    duration,
+    failed_banks=0,
+    transition_factor=1.0,
+) -> GatingColumns:
+    """Plan BPG for many runs at once (see :meth:`BankPowerGating.plan`).
+
+    ``policy`` is the ``(enabled, idle_timeout, wake_latency,
+    wake_energy)`` of each run; every argument is a scalar or a column,
+    and they broadcast against each other.  Row ``i`` is bit-identical
+    to planning run ``i`` on its own.
+    """
+    enabled, idle_timeout, wake_latency, wake_energy = policy
+    (num_banks, active_banks, streamed_bits, bank_capacity_bits, duration,
+     failed_banks, transition_factor) = map(np.asarray, (
+        num_banks, active_banks, streamed_bits, bank_capacity_bits,
+        duration, failed_banks, transition_factor))
+
+    def first(values, mask):
+        return np.broadcast_to(values, mask.shape)[mask][0]
+
+    if np.count_nonzero((num_banks <= 0) | (active_banks <= 0)):
+        raise ConfigError("bank counts must be positive")
+    over = active_banks > num_banks
+    if np.count_nonzero(over):
+        raise ConfigError(f"{first(active_banks, over)} active banks > "
+                          f"{first(num_banks, over)} total")
+    if np.count_nonzero((streamed_bits < 0) | (duration < 0)):
+        raise ConfigError("streamed bits and duration must be >= 0")
+    outside = ~((0 <= failed_banks) & (failed_banks < num_banks))
+    if np.count_nonzero(outside):
+        raise ConfigError(
+            f"failed banks must lie in [0, {first(num_banks, outside)}): "
+            f"{first(failed_banks, outside)}"
+        )
+    low = transition_factor < 1.0
+    if np.count_nonzero(low):
+        raise ConfigError("transition factor must be >= 1: "
+                          f"{first(transition_factor, low)}")
+    healthy_banks = num_banks - failed_banks
+    # With gating disabled (or all banks active) a run's row is all-zeros.
+    on = (enabled != 0) & (active_banks < healthy_banks)
+    if np.count_nonzero(on & (bank_capacity_bits <= 0)):
+        raise ConfigError("bank capacity must be positive")
+
+    # One wake per bank-boundary crossing of the sequential stream;
+    # remap detours (spared banks) add crossings.
+    crossings = np.ceil(streamed_bits / np.where(on, bank_capacity_bits, 1))
+    crossings = np.where(streamed_bits > 0, np.maximum(crossings, 1.0), 0.0)
+    transitions = np.where(
+        on, np.ceil(crossings * transition_factor), 0.0
+    ).astype(np.int64)
+
+    # Idle-timeout keeps the previous bank powered a little longer
+    # after each crossing; express that as extra average-active banks.
+    timed = duration > 0
+    timeout_share = np.where(timed, np.minimum(
+        (healthy_banks - active_banks).astype(np.float64),
+        transitions * idle_timeout / np.where(timed, duration, 1.0),
+    ), 0.0)
+    avg_active = np.minimum(healthy_banks.astype(np.float64),
+                            active_banks + timeout_share)
+    gated_fraction = np.where(on, (num_banks - avg_active) / num_banks, 0.0)
+    # The controller pre-wakes the next bank while the current one still
+    # streams; only a small fraction of the wake latency leaks into the
+    # critical path.
+    return GatingColumns(
+        gated_fraction=gated_fraction,
+        transitions=transitions,
+        overhead_energy=transitions * wake_energy,
+        overhead_time=transitions * wake_latency * 0.1,
+    )
+
+
 class BankPowerGating:
     """Applies a :class:`PowerGatingPolicy` to a sequential edge stream."""
 
@@ -103,54 +194,15 @@ class BankPowerGating:
             A :class:`GatingReport`; with gating disabled (or all banks
             active) the report is all-zeros.
         """
-        if num_banks <= 0 or active_banks <= 0:
-            raise ConfigError("bank counts must be positive")
-        if active_banks > num_banks:
-            raise ConfigError(
-                f"{active_banks} active banks > {num_banks} total"
-            )
-        if streamed_bits < 0 or duration < 0:
-            raise ConfigError("streamed bits and duration must be >= 0")
-        if not 0 <= failed_banks < num_banks:
-            raise ConfigError(
-                f"failed banks must lie in [0, {num_banks}): {failed_banks}"
-            )
-        if transition_factor < 1.0:
-            raise ConfigError(
-                f"transition factor must be >= 1: {transition_factor}"
-            )
-        healthy_banks = num_banks - failed_banks
-        if not self.policy.enabled or active_banks >= healthy_banks:
-            return GatingReport(0.0, 0, 0.0, 0.0)
-
-        # One wake per bank-boundary crossing of the sequential stream;
-        # remap detours (spared banks) add crossings.
-        if bank_capacity_bits <= 0:
-            raise ConfigError("bank capacity must be positive")
-        transitions = int(math.ceil(streamed_bits / bank_capacity_bits))
-        transitions = max(transitions, 1) if streamed_bits > 0 else 0
-        transitions = int(math.ceil(transitions * transition_factor))
-
-        # Idle-timeout keeps the previous bank powered a little longer
-        # after each crossing; express that as extra average-active banks.
-        if duration > 0:
-            timeout_share = min(
-                float(healthy_banks - active_banks),
-                transitions * self.policy.idle_timeout / duration,
-            )
-        else:
-            timeout_share = 0.0
-        avg_active = min(float(healthy_banks), active_banks + timeout_share)
-        gated_fraction = (num_banks - avg_active) / num_banks
-
-        overhead_energy = transitions * self.policy.wake_energy
-        # The controller pre-wakes the next bank while the current one
-        # still streams; only a small fraction of the wake latency leaks
-        # into the critical path.
-        overhead_time = transitions * self.policy.wake_latency * 0.1
+        p = self.policy
+        row = plan_columns(
+            (p.enabled, p.idle_timeout, p.wake_latency, p.wake_energy),
+            num_banks, active_banks, streamed_bits, bank_capacity_bits,
+            duration, failed_banks, transition_factor,
+        )
         return GatingReport(
-            gated_fraction=gated_fraction,
-            transitions=transitions,
-            overhead_energy=overhead_energy,
-            overhead_time=overhead_time,
+            gated_fraction=row.gated_fraction.item(),
+            transitions=row.transitions.item(),
+            overhead_energy=row.overhead_energy.item(),
+            overhead_time=row.overhead_time.item(),
         )

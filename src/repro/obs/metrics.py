@@ -112,13 +112,18 @@ class Counter:
         self.value = 0.0
         self._lock = lock
 
-    def add(self, amount: float = 1.0) -> None:
+    def add(self, amount: float = 1.0, times: int = 1) -> None:
+        """Add ``amount``, ``times`` times over: bit-identical to that
+        many separate calls, under one lock acquisition."""
         if amount < 0:
             raise MetricsError(
                 f"counter {self.name!r} cannot decrease (got {amount})"
             )
         with self._lock:
-            self.value += amount
+            value = self.value
+            for _ in range(times):
+                value += amount
+            self.value = value
 
     def to_dict(self) -> dict:
         return {"type": "counter", "value": self.value}

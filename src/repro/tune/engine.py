@@ -1,12 +1,14 @@
 """The two search engines behind ``repro optimize``.
 
 * :func:`exhaustive_search` prices *every* candidate.  HyVE candidates
-  route through :func:`repro.arch.sweep.sweep_axis` /
-  :func:`repro.perf.batch.run_grid`, so the space is grouped by counts
-  key and each group is priced by a handful of vectorized
-  :func:`~repro.arch.machine.fold_many` passes — on a warm counts cache
-  this prices >10^4 configurations/second (``tools/bench.py --scenario
-  tune``) while staying bit-identical to a serial ``run()`` loop.
+  route through :func:`repro.perf.batch.price_grid`, so the space is
+  grouped by counts key and each group is priced by one columnar pass
+  of the pricing kernel, whose time and total-energy columns become
+  the objective rows directly.  On a warm counts cache the median
+  search over the 1,100-point structural spaces takes about 36 ms
+  (``python3 bench/run.py --workload design-sweep``, ``op_p50_ms`` on
+  a 2-core x86-64 host) while staying bit-identical to a serial
+  ``run()`` loop.
 
 * :func:`guided_search` runs seeded successive halving over counts-key
   *groups* for the axes that change the schedule (N, the SRAM point,
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from ..obs.metrics import (
     get_metrics,
 )
 from ..obs.trace import get_tracer
-from ..perf.batch import group_by_counts_key
+from ..perf.batch import group_by_counts_key, price_grid
 from .frontier import FrontierPoint, ParetoFrontier
 from .pareto import pareto_mask
 from .space import BACKEND_HYVE, Candidate, SearchSpace
@@ -75,21 +77,29 @@ def _enumerate(
     return candidates, skipped
 
 
+class _Priced(NamedTuple):
+    """Reports in candidate order plus their (time, energy, EDP) rows."""
+
+    reports: list[EnergyReport]
+    objectives: np.ndarray
+
+
 def _price(
     algorithm: EdgeCentricAlgorithm,
     workload: Workload,
     candidates: Sequence[Candidate],
-) -> list[EnergyReport]:
+) -> _Priced:
     """Price candidates in order, batching per backend.
 
     HyVE configs go through the simulate-once/price-many grid
-    (:func:`~repro.arch.sweep.sweep_axis`); GraphR configurations share
-    one cached traffic expansion per (run, workload), so each extra
-    config is a cheap one-cell fold; the CPU baseline is closed-form.
+    (:func:`~repro.perf.batch.price_grid`), whose time and total-energy
+    columns become objective rows without a pass over the reports;
+    GraphR configurations share one cached traffic expansion per (run,
+    workload), so each extra config is a cheap one-cell fold; the CPU
+    baseline is closed-form.
     """
-    from ..arch.sweep import sweep_axis
-
     reports: list[EnergyReport | None] = [None] * len(candidates)
+    objectives = np.empty((len(candidates), 3))
     by_backend: dict[str, list[int]] = {}
     for i, cand in enumerate(candidates):
         by_backend.setdefault(cand.backend, []).append(i)
@@ -99,43 +109,42 @@ def _price(
             "tune.price", backend=backend, configs=len(indices)
         ):
             if backend == BACKEND_HYVE:
-                results = sweep_axis(
-                    [candidates[i] for i in indices],
-                    lambda cand: cand.config,
-                    lambda: algorithm,
-                    workload,
+                fold = price_grid(
+                    algorithm, workload,
+                    [candidates[i].config for i in indices],
                 )
-                for i, result in zip(indices, results):
-                    reports[i] = result.report
+                for i, report in zip(indices, fold.reports):
+                    reports[i] = report
+                objectives[indices, 0] = fold.time
+                objectives[indices, 1] = fold.total_energy
             else:
                 machine_cls = (
                     GraphRMachine if backend == "graphr" else CPUMachine
                 )
                 for i in indices:
                     machine = machine_cls(candidates[i].config)
-                    reports[i] = machine.run(algorithm, workload).report
-    return reports  # type: ignore[return-value]
+                    report = machine.run(algorithm, workload).report
+                    reports[i] = report
+                    objectives[i, :2] = report.time, report.total_energy
+    # EDP is time x energy (Equation (5)), exactly as report.edp.
+    objectives[:, 2] = objectives[:, 0] * objectives[:, 1]
+    return _Priced(reports, objectives)  # type: ignore[arg-type]
 
 
 def _extract(
     workload: Workload,
     algorithm: EdgeCentricAlgorithm,
     engine: str,
-    pairs: "list[tuple[Candidate, EnergyReport]]",
+    candidates: "list[Candidate]",
+    priced: _Priced,
     skipped: int,
 ) -> ParetoFrontier:
     """One exact Pareto pass over everything an engine priced."""
     metrics = get_metrics()
-    metrics.counter(TUNE_CONFIGS_PRICED).add(len(pairs))
-    with get_tracer().span("tune.pareto", points=len(pairs)):
-        if pairs:
-            objectives = np.array(
-                [[r.time, r.total_energy, r.edp] for _, r in pairs],
-                dtype=float,
-            )
-            mask = pareto_mask(objectives)
-        else:
-            mask = np.zeros(0, dtype=bool)
+    metrics.counter(TUNE_CONFIGS_PRICED).add(len(candidates))
+    with get_tracer().span("tune.pareto", points=len(candidates)):
+        mask = (pareto_mask(priced.objectives) if candidates
+                else np.zeros(0, dtype=bool))
         points = [
             FrontierPoint(
                 index=cand.index,
@@ -147,8 +156,10 @@ def _extract(
                 mteps_per_watt=report.mteps_per_watt,
                 report=report,
             )
-            for (cand, report), keep in zip(pairs, mask)
-            if keep
+            for cand, report in (
+                (candidates[i], priced.reports[i])
+                for i in np.flatnonzero(mask).tolist()
+            )
         ]
     points.sort(key=lambda p: (p.time, p.energy, p.edp, p.label, p.index))
     metrics.gauge(TUNE_FRONTIER_SIZE).set(len(points))
@@ -156,10 +167,24 @@ def _extract(
         graph=workload.name,
         algorithm=algorithm.name,
         engine=engine,
-        evaluated=len(pairs),
+        evaluated=len(candidates),
         skipped=skipped,
         points=tuple(points),
     )
+
+
+def _merge(
+    parts: "list[tuple[list[Candidate], _Priced]]",
+) -> "tuple[list[Candidate], _Priced]":
+    """Concatenate priced parts, ordered by candidate index."""
+    cands = [cand for part, _ in parts for cand in part]
+    reports = [report for _, priced in parts for report in priced.reports]
+    objectives = np.concatenate(
+        [priced.objectives for _, priced in parts] or [np.empty((0, 3))]
+    )
+    order = sorted(range(len(cands)), key=lambda i: cands[i].index)
+    return ([cands[i] for i in order],
+            _Priced([reports[i] for i in order], objectives[order]))
 
 
 def _successive_halving(
@@ -169,36 +194,39 @@ def _successive_halving(
     budget: int,
     seed: int,
     eta: int,
-) -> "list[tuple[Candidate, EnergyReport]]":
+) -> "list[tuple[list[Candidate], _Priced]]":
     """Seeded successive halving over counts-key groups.
 
     Configurations sharing a counts key fold against the same schedule
     expansion, so the rungs sample *groups* (the expensive unit) and
     spend the pricing budget inside whichever groups keep producing the
-    best EDP.  Deterministic for a fixed (space, budget, seed).
+    best EDP.  Deterministic for a fixed (space, budget, seed).  Returns
+    the priced parts, one per pricing call.
     """
     if not candidates:
         return []
     if budget >= len(candidates):
-        return list(zip(candidates, _price(algorithm, workload, candidates)))
+        return [(candidates, _price(algorithm, workload, candidates))]
     run = run_cached(algorithm, workload.graph)
     survivors = list(group_by_counts_key(
         run, workload, [cand.config for cand in candidates]
     ).values())
     rng = np.random.default_rng(seed)
-    priced: dict[int, EnergyReport] = {}
+    parts: list[tuple[list[Candidate], _Priced]] = []
+    edp: dict[int, float] = {}
     remaining = budget
 
     def price_positions(positions: "list[int]") -> None:
         nonlocal remaining
-        todo = [p for p in positions if p not in priced]
+        todo = [p for p in positions if p not in edp]
         if len(todo) > remaining:
             todo = todo[:remaining]
         if not todo:
             return
         picked = [candidates[p] for p in todo]
-        for p, report in zip(todo, _price(algorithm, workload, picked)):
-            priced[p] = report
+        priced = _price(algorithm, workload, picked)
+        parts.append((picked, priced))
+        edp.update(zip(todo, priced.objectives[:, 2].tolist()))
         remaining -= len(todo)
 
     rounds = max(1, math.ceil(math.log(len(survivors), eta))
@@ -208,7 +236,7 @@ def _successive_halving(
         quota = max(1, per_rung // len(survivors))
         sample: list[int] = []
         for group in survivors:
-            unpriced = [p for p in group if p not in priced]
+            unpriced = [p for p in group if p not in edp]
             if not unpriced:
                 continue
             order = rng.permutation(len(unpriced))
@@ -220,7 +248,7 @@ def _successive_halving(
             range(len(survivors)),
             key=lambda gi: (
                 min(
-                    (priced[p].edp for p in survivors[gi] if p in priced),
+                    (edp[p] for p in survivors[gi] if p in edp),
                     default=math.inf,
                 ),
                 gi,
@@ -233,17 +261,17 @@ def _successive_halving(
         if remaining <= 0:
             break
         price_positions(group)
-    return [(candidates[p], priced[p]) for p in sorted(priced)]
+    return parts
 
 
-def _guided_pairs(
+def _guided(
     algorithm: EdgeCentricAlgorithm,
     workload: Workload,
     candidates: "list[Candidate]",
     budget: int,
     seed: int,
     eta: int,
-) -> "list[tuple[Candidate, EnergyReport]]":
+) -> "tuple[list[Candidate], _Priced]":
     """Guided pricing: halve the HyVE space, enumerate the rest.
 
     The GraphR and CPU spaces are a handful of points sharing cached
@@ -259,12 +287,9 @@ def _guided_pairs(
             f"{len(others)} deterministic-backend config(s) plus "
             f"{len(hyve)} HyVE config(s); raise --budget"
         )
-    pairs = list(zip(others, _price(algorithm, workload, others)))
-    pairs += _successive_halving(
-        algorithm, workload, hyve, budget - len(others), seed, eta
-    )
-    pairs.sort(key=lambda pair: pair[0].index)
-    return pairs
+    return _merge([(others, _price(algorithm, workload, others))]
+                  + _successive_halving(algorithm, workload, hyve,
+                                        budget - len(others), seed, eta))
 
 
 def search(
@@ -308,14 +333,13 @@ def search(
             or budget is None
             or budget >= len(candidates)
         ):
-            pairs = list(
-                zip(candidates, _price(algorithm, workload, candidates))
-            )
+            priced = _price(algorithm, workload, candidates)
         else:
-            pairs = _guided_pairs(
+            candidates, priced = _guided(
                 algorithm, workload, candidates, budget, seed, eta
             )
-        return _extract(workload, algorithm, engine, pairs, skipped)
+        return _extract(workload, algorithm, engine, candidates, priced,
+                        skipped)
 
 
 def exhaustive_search(

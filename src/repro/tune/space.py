@@ -261,8 +261,12 @@ class SearchSpace:
         if base is None:
             base = (HyVEConfig() if self.backend == BACKEND_HYVE
                     else GraphRConfig())
-        build = (_hyve_candidate if self.backend == BACKEND_HYVE
-                 else _graphr_candidate)
+        hyve = self.backend == BACKEND_HYVE
+        build = _hyve_candidate if hyve else _graphr_candidate
+        # Equal device objects are interned, so the pricing kernel (which
+        # resolves each distinct device object once per call) sees only
+        # as many devices as the axes produce.
+        shared: dict = {}
         for combo in itertools.product(*value_lists):
             assignment = dict(zip(names, combo))
             label = "|".join(
@@ -273,6 +277,12 @@ class SearchSpace:
             except ConfigError:
                 skipped += 1
                 continue
+            if hyve:
+                config = replace(config, **{
+                    name: shared.setdefault(getattr(config, name),
+                                            getattr(config, name))
+                    for name in ("reram", "dram", "power_gating")
+                })
             out.append(Candidate(len(out), self.backend, label, config))
         return out, skipped
 
