@@ -276,7 +276,7 @@ def run_cached(
 
     Backed by :class:`repro.perf.cache.RunCache`: a bounded in-memory
     LRU in front of an on-disk store, so fresh processes (the CLI,
-    benchmarks, parallel sweep workers) skip re-convergence entirely.
+    benchmarks, pool workers) skip re-convergence entirely.
 
     Also accepts a :class:`repro.perf.shm.SharedGraphRef`: pool
     workers can pass the shared-memory handle straight through and the

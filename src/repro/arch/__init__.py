@@ -35,8 +35,8 @@ from .report import (
 )
 from .router import RouterModel
 from .scheduler import ScheduleCounts, estimate_imbalance
-from .sweep import (SweepPoint, SweepPolicy, best_point, pareto_front,
-                    points_to_csv, successful_points, sweep)
+from .sweep import (SweepPoint, best_point, pareto_front, points_to_csv,
+                    successful_points, sweep)
 
 __all__ = [
     "params",
@@ -83,7 +83,6 @@ __all__ = [
     "ScheduleCounts",
     "estimate_imbalance",
     "SweepPoint",
-    "SweepPolicy",
     "best_point",
     "pareto_front",
     "points_to_csv",

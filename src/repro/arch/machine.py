@@ -478,23 +478,6 @@ def fold_many(
     return fold_columns(run, counts, workload, configs).reports
 
 
-def fold_grid(
-    run: AlgorithmRun,
-    counts: ScheduleCounts,
-    workload: Workload,
-    configs: list[HyVEConfig],
-    faults: FaultProfile | None = None,
-) -> list[tuple[EnergyReport, FaultReport | None]]:
-    """:func:`fold_many` under an optional fault profile.
-
-    Returns ``(report, fault report)`` per config, bit-identical to
-    ``AcceleratorMachine(configs[i], faults=faults).run(...)``; the
-    fault report is ``None`` without an active profile.
-    """
-    fold = fold_columns(run, counts, workload, configs, faults)
-    return list(zip(fold.reports, fold.faults))
-
-
 def fold_columns(
     run: AlgorithmRun,
     counts: ScheduleCounts,
@@ -502,8 +485,14 @@ def fold_columns(
     configs: list[HyVEConfig],
     faults: FaultProfile | None = None,
 ) -> GridFold:
-    """:func:`fold_grid` as a :class:`GridFold`, whose time and
-    total-energy columns spare callers a pass over the reports."""
+    """:func:`fold_many` under an optional fault profile, as a
+    :class:`GridFold` whose time and total-energy columns spare callers
+    a pass over the reports.
+
+    Element ``i`` is bit-identical to
+    ``AcceleratorMachine(configs[i], faults=faults).run(...)``; its
+    fault report is ``None`` without an active profile.
+    """
     if not configs:
         return GridFold([], [], np.zeros(0), np.zeros(0))
     shapes: dict[tuple, HyVEConfig] = {}

@@ -164,37 +164,6 @@ class EnergyReport:
             "breakdown": self.breakdown(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnergyReport":
-        """Rebuild a report from :meth:`to_dict` output.
-
-        Derived quantities (totals, breakdowns) are recomputed, not
-        trusted; the sweep checkpoint/resume machinery relies on a
-        round-trip being lossless for the stored fields.
-        """
-        try:
-            energy = data["energy_j"]
-            if not isinstance(energy, dict):
-                raise ConfigError(
-                    f"energy_j must be a component map: {type(energy).__name__}"
-                )
-            unknown = set(energy) - set(ALL_COMPONENTS)
-            if unknown:
-                raise ConfigError(
-                    f"unknown energy components in report dict: {sorted(unknown)}"
-                )
-            return cls(
-                machine=data["machine"],
-                algorithm=data["algorithm"],
-                graph=data["graph"],
-                edges_traversed=float(data["edges_traversed"]),
-                iterations=int(data["iterations"]),
-                time=float(data["time_s"]),
-                energy={k: float(v) for k, v in energy.items()},
-            )
-        except KeyError as exc:
-            raise ConfigError(f"report dict missing field {exc}") from exc
-
 
 def efficiency_ratio(a: EnergyReport, b: EnergyReport) -> float:
     """MTEPS/W of ``a`` over ``b`` (how many times more efficient a is)."""

@@ -154,7 +154,7 @@ def attach_workloads(manifest: dict[str, object]) -> None:
 
     Workers forked from a prewarmed parent already inherit the cache
     (copy-on-write, never written) and keep it; under any other start
-    method — or in a respawned pool — the worker attaches each
+    method the worker attaches each
     dataset's graph from the shared segments instead of regenerating
     all five synthetic graphs.
     """

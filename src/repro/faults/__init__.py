@@ -18,10 +18,9 @@ for.  The subsystem is documented in docs/api.md (API surface) and
 docs/architecture.md (mechanisms and costs).
 
 :mod:`repro.faults.chaos` extends the same discipline to the
-*infrastructure* the reproduction runs on (the SQLite result store,
-process-pool workers): seedable torn writes, bit flips, slow I/O and
-killed workers, with an all-zero profile guaranteed to be an exact
-pass-through.  See docs/robustness.md.
+*infrastructure* the reproduction runs on (the SQLite result store):
+seedable torn writes, bit flips and slow I/O, with an all-zero profile
+guaranteed to be an exact pass-through.  See docs/robustness.md.
 """
 
 from .chaos import (

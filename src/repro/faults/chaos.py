@@ -4,17 +4,14 @@ The :mod:`repro.faults` package perturbs the **simulated** memory
 hierarchy (stuck ReRAM cells, DRAM upsets) and PR 1 proved the machine
 model absorbs them.  This module applies the same discipline to the
 infrastructure the reproduction itself runs on — the SQLite result
-store (:mod:`repro.perf.store`) and the process-pool sweep workers of
-:mod:`repro.arch.sweep`:
+store (:mod:`repro.perf.store`):
 
 * **torn writes** — a stored payload is truncated while its checksum
   describes the full write (the classic crash-mid-write shape);
 * **bit flips** — one payload bit of a committed entry is flipped in
   place, checksum untouched (bit rot / torn page);
 * **slow I/O** — bounded random sleeps before store operations
-  (saturated disk, network filesystem);
-* **killed workers** — a sweep worker process exits hard
-  (``os._exit``), breaking the process pool mid-sweep.
+  (saturated disk, network filesystem).
 
 Everything is seeded and deterministic per installed injector, rates
 follow :class:`ChaosProfile`, and — mirroring PR 1's central invariant
@@ -25,15 +22,14 @@ the ``chaos-recovery`` and ``zero-chaos`` oracles (docs/robustness.md
 has the taxonomy and recovery contract).
 
 Install via :func:`chaos_context` (or :func:`set_chaos`); hooks are
-consulted through :func:`get_chaos` by the store and sweep layers and
-cost one ``None`` check when chaos is off.
+consulted through :func:`get_chaos` by the store and cost one
+``None`` check when chaos is off.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import os
 import time
 from dataclasses import dataclass, fields
 
@@ -47,7 +43,6 @@ _RATE_FIELDS = (
     "torn_write_rate",
     "bit_flip_rate",
     "slow_io_rate",
-    "kill_worker_rate",
 )
 
 
@@ -63,10 +58,6 @@ class ChaosProfile:
             bit flipped in place after the write.
         slow_io_rate: probability a store operation sleeps first.
         slow_io_max_s: upper bound of one injected sleep (seconds).
-        kill_worker_rate: probability a sweep *worker process* exits
-            hard before evaluating a point.  Never fires in the
-            process that installed the injector, so a serial sweep (or
-            the supervisor itself) cannot be killed.
     """
 
     seed: int = 0
@@ -74,7 +65,6 @@ class ChaosProfile:
     bit_flip_rate: float = 0.0
     slow_io_rate: float = 0.0
     slow_io_max_s: float = 0.002
-    kill_worker_rate: float = 0.0
 
     def __post_init__(self) -> None:
         for name in _RATE_FIELDS:
@@ -112,12 +102,11 @@ CHAOS_PROFILES: dict[str, ChaosProfile] = {
         bit_flip_rate=0.01,
         slow_io_rate=0.10,
     ),
-    # Everything at once: torn writes, rotting media, dying workers.
+    # Everything at once: torn writes, rotting media, slow I/O.
     "hostile": ChaosProfile(
         torn_write_rate=0.25,
         bit_flip_rate=0.20,
         slow_io_rate=0.20,
-        kill_worker_rate=0.30,
     ),
 }
 
@@ -154,12 +143,10 @@ class ChaosInjector:
         self._rng = np.random.default_rng(
             np.random.SeedSequence([0xC4A05, profile.seed & 0xFFFFFFFF])
         )
-        self._install_pid = os.getpid()
         self.counts: dict[str, int] = {
             "torn_write": 0,
             "bit_flip": 0,
             "slow_io": 0,
-            "kill_worker": 0,
         }
 
     @property
@@ -202,23 +189,6 @@ class ChaosInjector:
         if self._fire(self.profile.bit_flip_rate):
             self._record("bit_flip")
             store.corrupt_bit(key, int(self._rng.integers(0, 1 << 20)))
-
-    # --- worker hooks -----------------------------------------------------
-
-    def maybe_kill_worker(self) -> None:
-        """Maybe kill the *current worker process* (never the installer).
-
-        Only fires when the current PID differs from the PID the
-        injector was installed in — i.e. in a forked process-pool
-        worker — so serial execution and the sweep supervisor itself
-        are never terminated.
-        """
-        if os.getpid() == self._install_pid:
-            return
-        if self._fire(self.profile.kill_worker_rate):
-            # The counter bump is lost with the process, deliberately:
-            # a killed worker reports nothing, like a real crash.
-            os._exit(137)
 
     def summary(self) -> str:
         parts = [f"{kind}={count}"

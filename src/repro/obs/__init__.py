@@ -28,7 +28,6 @@ from .metrics import (
     EXECUTOR_EDGES,
     INTERVAL_FETCHES,
     ROUTER_ROTATIONS,
-    SWEEP_POINT_RETRIES,
     VERIFY_FAILURES,
     VERIFY_ORACLE_RUNS,
     VERIFY_SHRINK_EVALS,
@@ -87,7 +86,6 @@ __all__ = [
     "NULL_SPAN",
     "PHASES",
     "ROUTER_ROTATIONS",
-    "SWEEP_POINT_RETRIES",
     "TRACE_SCHEMA",
     "TraceError",
     "Tracer",

@@ -62,8 +62,6 @@ TUNE_CONFIGS_PRICED = "tune_configs_priced"
 TUNE_FRONTIER_SIZE = "tune_frontier_size"
 #: Current number of entries in the scheduler's imbalance memo.
 IMBALANCE_CACHE_SIZE = "imbalance_cache_size"
-#: Sweep-point retry attempts beyond the first try.
-SWEEP_POINT_RETRIES = "sweep_point_retries"
 #: Vertex intervals fetched by the hybrid memory controller.
 INTERVAL_FETCHES = "interval_fetches"
 #: Algorithm convergence sweeps executed (iterations histogram source).
@@ -75,10 +73,6 @@ STORE_QUARANTINED = "store_quarantined_entries"
 STORE_EVICTIONS = "store_evictions"
 #: SQLite busy/locked retries absorbed by the jittered-backoff loop.
 STORE_BUSY_RETRIES = "store_busy_retries"
-#: Process pools respawned after a worker death broke the pool.
-SWEEP_POOL_RESPAWNS = "sweep_pool_respawns"
-#: Sweeps that degraded to serial after repeated pool failures.
-SWEEP_SERIAL_FALLBACKS = "sweep_serial_fallbacks"
 #: Infrastructure faults injected by the chaos layer (all kinds).
 CHAOS_INJECTIONS = "chaos_injections"
 #: Streaming updates applied to a stream engine's edge state
@@ -192,8 +186,7 @@ class MetricsRegistry:
     """Create-on-first-use registry of named instruments.
 
     Thread-safe: instrument creation and every update share one
-    registry lock, so concurrent sweep evaluations (worker threads, or
-    the timeout thread in :mod:`repro.arch.sweep`) never lose
+    registry lock, so updates from concurrent threads never lose
     increments.  Worker *processes* each own a registry; the parent
     folds their snapshots back in with :meth:`merge`.
     """

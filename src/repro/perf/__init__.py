@@ -6,7 +6,7 @@ changing any reproduced number:
 * :mod:`repro.perf.cache` — a bounded in-memory LRU backed by a
   crash-safe, content-addressed disk store for converged
   :class:`~repro.algorithms.runner.AlgorithmRun` objects, so fresh
-  processes (the CLI, benchmarks, sweep workers) skip re-convergence.
+  processes (the CLI, benchmarks, pool workers) skip re-convergence.
 * :mod:`repro.perf.store` — the disk level itself: one WAL-mode SQLite
   database per cache directory with checksummed entries, provenance
   columns, LRU size budgeting and quarantine-on-corruption.

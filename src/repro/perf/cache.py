@@ -389,7 +389,7 @@ class RunCache:
 
         Keyed on ``(graph content, name, salt)`` and stored as a tiny
         JSON payload, so statistics that cost an O(E) pass are computed
-        by one process and read back by every other (sweep workers,
+        by one process and read back by every other (shard workers,
         ``--jobs`` experiment runners, fresh CLI invocations).
         """
         h = hashlib.blake2b(digest_size=16)

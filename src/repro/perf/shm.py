@@ -6,29 +6,26 @@ used to lose to serial execution.  This module publishes a graph's
 arrays into named ``multiprocessing.shared_memory`` segments exactly
 once and hands workers a tiny picklable :class:`SharedGraphRef`;
 workers attach to the segments (zero-copy) and memoise the attached
-graph per fingerprint, so a 100-point sweep ships ~100 bytes per task
-instead of ~100 copies of the edge list.
+graph per fingerprint, so ``run_selected(jobs=N)`` ships ~100 bytes
+per task instead of a copy of every edge list.
 
 Ownership and lifecycle (see docs/performance.md):
 
 * The *publishing* process owns the segments.  ``share_graph`` keys
-  them by :meth:`Graph.fingerprint`, so re-publishing the same graph —
-  including after a supervised pool respawn
-  (:mod:`repro.arch.sweep`) — reuses the live segments instead of
-  leaking new ones.
+  them by :meth:`Graph.fingerprint`, so re-publishing the same graph
+  reuses the live segments instead of leaking new ones.
 * Workers only ever *attach*; an attached graph holds its segments
   open for the worker's lifetime (the arrays view the mapped buffers
   directly).  A worker dying mid-task cannot corrupt or free a
   segment: the kernel releases its mapping and the owner's segments
-  survive for the respawned pool.
+  survive it.
 * ``release_graph`` / ``release_all`` close **and unlink** owned
   segments; ``release_all`` also runs via ``atexit`` in the owner, so
   a normal interpreter exit never leaks ``/dev/shm`` entries.
 * Everything degrades gracefully: if shared memory is unavailable or
   creation fails (``/dev/shm`` full, exotic platforms),
   ``share_graph`` returns ``None`` and callers fall back to pickling
-  the graph itself — behaviour, results, and supervision semantics
-  are identical either way.
+  the graph itself — behaviour and results are identical either way.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ Concurrency: SQLite's own locking makes concurrent readers/writers
 across processes safe; transient ``SQLITE_BUSY`` results are absorbed
 by a ``busy_timeout`` plus a jittered exponential-backoff retry loop.
 Connections are never shared across a fork — each store reopens its
-connection when it notices a new PID, so process-pool sweep workers
+connection when it notices a new PID, so process-pool workers
 inherit a store object but talk to the database through their own
 handle.
 

@@ -6,8 +6,8 @@ promise identical results disagree.  Three families are registered:
 
 * *cross-engine report identity* — serial ``AcceleratorMachine.run``
   vs ``fold_many`` vs ``run_grid`` vs a cache-warm replay vs the
-  (batched / unbatched / ``max_workers=N``) sweep drivers, compared
-  field-for-field including the energy-dict insertion order;
+  ``sweep`` driver, compared field-for-field including the
+  energy-dict insertion order;
 * *algorithm-output equivalence* — the edge-centric vectorized,
   block-major and vertex-centric executors must agree on the value
   vector (bit-exact for the min-based algorithms, 1e-12 relative for
@@ -47,7 +47,7 @@ from ..arch.config import Workload
 from ..arch.machine import AcceleratorMachine, fold_many
 from ..arch.report import EnergyReport
 from ..arch.scheduler import ScheduleCounts
-from ..arch.sweep import SweepPolicy, points_to_csv, sweep
+from ..arch.sweep import SweepPoint, points_to_csv, sweep
 from ..errors import VerificationError
 from ..faults import FaultProfile
 from ..faults.chaos import ChaosProfile, chaos_context
@@ -231,53 +231,34 @@ def engine_report_identity(case: Case) -> None:
 
 @oracle(
     "sweep-identity",
-    "batched sweep == per-point sweep == direct machine runs, "
-    "byte-identical CSV",
+    "sweep == direct per-value machine runs, byte-identical CSV",
 )
 def sweep_path_identity(case: Case) -> None:
     graph = case.graph()
     workload = case.workload(graph)
     config = case.config()
     factory = _CaseAlgorithmFactory(case)
-    batched = sweep(SWEEP_FIELD, list(SWEEP_VALUES), factory, workload,
-                    config, SweepPolicy(batch=True))
-    per_point = sweep(SWEEP_FIELD, list(SWEEP_VALUES), factory, workload,
-                      config, SweepPolicy(batch=False))
-    csv_batched = points_to_csv(batched)
-    csv_serial = points_to_csv(per_point)
-    if csv_batched != csv_serial:
-        fail("sweep CSV differs between batched and per-point paths:\n"
-             f"batched:\n{csv_batched}\nper-point:\n{csv_serial}")
-    for point, value in zip(batched, SWEEP_VALUES):
+    swept = sweep(SWEEP_FIELD, list(SWEEP_VALUES), factory, workload,
+                  config)
+    direct = []
+    for value in SWEEP_VALUES:
         direct_config = dataclasses.replace(
             config, **{SWEEP_FIELD: value,
                        "label": f"{SWEEP_FIELD}={value}"})
-        direct = AcceleratorMachine(direct_config).run(factory(), workload)
+        report = AcceleratorMachine(direct_config).run(
+            factory(), workload
+        ).report
+        direct.append(SweepPoint(SWEEP_FIELD, value, direct_config, report))
+    csv_swept = points_to_csv(swept)
+    csv_direct = points_to_csv(direct)
+    if csv_swept != csv_direct:
+        fail("sweep CSV differs from direct machine runs:\n"
+             f"sweep:\n{csv_swept}\ndirect:\n{csv_direct}")
+    for point, reference in zip(swept, direct):
         assert_reports_identical(
-            direct.report, point.report,
-            f"sweep point {SWEEP_FIELD}={value} vs direct run",
+            reference.report, point.report,
+            f"sweep point {reference.config.label} vs direct run",
         )
-
-
-@oracle(
-    "parallel-sweep",
-    "max_workers=2 sweep reproduces the serial sweep byte-for-byte",
-    stride=10,
-)
-def parallel_sweep_identity(case: Case) -> None:
-    graph = case.graph()
-    workload = case.workload(graph)
-    config = case.config()
-    factory = _CaseAlgorithmFactory(case)
-    serial = sweep(SWEEP_FIELD, list(SWEEP_VALUES), factory, workload,
-                   config, SweepPolicy(max_workers=1))
-    parallel = sweep(SWEEP_FIELD, list(SWEEP_VALUES), factory, workload,
-                     config, SweepPolicy(max_workers=2))
-    csv_serial = points_to_csv(serial)
-    csv_parallel = points_to_csv(parallel)
-    if csv_serial != csv_parallel:
-        fail("sweep CSV differs between serial and max_workers=2 paths:\n"
-             f"serial:\n{csv_serial}\nparallel:\n{csv_parallel}")
 
 
 # --- algorithm-output equivalence --------------------------------------------
@@ -392,8 +373,7 @@ def scale_linearity(case: Case) -> None:
 
 #: Chaos rates for the recovery oracle: hostile enough that most cases
 #: actually tear/flip something, but with slow-I/O kept cheap so the
-#: oracle stays fuzz-smoke friendly.  No killed workers — the oracle is
-#: single-process by construction.
+#: oracle stays fuzz-smoke friendly.
 _RECOVERY_CHAOS = dict(
     torn_write_rate=0.30,
     bit_flip_rate=0.25,

@@ -4,17 +4,15 @@ The contract under test is *bit-identity*: the memoized counts plus the
 vectorized fold must reproduce the serial pipeline exactly — same
 report fields, same energy-dict insertion order, same ``repr`` of every
 float — across machines, algorithms, workloads, fault profiles, and
-the sweep's batched serial path.
+the sweep driver.
 """
-
-import json
 
 import pytest
 
 from repro.algorithms import ConnectedComponents, PageRank
 from repro.arch.config import NAMED_CONFIGS, HyVEConfig, Workload
 from repro.arch.machine import AcceleratorMachine, fold_many
-from repro.arch.sweep import SweepPolicy, points_to_csv, sweep
+from repro.arch.sweep import SweepPoint, points_to_csv, sweep
 from repro.errors import ConfigError
 from repro.faults import make_profile
 from repro.perf.batch import (
@@ -165,54 +163,19 @@ class TestCountsCache:
 
 
 class TestBatchedSweep:
-    def _policies(self, **kwargs):
-        return (SweepPolicy(batch=True, **kwargs),
-                SweepPolicy(batch=False, **kwargs))
-
     def test_csv_byte_identity(self, small_rmat):
+        """The one-``run_grid`` sweep renders exactly like a ``run()``
+        loop over the same values."""
         workload = Workload(small_rmat)
-        batched_policy, serial_policy = self._policies()
-        a = sweep("sram_bits", [2 * MB, 4 * MB, 8 * MB], PageRank,
-                  workload, policy=batched_policy)
-        b = sweep("sram_bits", [2 * MB, 4 * MB, 8 * MB], PageRank,
-                  workload, policy=serial_policy)
-        assert points_to_csv(a) == points_to_csv(b)
-
-    def test_checkpoint_byte_identity(self, small_rmat, tmp_path):
-        workload = Workload(small_rmat)
-        ckpt_a = tmp_path / "batched.jsonl"
-        ckpt_b = tmp_path / "serial.jsonl"
-        values = [4, -1, 8]
-        sweep("num_pus", values, PageRank, workload,
-              policy=SweepPolicy(batch=True, isolate_errors=True,
-                                 checkpoint_path=ckpt_a))
-        sweep("num_pus", values, PageRank, workload,
-              policy=SweepPolicy(batch=False, isolate_errors=True,
-                                 checkpoint_path=ckpt_b))
-        assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
-        for line in ckpt_a.read_text().splitlines():
-            json.loads(line)  # every record stays valid JSON
-
-    def test_faulted_sweep_batches_identically(self, small_rmat):
-        from repro.obs import metrics as obs_metrics
-
-        workload = Workload(small_rmat)
-        batched_policy, serial_policy = self._policies()
-        priced = obs_metrics.get_metrics().counter(
-            obs_metrics.FOLD_MANY_CONFIGS
-        )
-        # A pricing-only axis: every point shares one counts key, so the
-        # batched sweep prices all three points in one kernel pass.
-        values = [0.5, 0.85, 1.0]
-        for profile in ("mild", "harsh", "worn"):
-            faults = make_profile(profile, seed=3)
-            before = priced.value
-            a = sweep("region_hit_rate", values, PageRank, workload,
-                      policy=batched_policy, faults=faults)
-            assert priced.value - before == len(values), profile
-            b = sweep("region_hit_rate", values, PageRank, workload,
-                      policy=serial_policy, faults=faults)
-            assert points_to_csv(a) == points_to_csv(b), profile
+        values = [2 * MB, 4 * MB, 8 * MB]
+        swept = sweep("sram_bits", values, PageRank, workload)
+        direct = []
+        for value in values:
+            config = HyVEConfig(sram_bits=value, label=f"sram_bits={value}")
+            report = AcceleratorMachine(config).run(PageRank(),
+                                                    workload).report
+            direct.append(SweepPoint("sram_bits", value, config, report))
+        assert points_to_csv(swept) == points_to_csv(direct)
 
 
 class TestImbalanceMemo:

@@ -140,12 +140,3 @@ class TestStoreAbsorbsChaos:
             store.put("k", bytes(64), kind="run")
         after = registry.counter(obs_metrics.CHAOS_INJECTIONS).value
         assert after == before + 1
-
-
-class TestKillWorkerGuard:
-    def test_never_fires_in_installing_process(self):
-        profile = ChaosProfile(seed=1, kill_worker_rate=1.0)
-        injector = ChaosInjector(profile)
-        # Would os._exit(137) without the PID guard.
-        injector.maybe_kill_worker()
-        assert injector.counts["kill_worker"] == 0

@@ -7,26 +7,19 @@ The durability promise of docs/robustness.md, enforced end to end:
   only old-or-new payloads — never a torn hybrid;
 * a directory snapshot taken at any commit boundary (the power-loss
   model: everything fsynced so far survives, everything after is gone)
-  is a fully valid store containing exactly the committed entries;
-* a sweep checkpoint with a torn trailing line (the shape a killed
-  appender leaves) loads with a warning and re-evaluates only the torn
-  point, while interior corruption still fails loudly.
+  is a fully valid store containing exactly the committed entries.
 """
 
-import json
 import os
 import shutil
 import signal
 import subprocess
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.arch.sweep import _load_checkpoint
 from repro.perf.store import SQLiteStore
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -157,80 +150,3 @@ def test_power_loss_snapshot_at_commit_boundaries(tmp_path):
         for key in expected:
             assert store.get(key) == payload_for(key, 0)
         store.close()
-
-
-class TestCheckpointTornTail:
-    def _write(self, path: Path, records, tail: str = "") -> None:
-        with path.open("w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
-            fh.write(tail)
-
-    def _record(self, n: int) -> dict:
-        return {"key": f"f={n}", "field": "f", "value_repr": repr(n),
-                "report": None, "error": "x", "attempts": 1,
-                "metrics": {"retries": 0}}
-
-    def test_torn_trailing_line_tolerated_with_warning(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        full = json.dumps(self._record(2))
-        self._write(path, [self._record(0), self._record(1)],
-                    tail=full[: len(full) // 2])  # torn mid-append
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            entries = _load_checkpoint(path)
-        assert set(entries) == {"f=0", "f=1"}
-        assert len(caught) == 1
-        assert "truncated trailing" in str(caught[0].message)
-
-    def test_interior_corruption_still_raises(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self._record(0)) + "\n")
-            fh.write("{torn interior line\n")
-            fh.write(json.dumps(self._record(1)) + "\n")
-        with pytest.raises(ConfigError, match="corrupt sweep checkpoint"):
-            _load_checkpoint(path)
-
-    def test_complete_garbage_last_line_raises(self, tmp_path):
-        """A newline-terminated final line that does not parse is
-        corruption, not a torn append — the append completed."""
-        path = tmp_path / "ckpt.jsonl"
-        self._write(path, [self._record(0)], tail="not json\n")
-        with pytest.raises(ConfigError, match="corrupt sweep checkpoint"):
-            _load_checkpoint(path)
-
-    def test_clean_checkpoint_loads_silently(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        self._write(path, [self._record(0)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            entries = _load_checkpoint(path)
-        assert set(entries) == {"f=0"}
-
-    def test_sweep_resumes_after_torn_tail(self, tmp_path):
-        """End to end: a sweep checkpoint whose last append was torn
-        resumes cleanly, re-evaluating only the torn point."""
-        from repro.algorithms import PageRank
-        from repro.arch.sweep import SweepPolicy, points_to_csv, sweep
-        from repro.graph import rmat
-
-        graph = rmat(64, 256, seed=3, name="ckpt-rmat")
-        path = tmp_path / "sweep.jsonl"
-        policy = SweepPolicy(checkpoint_path=path)
-        values = [0.25, 0.75, 1.0]
-        first = sweep("region_hit_rate", values, PageRank, graph,
-                      policy=policy)
-        reference = points_to_csv(first)
-        # Tear the final record mid-line, as a killed appender would.
-        text = path.read_text()
-        lines = text.splitlines(keepends=True)
-        torn = "".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 3]
-        path.write_text(torn)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second = sweep("region_hit_rate", values, PageRank, graph,
-                           policy=policy)
-        assert any("truncated trailing" in str(w.message)
-                   for w in caught)
-        assert points_to_csv(second) == reference

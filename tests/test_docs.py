@@ -50,7 +50,7 @@ class TestObservabilityPage:
         constants = [
             m.EDGES_STREAMED, m.EXECUTOR_EDGES, m.BPG_BANK_WAKES,
             m.ROUTER_ROTATIONS, m.CACHE_HITS, m.CACHE_MISSES,
-            m.SWEEP_POINT_RETRIES, m.INTERVAL_FETCHES,
+            m.INTERVAL_FETCHES,
             m.CONVERGENCE_ITERATIONS,
         ]
         for name in constants:

@@ -12,7 +12,6 @@ import pytest
 from repro.arch.config import Workload
 from repro.arch.machine import AcceleratorMachine
 from repro.arch.report import ALL_COMPONENTS
-from repro.arch.sweep import SweepPolicy, sweep
 from repro.algorithms import PageRank
 from repro.graph import rmat
 from repro.obs import (
@@ -189,7 +188,7 @@ class TestMetricsRegistry:
 
     def test_concurrent_updates_lose_nothing(self):
         registry = MetricsRegistry()
-        workers = SweepPolicy(max_workers=4).max_workers
+        workers = 4
         per_thread = 5_000
 
         def hammer():
@@ -228,23 +227,6 @@ class TestMetricsRegistry:
         snap = registry.snapshot()
         assert snap[obs_metrics.EDGES_STREAMED]["value"] > 0
         assert obs_metrics.BPG_BANK_WAKES in snap
-
-    def test_sweep_retries_counted(self, fresh_obs, small_workload):
-        calls = {"n": 0}
-
-        class Flaky(PageRank):
-            def transform_graph(self, graph):
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    raise RuntimeError("transient")
-                return super().transform_graph(graph)
-
-        points = sweep("num_pus", [4], Flaky, small_workload,
-                       policy=SweepPolicy(retries=2, backoff=0.0))
-        assert points[0].ok and points[0].attempts == 2
-        assert points[0].metrics["retries"] == 1
-        snap = get_metrics().snapshot()
-        assert snap[obs_metrics.SWEEP_POINT_RETRIES]["value"] == 1.0
 
 
 class TestAttributionTaxonomy:

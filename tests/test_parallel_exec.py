@@ -1,25 +1,16 @@
-"""Parallel execution: sweep(max_workers=...) and run_selected(jobs=...).
+"""Parallel execution: run_selected(jobs=...), plus sweep CSV rendering.
 
-The contract under test: fan-out changes wall-clock only.  Point
-order, CSV bytes, checkpoint contents, and experiment tables must be
-indistinguishable from a serial run.
+The contract under test: fan-out changes wall-clock only.  Experiment
+tables must be indistinguishable from a serial run.
 """
-
-import json
 
 import pytest
 
 from repro.algorithms import PageRank
 from repro.arch.config import Workload
-from repro.arch.sweep import (
-    SweepPolicy,
-    points_to_csv,
-    successful_points,
-    sweep,
-)
-from repro.errors import ConfigError, SweepPointError
+from repro.arch.sweep import points_to_csv, sweep
+from repro.errors import ConfigError
 from repro.graph import rmat
-from repro.units import MB
 
 
 @pytest.fixture(scope="module")
@@ -29,74 +20,15 @@ def workload():
                     reported_edges=8_000_000)
 
 
-class TestParallelSweep:
-    def test_csv_byte_identical_to_serial(self, workload):
-        """Zero-fault sweep: 4-worker CSV == serial CSV, byte for byte."""
-        values = [2 * MB, 4 * MB, 8 * MB, 16 * MB]
-        serial = sweep("sram_bits", values, PageRank, workload)
-        parallel = sweep("sram_bits", values, PageRank, workload,
-                         policy=SweepPolicy(max_workers=4))
-        assert points_to_csv(parallel) == points_to_csv(serial)
-
-    def test_order_matches_values(self, workload):
-        points = sweep("num_pus", [8, 2, 4], PageRank, workload,
-                       policy=SweepPolicy(max_workers=3))
-        assert [p.value for p in points] == [8, 2, 4]
-
-    def test_isolated_failure_in_worker(self, workload):
-        points = sweep("num_pus", [4, -1, 8], PageRank, workload,
-                       policy=SweepPolicy(max_workers=4,
-                                          isolate_errors=True))
-        assert len(points) == 3
-        assert [p.value for p in successful_points(points)] == [4, 8]
-        assert "ConfigError" in points[1].error
-
-    def test_strict_failure_raises_in_parent(self, workload):
-        with pytest.raises(SweepPointError):
-            sweep("num_pus", [4, -1], PageRank, workload,
-                  policy=SweepPolicy(max_workers=2))
-
-    def test_checkpoint_written_in_order(self, workload, tmp_path):
-        ckpt = tmp_path / "sweep.jsonl"
-        values = [2, 4, 8]
-        sweep("num_pus", values, PageRank, workload,
-              policy=SweepPolicy(max_workers=3, checkpoint_path=ckpt))
-        records = [json.loads(line)
-                   for line in ckpt.read_text().splitlines()]
-        assert [r["value_repr"] for r in records] == ["2", "4", "8"]
-
-    def test_checkpoint_resume_skips_finished(self, workload, tmp_path):
-        ckpt = tmp_path / "sweep.jsonl"
-        policy = SweepPolicy(max_workers=2, checkpoint_path=ckpt)
-        first = sweep("num_pus", [2, 4], PageRank, workload, policy=policy)
-        resumed = sweep("num_pus", [2, 4, 8], PageRank, workload,
-                        policy=policy)
-        assert points_to_csv(resumed[:2]) == points_to_csv(first)
-        assert resumed[2].ok
-
-    def test_single_pending_point_stays_serial(self, workload):
-        # One point: no pool is spun up, but the result is the same
-        # shape either way.
-        points = sweep("num_pus", [4], PageRank, workload,
-                       policy=SweepPolicy(max_workers=4))
-        assert points[0].ok
-
-
-class TestPolicyValidation:
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ConfigError):
-            SweepPolicy(max_workers=0)
-
-
 class TestPointsToCsv:
     def test_header_and_failed_rows(self, workload):
         points = sweep("num_pus", [4, -1], PageRank, workload,
-                       policy=SweepPolicy(isolate_errors=True))
+                       isolate_errors=True)
         text = points_to_csv(points)
         lines = text.splitlines()
         assert lines[0] == ("field,value,label,energy_j,time_s,"
                             "mteps_per_watt,iterations,edges_streamed,"
-                            "retries,attempts,error")
+                            "error")
         assert len(lines) == 3
         ok_row, bad_row = lines[1], lines[2]
         assert ok_row.startswith("num_pus,4,")

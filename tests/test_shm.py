@@ -1,17 +1,15 @@
-"""Shared-memory graph handoff: lifecycle, supervision, fallback.
+"""Shared-memory graph handoff: lifecycle and fallback.
 
-The parallel paths (sweeps, experiment fan-out) publish graph arrays
-into named shared-memory segments once and ship workers tiny refs; the
-segments are owned by the publishing process, survive supervised pool
-respawns, and are unlinked on release.  When shared memory is
-unavailable everything must degrade to the old pickle-per-task path
-with identical results.
+The experiment fan-out publishes graph arrays into named shared-memory
+segments once and ships workers tiny refs; the segments are owned by
+the publishing process and are unlinked on release.  When shared
+memory is unavailable everything must degrade to the old
+pickle-per-task path with identical results.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import os
 
 import numpy as np
 import pytest
@@ -19,13 +17,10 @@ import pytest
 from repro.algorithms import PageRank
 from repro.algorithms.runner import run_cached, run_vectorized
 from repro.arch.config import Workload
-from repro.arch.sweep import SweepPolicy, points_to_csv, sweep
 from repro.graph import rmat
 from repro.graph.graph import Graph
 from repro.obs import metrics as obs_metrics
 from repro.perf import shm
-
-VALUES = [0.25, 0.5, 0.75, 1.0]
 
 
 @pytest.fixture
@@ -49,7 +44,7 @@ def _attach_in_subprocess(ref):
     g = shm.attach_graph(ref)
     memo_hit = shm.attach_graph(ref) is g
     return (g.num_edges, int(g.src.sum()), int(g.dst.sum()),
-            memo_hit, counter.value - before)
+            memo_hit, counter.value - before, g.fingerprint())
 
 
 class TestLifecycle:
@@ -106,14 +101,17 @@ class TestLifecycle:
     def test_worker_process_attaches_and_counts(self, graph):
         ref = shm.share_graph(graph)
         with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
-            edges, ssum, dsum, memo_hit, counted = pool.submit(
-                _attach_in_subprocess, ref
-            ).result()
+            edges, ssum, dsum, memo_hit, counted, fingerprint = (
+                pool.submit(_attach_in_subprocess, ref).result()
+            )
         assert edges == graph.num_edges
         assert ssum == int(graph.src.sum())
         assert dsum == int(graph.dst.sum())
         assert memo_hit
         assert counted == 1.0
+        # The attached graph hashes like the parent's, so run-cache keys
+        # (and every result priced from them) match the serial path.
+        assert fingerprint == graph.fingerprint()
         # A worker attaching never steals ownership.
         assert shm.owned_fingerprints() == [graph.fingerprint()]
 
@@ -160,16 +158,21 @@ class TestFallback:
         wl = Workload(graph)
         assert shm.share_workload(wl) is wl
 
-    def test_parallel_sweep_identical_without_shared_memory(
-        self, monkeypatch, graph
+    def test_parallel_experiments_identical_without_shared_memory(
+        self, monkeypatch
     ):
-        """With shared memory gated off the pool falls back to pickling
-        the workload per task — same results, byte for byte."""
+        """With shared memory gated off the experiment pool falls back to
+        pickling the workloads into its workers — same tables, byte for
+        byte.  Two names, because a single experiment runs serially."""
+        from repro.experiments import run_selected
+
         monkeypatch.setattr(shm, "_shared_memory", None)
-        parallel = sweep("region_hit_rate", VALUES, PageRank, graph,
-                         policy=SweepPolicy(max_workers=2))
-        serial = sweep("region_hit_rate", VALUES, PageRank, graph)
-        assert points_to_csv(parallel) == points_to_csv(serial)
+        names = ["table3", "table2"]
+        serial = run_selected(names, save=False)
+        fanned = run_selected(names, save=False, jobs=2)
+        for name in names:
+            assert fanned[name].format() == serial[name].format()
+            assert fanned[name].to_csv() == serial[name].to_csv()
 
     def test_creation_failure_cleans_up_partial_segments(
         self, monkeypatch, graph
@@ -192,24 +195,3 @@ class TestFallback:
 
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=created[0].name)
-
-
-@pytest.mark.slow
-class TestSupervisionOverShm:
-    def test_pool_respawn_reuses_published_segments(self, tmp_path, graph):
-        """A killed worker breaks the pool; the respawned pool's tasks
-        carry the same refs and the parent's segments are still live."""
-        from tests.test_sweep_supervision import _KillOnceFactory
-
-        factory = _KillOnceFactory(str(tmp_path / "killed.marker"),
-                                   os.getpid())
-        points = sweep("region_hit_rate", VALUES, factory, graph,
-                       policy=SweepPolicy(max_workers=2))
-        assert all(p.ok for p in points)
-        # The sweep's workload graph is still published, owned here.
-        fingerprints = shm.owned_fingerprints()
-        assert graph.fingerprint() in fingerprints
-        reference = sweep("region_hit_rate", VALUES, PageRank, graph)
-        for supervised, ref in zip(points, reference):
-            assert supervised.report.total_energy \
-                == ref.report.total_energy

@@ -1,21 +1,29 @@
 """Tests for the generic design-space sweep helper."""
 
-import json
+import dataclasses
+import importlib
 
 import pytest
 
 from repro.algorithms import PageRank
-from repro.arch.config import Workload
+from repro.arch.config import HyVEConfig, Workload
+from repro.arch.machine import AcceleratorMachine
 from repro.arch.sweep import (
-    SweepPolicy,
     best_point,
     pareto_front,
     successful_points,
     sweep,
 )
 from repro.errors import ConfigError, SweepPointError
+from repro.faults import make_profile
 from repro.graph import rmat
+from repro.obs import metrics as obs_metrics
+from repro.perf import batch
 from repro.units import MB
+from repro.verify.oracles import assert_reports_identical
+
+# The module, not the re-exported ``repro.arch.sweep`` function.
+sweep_module = importlib.import_module("repro.arch.sweep")
 
 
 @pytest.fixture(scope="module")
@@ -56,25 +64,28 @@ class TestSweep:
             sweep("num_pus", [], PageRank, workload)
 
 
-class TestRobustSweep:
-    """Timeout / retry / error isolation / checkpointing."""
+def _direct_reports(field, values, workload, faults=None):
+    """The per-value ``run()`` loop a sweep must reproduce."""
+    return [
+        AcceleratorMachine(
+            dataclasses.replace(HyVEConfig(), **{field: value,
+                                                 "label": f"{field}={value}"}),
+            faults=faults,
+        ).run(PageRank(), workload).report
+        for value in values
+    ]
 
-    def test_policy_validation(self):
-        with pytest.raises(ConfigError):
-            SweepPolicy(timeout=0)
-        with pytest.raises(ConfigError):
-            SweepPolicy(retries=-1)
-        with pytest.raises(ConfigError):
-            SweepPolicy(backoff=-0.5)
+
+class TestRobustSweep:
+    """Error isolation: strict sweeps raise, isolating sweeps record."""
 
     def test_failing_point_kills_strict_sweep(self, workload):
         with pytest.raises(SweepPointError):
             sweep("num_pus", [4, -1], PageRank, workload)
 
     def test_failing_point_isolated(self, workload):
-        policy = SweepPolicy(isolate_errors=True)
         points = sweep("num_pus", [4, -1, 8], PageRank, workload,
-                       policy=policy)
+                       isolate_errors=True)
         assert len(points) == 3
         ok = successful_points(points)
         assert [p.value for p in ok] == [4, 8]
@@ -88,75 +99,111 @@ class TestRobustSweep:
         assert best_point(points).ok
         assert all(p.ok for p in pareto_front(points))
 
-    def test_timeout_counts_as_failure(self):
-        # Fresh graph: a cold run cache keeps the evaluation well past
-        # the timeout (a warm one can finish inside a GIL slice).
-        graph = rmat(2048, 16000, seed=31, name="sweep-timeout")
-        policy = SweepPolicy(timeout=1e-4, isolate_errors=True)
-        points = sweep("num_pus", [4], PageRank, graph, policy=policy)
-        assert not points[0].ok
-        assert "timeout" in points[0].error
-
-    def test_retries_consumed(self, workload):
-        calls = []
-
-        def exploding_factory():
-            calls.append(1)
-            raise RuntimeError("flaky")
-
-        policy = SweepPolicy(retries=2, backoff=0.0, isolate_errors=True)
-        points = sweep("num_pus", [4], exploding_factory, workload,
-                       policy=policy)
-        assert points[0].attempts == 3
-        assert len(calls) == 3
-        assert "RuntimeError" in points[0].error
-
-    def test_retry_then_success(self, workload):
-        attempts = []
-
-        def flaky_factory():
-            attempts.append(1)
-            if len(attempts) < 2:
-                raise RuntimeError("transient")
-            return PageRank()
-
-        policy = SweepPolicy(retries=2, backoff=0.0)
-        points = sweep("num_pus", [4], flaky_factory, workload,
-                       policy=policy)
-        assert points[0].ok
-        assert points[0].attempts == 2
-
-    def test_checkpoint_resume(self, workload, tmp_path):
-        ckpt = tmp_path / "sweep.jsonl"
-        policy = SweepPolicy(isolate_errors=True, checkpoint_path=ckpt)
-        first = sweep("num_pus", [4, -1, 8], PageRank, workload,
-                      policy=policy)
-        lines = [json.loads(l) for l in ckpt.read_text().splitlines()]
-        assert len(lines) == 3
-        assert sum(1 for l in lines if l["report"] is not None) == 2
-        # Resume: successful points come from the checkpoint verbatim,
-        # the failed point is re-attempted (and recorded again).
-        second = sweep("num_pus", [4, -1, 8], PageRank, workload,
-                       policy=policy)
-        assert second[0].report.to_dict() == first[0].report.to_dict()
-        assert second[2].report.to_dict() == first[2].report.to_dict()
-        assert not second[1].ok
-        assert len(ckpt.read_text().splitlines()) == 4
-
-    def test_corrupt_checkpoint_rejected(self, workload, tmp_path):
-        ckpt = tmp_path / "sweep.jsonl"
-        ckpt.write_text("not json\n")
-        policy = SweepPolicy(checkpoint_path=ckpt)
-        with pytest.raises(ConfigError):
-            sweep("num_pus", [4], PageRank, workload, policy=policy)
-
     def test_empty_selection_after_failures(self, workload):
-        policy = SweepPolicy(isolate_errors=True)
         points = sweep("num_pus", [-1, -2], PageRank, workload,
-                       policy=policy)
+                       isolate_errors=True)
         assert not successful_points(points)
         with pytest.raises(ConfigError):
             best_point(points)
+
+
+class TestConvergenceFailure:
+    """The shared convergence runs once; its failure fails every point."""
+
+    @staticmethod
+    def _exploding(calls):
+        def factory():
+            calls.append(1)
+            raise RuntimeError("diverged")
+        return factory
+
+    def test_every_point_fails_isolated(self, workload):
+        calls = []
+        points = sweep("num_pus", [2, 4, 8], self._exploding(calls),
+                       workload, isolate_errors=True)
+        assert len(calls) == 1
+        assert [p.error for p in points] == ["RuntimeError: diverged"] * 3
+        assert not successful_points(points)
+
+    def test_strict_names_first_value(self, workload):
+        calls = []
+        with pytest.raises(SweepPointError, match="num_pus=2") as info:
+            sweep("num_pus", [2, 4, 8], self._exploding(calls), workload)
+        assert len(calls) == 1
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    def test_diverging_algorithm_converges_once(self, workload):
+        calls = []
+
+        class Diverging(PageRank):
+            def transform_graph(self, graph):
+                calls.append(1)
+                raise RuntimeError("diverged")
+
+        points = sweep("num_pus", [2, 4, 8], Diverging, workload,
+                       isolate_errors=True)
+        assert len(calls) == 1
+        assert [p.error for p in points] == ["RuntimeError: diverged"] * 3
+
+
+class TestGridFallback:
+    """When ``run_grid`` raises, the points are priced one by one."""
+
+    @pytest.fixture
+    def broken_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ConfigError("grid refused")
+        monkeypatch.setattr(batch, "run_grid", refuse)
+
+    def test_reports_match_run(self, workload, broken_grid):
+        values = [2, 4, 8]
+        points = sweep("num_pus", values, PageRank, workload)
+        for point, direct in zip(points, _direct_reports(
+                "num_pus", values, workload)):
+            assert_reports_identical(direct, point.report,
+                                     f"fallback {point.config.label}")
+
+    def test_raises_on_first_failing_value(self, workload, broken_grid,
+                                           monkeypatch):
+        evaluated = []
+
+        class FlakyMachine(AcceleratorMachine):
+            def run(self, algorithm, workload):
+                evaluated.append(self.config.num_pus)
+                if self.config.num_pus in (4, 8):
+                    raise RuntimeError(f"cannot price {self.label}")
+                return super().run(algorithm, workload)
+
+        monkeypatch.setattr(sweep_module, "AcceleratorMachine",
+                            FlakyMachine)
+        with pytest.raises(SweepPointError, match="num_pus=8"):
+            sweep("num_pus", [2, 8, 4], PageRank, workload)
+        assert evaluated == [2, 8]
+        evaluated.clear()
+        points = sweep("num_pus", [2, 8, 4], PageRank, workload,
+                       isolate_errors=True)
+        assert evaluated == [2, 8, 4]
+        assert [p.ok for p in points] == [True, False, False]
+        assert points[1].error == "RuntimeError: cannot price num_pus=8"
+
+
+class TestFaultedSweep:
+    @pytest.mark.parametrize("profile", ["mild", "worn"])
+    def test_one_kernel_pass_identical_to_run(self, workload, profile):
+        priced = obs_metrics.get_metrics().counter(
+            obs_metrics.FOLD_MANY_CONFIGS
+        )
+        faults = make_profile(profile, seed=3)
+        # A pricing-only axis: every point shares one counts key.
+        values = [0.5, 0.85, 1.0]
+        before = priced.value
+        points = sweep("region_hit_rate", values, PageRank, workload,
+                       faults=faults)
+        assert priced.value - before == len(values)
+        for point, direct in zip(points, _direct_reports(
+                "region_hit_rate", values, workload, faults)):
+            assert_reports_identical(direct, point.report,
+                                     f"{profile} {point.config.label}")
 
 
 class TestSelection:

@@ -91,7 +91,7 @@ class TestCaseSerialisation:
 class TestRegistry:
     def test_expected_oracles_registered(self):
         expected = {
-            "engine-identity", "sweep-identity", "parallel-sweep",
+            "engine-identity", "sweep-identity",
             "algorithm-equivalence", "permutation-invariance",
             "interval-invariance", "scale-linearity", "zero-fault",
         }
