@@ -14,14 +14,17 @@ item 3).  Three pieces:
   published values may lag the log by at most ``K - 1`` updates, and a
   flush (value refresh) happens whenever ``K`` updates are pending or
   a query arrives.  ``K = 1`` degenerates to eager exact maintenance.
-  BFS and CC refresh *incrementally* (monotone min-relaxation from the
-  previous fixpoint — exact, because the fixpoint is unique — after a
-  local repair for deletions); PR and first-time initialisation
-  rebuild the canonical snapshot from scratch through the run cache,
-  which is bit-identical by construction.  Either way, every
-  published value is bit-identical (exact ints for BFS/CC, 1e-12 for
-  PR) to a full rebuild of ``snapshot_at(t)`` — the
-  ``stream-rebuild-identity`` oracle enforces this over generated logs.
+  BFS and CC refresh *incrementally*: BFS by monotone min-relaxation
+  from the previous fixpoint (exact, because the fixpoint is unique)
+  after a local repair for deletions; CC by merging the previous
+  component labels when the support only grew, and by re-seeding the
+  touched components and relaxing to the fixpoint after deletions.
+  PR and first-time initialisation rebuild the canonical snapshot from
+  scratch through the run cache, which is bit-identical by
+  construction.  Either way, every published value is bit-identical
+  (exact ints for BFS/CC, 1e-12 for PR) to a full rebuild of
+  ``snapshot_at(t)`` — the ``stream-rebuild-identity`` oracle enforces
+  this over generated logs.
 * :func:`measure_stream` — a :class:`StreamThroughputResult` bench:
   sustained updates/second under concurrent pricing queries, compared
   against a serial-replay baseline that rebuilds the graph from the
@@ -523,23 +526,55 @@ def _bfs_push(levels: np.ndarray, src: np.ndarray, dst: np.ndarray,
     return levels
 
 
-def _cc_delta_unchanged(values: np.ndarray, added: np.ndarray) -> bool:
-    """True iff every inserted support edge joins same-label vertices —
-    components (hence min-id labels) provably did not change."""
-    if not added.size:
-        return True
-    return not np.any(values[added >> 32] != values[added & 0xFFFFFFFF])
+def _cc_union(values: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """Exact CC min-labels after support insertions, by merging labels.
+
+    Insertions only merge components, so the new labelling is the old
+    one with each group of labels joined by an added edge collapsed to
+    the group's smallest label.  Connectivity is solved on that small
+    label graph: the larger of two distinct roots hooks to the smaller,
+    then pointer jumping flattens the forest, until every added edge
+    joins one root.  Every old label is its component's minimum vertex
+    id and only ever points to a smaller label of its own group, so a
+    group's smallest label stays the one root — the minimum id of the
+    merged component, identical to a rebuild.  Costs O(added + V)
+    instead of sweeping the support.  Returns ``values`` itself when no
+    added edge crosses two labels.
+    """
+    a = values[added >> 32]
+    b = values[added & 0xFFFFFFFF]
+    cross = a != b
+    if not cross.any():
+        return values
+    a, b = a[cross], b[cross]
+    nodes = np.unique(np.concatenate([a, b]))
+    parent = np.arange(values.size, dtype=values.dtype)
+    while True:
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        # Only labels of added edges ever move, so jumping them alone
+        # flattens the whole forest.
+        while True:
+            up = parent[nodes]
+            jumped = parent[up]
+            if np.array_equal(jumped, up):
+                break
+            parent[nodes] = jumped
+        a, b = parent[a], parent[b]
+        split = a != b
+        if not split.any():
+            return parent[values]
+        a, b = a[split], b[split]
 
 
 def _cc_refixpoint(values: np.ndarray, edges: _RelaxEdges) -> np.ndarray:
     """Relax CC min-labels to the fixpoint from a seed labelling.
 
     Exact whenever every seed label is the id of some vertex inside
-    the labelled vertex's *current* component (true for previous
-    labels after insertions, and for the re-initialised seeds
-    :func:`_cc_delete_seed` builds after deletions): symmetric
-    min-propagation then converges to the unique fixpoint — the
-    minimum vertex id in each component — identical to a rebuild."""
+    the labelled vertex's *current* component (true for the
+    re-initialised seeds :func:`_cc_delete_seed` builds after
+    deletions): symmetric min-propagation then converges to the unique
+    fixpoint — the minimum vertex id in each component — identical to
+    a rebuild."""
     values = values.copy()
     while True:
         fwd = _sweep_min(values, edges.fwd)
@@ -758,9 +793,15 @@ class StreamEngine:
         at = np.searchsorted(merged, uk)
         mult[at] += net
         now = mult[at] > 0
-        keep = mult > 0
-        self._live_keys = merged[keep]
-        self._live_mult = mult[keep]
+        if now.all():
+            # No touched key left the support (untouched keys were
+            # alive already), so there is nothing to compact.
+            self._live_keys = merged
+            self._live_mult = mult
+        else:
+            keep = mult > 0
+            self._live_keys = merged[keep]
+            self._live_mult = mult[keep]
         rev = self._live_rev
         gone = uk[was & ~now]
         if gone.size:
@@ -782,11 +823,12 @@ class StreamEngine:
 
         No-op when nothing is pending.  BFS and CC always refresh
         incrementally (and exactly) once initialised: support-growing
-        deltas relax from the previous fixpoint, CC deletions re-seed
-        the affected components locally, and BFS deletions invalidate
-        just the orphaned region before relaxing.  PR — a sum-based
-        fixpoint with no monotone incremental rule — and first-time
-        initialisation rebuild the canonical snapshot from scratch.
+        deltas merge the previous CC labels and relax BFS from the
+        previous fixpoint, CC deletions re-seed the affected components
+        locally, and BFS deletions invalidate just the orphaned region
+        before relaxing.  PR — a sum-based fixpoint with no monotone
+        incremental rule — and first-time initialisation rebuild the
+        canonical snapshot from scratch.
         ``use_cache=True`` routes rebuilds through the run cache
         (query-time flushes do this, so time-sliced pricing at the
         same instant reuses the run); contract flushes between queries
@@ -796,7 +838,8 @@ class StreamEngine:
         pending chunks touched, and the whole BFS refresh (delete
         repair and frontier push) follows segments of the two sorted
         support orders, so both cost O(touched keys + affected edges)
-        up to log factors.  A CC refresh that must relax still sweeps
+        up to log factors.  A CC refresh after pure growth is a label
+        union, O(added + V).  A CC refresh after deletions still sweeps
         the whole support, O(support) per sweep: a deletion re-seeds
         every component it touches, the giant one included.
         """
@@ -812,9 +855,8 @@ class StreamEngine:
             dropped = touched[before & ~after]
             added = touched[after & ~before]
             # BFS/CC see only the edge *support*, so incremental
-            # refreshes first test just the added-support delta (most
-            # flushes change nothing provable), then relax over the
-            # distinct-key arrays; the multiset snapshot Graph is
+            # refreshes work from the added/dropped support delta and
+            # the distinct-key arrays; the multiset snapshot Graph is
             # materialised lazily, only when some algorithm rebuilds.
             rev = self._live_rev
             snapshot: Graph | None = None
@@ -826,11 +868,8 @@ class StreamEngine:
                         values = _cc_refixpoint(
                             _cc_delete_seed(previous, dropped),
                             _RelaxEdges(live, rev))
-                    elif _cc_delta_unchanged(previous, added):
-                        values = previous
                     else:
-                        values = _cc_refixpoint(previous,
-                                                _RelaxEdges(live, rev))
+                        values = _cc_union(previous, added)
                 elif previous is not None and name == "bfs":
                     values, orphans = _bfs_delete_repair(
                         previous, dropped, live, rev)

@@ -10,8 +10,11 @@ rule, snapshot canonicalisation, and the time-sliced energy fold.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import make_algorithm
 from repro.algorithms.runner import run_vectorized
@@ -29,7 +32,9 @@ from repro.dynamic import (
     generate_update_log,
     measure_stream,
 )
+from repro.dynamic import stream
 from repro.errors import ConfigError, StreamError
+from repro.experiments import temporal
 from repro.graph import rmat
 from repro.perf.cache import temporary_run_cache
 
@@ -340,6 +345,91 @@ class TestIncrementalFlush:
         assert engine.stats.rebuilds == rebuilds
 
 
+def _grown(engine, edges):
+    """Ingest ``edges`` as adds and return the previous and the
+    refreshed CC labels."""
+    previous = engine.query("cc")
+    engine.ingest([("add", s, d) for s, d in edges])
+    return previous, engine.query("cc")
+
+
+class TestCCGrowth:
+    """Insert-only flushes refresh CC by merging the previous component
+    labels; each case is checked against a from-scratch run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 24).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 min_size=1, max_size=30),
+        st.lists(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          min_size=1, max_size=12),
+                 min_size=1, max_size=4))))
+    def test_insert_only_batches_match_rebuild(self, case):
+        n, base, batches = case
+        engine = StreamEngine(n, algorithms=("cc",), k=1000)
+        engine.ingest([("add", s, d, 0) for s, d in base])
+        engine.flush()
+        rebuilds = engine.stats.rebuilds
+        for batch in batches:
+            engine.ingest([("add", s, d) for s, d in batch])
+            got = engine.query("cc")
+            expected = run_vectorized(make_algorithm("cc"),
+                                      engine.snapshot()).values
+            assert np.array_equal(got, expected)
+        assert engine.stats.rebuilds == rebuilds
+
+    @pytest.mark.parametrize("added", [
+        # a chain of four components, joined from the largest label down
+        [(7, 4), (5, 2), (3, 1)],
+        # component 6 meets 2 and 4 in one flush: 4 hooks in a later round
+        [(6, 2), (6, 4), (0, 3)],
+    ])
+    def test_one_flush_merges_a_chain_of_components(self, added):
+        engine = _seeded_engine(9, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        rebuilds = engine.stats.rebuilds
+        _grown(engine, added)
+        _assert_matches_rebuild(engine)
+        assert engine.query("cc").tolist() == [0] * 8 + [8]
+        assert engine.stats.rebuilds == rebuilds
+
+    def test_duplicate_added_keys(self):
+        engine = _seeded_engine(6, [(0, 1), (2, 3), (4, 5)])
+        _, labels = _grown(engine, [(3, 4), (3, 4), (4, 3), (3, 4)])
+        _assert_matches_rebuild(engine)
+        assert labels.tolist() == [0, 0, 2, 2, 2, 2]
+
+    def test_self_loops_change_nothing(self):
+        engine = _seeded_engine(5, [(0, 1), (2, 3)])
+        previous, labels = _grown(engine, [(4, 4), (2, 2)])
+        assert labels is previous
+        _, labels = _grown(engine, [(4, 4), (3, 3), (1, 3)])
+        _assert_matches_rebuild(engine)
+        assert labels.tolist() == [0, 0, 0, 0, 4]
+
+    def test_edge_inside_one_component_keeps_the_array(self):
+        engine = _seeded_engine(6, _path(4))
+        previous, labels = _grown(engine, [(0, 3), (3, 1)])
+        assert labels is previous
+        _assert_matches_rebuild(engine)
+
+    def test_growth_never_sweeps_the_support(self, monkeypatch):
+        engine = _seeded_engine(12, _path(5) + [(6, 7), (8, 9)])
+
+        def whole_support(*args):
+            raise AssertionError("whole-support CC sweep")
+
+        monkeypatch.setattr(stream, "_RelaxEdges", whole_support)
+        monkeypatch.setattr(stream, "_cc_refixpoint", whole_support)
+        _grown(engine, [(4, 6), (9, 7), (11, 10)])
+        _assert_matches_rebuild(engine)
+        # The patch is live: a deletion flush still sweeps.
+        engine.ingest([("del", 0, 1)])
+        with pytest.raises(AssertionError, match="whole-support"):
+            engine.query("cc")
+
+
 class TestMeasureStream:
     def test_mixes_run_and_cross_check(self):
         base = rmat(48, 192, seed=12, name="bench")
@@ -394,3 +484,43 @@ class TestFoldTimeSlices:
                                 rmat(32, 128, seed=13, name="slice-a")).report
         with pytest.raises(ConfigError):
             fold_time_slices([(0, 2, r1), (2, 4, other)])
+
+
+def _mask_rates(cell):
+    """A temporal-driver cell with its wall-clock rates replaced."""
+    if not isinstance(cell, str):
+        return cell
+    cell = re.sub(r"[\d,]+ ev/s", "<rate> ev/s", cell)
+    return re.sub(r"[\d,]+ up/s, [\d.]+x", "<rate> up/s, <ratio>x", cell)
+
+
+class TestTemporalDriver:
+    """The temporal driver's deterministic output at the reduced scale
+    the stream-smoke CI job runs: refresh counts, event/query counts,
+    slice energies and cache hits (wall-clock rates masked)."""
+
+    EXPECTED = [
+        ["stream ingest", "t0..t1000", 4502, 0.0,
+         "incremental==rebuild: True (83 rebuilds, 160 incremental, "
+         "<rate> ev/s)"],
+        ["slice pr", "[t0,t333)", 4000, 3.349304547704001e-05,
+         "cache-hit"],
+        ["slice pr", "[t333,t667)", 4187, 3.430511852685e-05, "cache-hit"],
+        ["slice pr", "[t667,t1001)", 4347, 3.499994038765e-05,
+         "cache-hit"],
+        ["folded total", "[t0,t1001)", "-", 0.03430107382129732,
+         "repriced snapshots hit cache: 3/3"],
+        ["stream bench (update-heavy)", "5000 ev / 20 q", "-", 0.0,
+         "<rate> up/s, <ratio>x vs serial rebuild"],
+        ["stream bench (read-heavy)", "5000 ev / 400 q", "-", 0.0,
+         "<rate> up/s, <ratio>x vs serial rebuild"],
+    ]
+
+    def test_reduced_scale_output(self):
+        result = temporal.run(num_vertices=500, num_edges=4000,
+                              num_updates=1000, num_slices=3)
+        rows = [[_mask_rates(cell) for cell in row] for row in result.rows]
+        assert [row[:3] + row[4:] for row in rows] == \
+            [row[:3] + row[4:] for row in self.EXPECTED]
+        assert [row[3] for row in rows] == pytest.approx(
+            [row[3] for row in self.EXPECTED], rel=1e-12)
