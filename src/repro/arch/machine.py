@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -144,7 +145,7 @@ class AcceleratorMachine:
                 counts = scheduled_counts(run, workload, self.config)
             with tracer.span("fold"):
                 fold = _fold_kernel(
-                    run, counts, workload, [self.config], self.faults
+                    run, [counts], workload, [self.config], self.faults
                 )
         return SimulationResult(report=fold.reports[0], run=run,
                                 faults=fold.faults[0])
@@ -275,18 +276,19 @@ def _distinct(objects: list) -> tuple[list, np.ndarray]:
             np.fromiter(map(rows.__getitem__, keys), np.intp, len(keys)))
 
 
-def _level(configs: list[HyVEConfig], tech: str, footprint: float,
-           min_chips: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+def _level(configs: list[HyVEConfig], tech: str, footprint, min_chips: int
+           ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """One memory level of a grid: (its distinct device configs, each
-    config's row among them, and per config the unit-cost table and chip
-    count)."""
+    config's row among them, and per config the unit-cost table and the
+    chip count holding ``footprint``, a scalar or a per-config column)."""
     devices, rows = _distinct(
         [_device_config(c, getattr(c, tech)) for c in configs]
     )
-    chips = [_chips(device, footprint, min_chips) for device in devices]
     costs = [_shared_device(device)[1] for device in devices]
+    density = np.array([d.density_bits for d in devices], np.float64)[rows]
+    chips = np.maximum(min_chips, np.ceil(footprint / density))  # _chips
     return (devices, rows, np.array(costs, dtype=np.float64)[rows],
-            np.array(chips, dtype=np.int64)[rows])
+            chips.astype(np.int64))
 
 
 def _secded_costs(devices: list, rows: np.ndarray, costs: np.ndarray,
@@ -415,39 +417,45 @@ class _FaultOverlay:
 # --- the pricing kernel -----------------------------------------------------
 
 def _check_grid_config(
-    config: HyVEConfig, head: HyVEConfig, counts: ScheduleCounts
+    configs: list[HyVEConfig], counts: ScheduleCounts
 ) -> None:
-    """Reject a config whose schedule would differ from ``counts``.
+    """Reject configs whose schedule would differ from ``counts``.
 
-    Every mismatched knob is collected before raising, so a tuner
-    debugging a wide grid sees the whole shape of the problem in one
+    Each distinct schedule shape is checked once, its flags against the
+    first config's.  Every mismatched knob is collected before raising,
+    so a tuner debugging a wide grid sees the whole problem in one
     :class:`ConfigError` instead of peeling mismatches off one by one.
     """
     from .config import SCHEDULE_FLAGS, choose_num_intervals
 
-    problems: list[str] = []
-    if config.num_pus != counts.num_pus:
-        problems.append(
-            f"num_pus={config.num_pus}, counts expect {counts.num_pus}"
-        )
-    p = choose_num_intervals(config, counts.vertices, counts.vertex_bits)
-    if p != counts.num_intervals:
-        problems.append(
-            f"partitions into {p} intervals, counts expect "
-            f"{counts.num_intervals}"
-        )
-    for flag in SCHEDULE_FLAGS:
-        if getattr(config, flag) != getattr(head, flag):
+    head = configs[0]
+    shapes: dict[tuple, HyVEConfig] = {}
+    for config in configs:
+        shapes.setdefault(config.schedule_shape, config)
+    for config in shapes.values():
+        problems: list[str] = []
+        if config.num_pus != counts.num_pus:
             problems.append(
-                f"{flag}={getattr(config, flag)} differs from the "
-                f"grid's {getattr(head, flag)}"
+                f"num_pus={config.num_pus}, counts expect {counts.num_pus}"
             )
-    if problems:
-        raise ConfigError(
-            f"fold_many: config {config.label!r} does not share the "
-            f"grid's schedule — " + "; ".join(problems)
-            + "; group configs by counts key first"
-        )
+        p = choose_num_intervals(config, counts.vertices, counts.vertex_bits)
+        if p != counts.num_intervals:
+            problems.append(
+                f"partitions into {p} intervals, counts expect "
+                f"{counts.num_intervals}"
+            )
+        for flag in SCHEDULE_FLAGS:
+            if getattr(config, flag) != getattr(head, flag):
+                problems.append(
+                    f"{flag}={getattr(config, flag)} differs from the "
+                    f"grid's {getattr(head, flag)}"
+                )
+        if problems:
+            raise ConfigError(
+                f"fold_many: config {config.label!r} does not share the "
+                f"grid's schedule — " + "; ".join(problems)
+                + "; group configs by counts key first"
+            )
 
 
 class GridFold(NamedTuple):
@@ -495,11 +503,7 @@ def fold_columns(
     """
     if not configs:
         return GridFold([], [], np.zeros(0), np.zeros(0))
-    shapes: dict[tuple, HyVEConfig] = {}
-    for config in configs:  # each distinct schedule shape is checked once
-        shapes.setdefault(config.schedule_shape, config)
-    for config in shapes.values():
-        _check_grid_config(config, configs[0], counts)
+    _check_grid_config(configs, counts)
     metrics = obs_metrics.get_metrics()
     metrics.counter(obs_metrics.FOLD_MANY_CONFIGS).add(len(configs))
     with get_tracer().span(
@@ -508,7 +512,7 @@ def fold_columns(
         graph=workload.name,
         configs=len(configs),
     ):
-        return _fold_kernel(run, counts, workload, configs, faults)
+        return _fold_kernel(run, [counts], workload, configs, faults)
 
 
 class _Traffic(NamedTuple):
@@ -613,7 +617,8 @@ def _gating(
         for d, is_reram in zip(edge_devices, reram)
     ], dtype=np.int64)[edge_rows[gated]].T
     planned = plan_columns(
-        tuple(policy), edge_chips[gated] * banks[0], banks[1], streamed_bits,
+        tuple(policy), edge_chips[gated] * banks[0], banks[1],
+        np.full(duration.shape, streamed_bits)[gated],
         banks[2], duration[gated],
         [p.failed_banks if p else 0 for p in spared],
         [p.transition_factor if p else 1.0 for p in spared],
@@ -625,10 +630,11 @@ def _gating(
 
 def _fold_kernel(
     run: AlgorithmRun,
-    counts: ScheduleCounts,
+    table: list[ScheduleCounts],
     workload: Workload,
     configs: list[HyVEConfig],
     faults: FaultProfile | None = None,
+    group: np.ndarray | None = None,
 ) -> GridFold:
     """The one HyVE pricing kernel (Equations (1)-(2), Fig. 8).
 
@@ -636,12 +642,23 @@ def _fold_kernel(
     into a small table the configs index, and every term is a NumPy
     float64 pass over the grid in the scalar model's operation order, so
     each config's floats are bit-identical to pricing it alone; only
-    report assembly runs per config.  A non-zero ``faults`` profile
-    draws one :class:`_FaultOverlay` per config and edits rows of the
-    same columns; with none the overlay code never runs.
+    report assembly runs per config.  ``table`` holds one
+    :class:`ScheduleCounts` per counts group and ``group`` each config's
+    row in it (default: all ``table[0]``); the counts become per-config
+    columns, so configs of any schedule, with or without a scratchpad,
+    share one pass.  A non-zero ``faults`` profile draws one overlay per
+    config and edits rows of the same columns.
     """
     n = len(configs)
-    onchip = configs[0].has_onchip
+    group = np.zeros(n, np.intp) if group is None else group
+    row_counts = [table[g] for g in group.tolist()]
+    counts = table[0]  # a one-group table keeps its scalars
+    if len(table) > 1:  # columns gathered from a (groups x fields) table
+        fields = [list(vars(c).values()) for c in table]  # in field order
+        counts = ScheduleCounts(*(
+            column.astype(np.int64) if isinstance(value, int) else column
+            for column, value in zip(np.array(fields)[group].T, fields[0])))
+    onchip = np.array([c.has_onchip for c in configs])
     edge_footprint = (
         counts.edges_total / counts.iterations
     ) * counts.edge_bits * FOOTPRINT_SLACK
@@ -661,8 +678,9 @@ def _fold_kernel(
         overlays, spared = zip(*(
             _FaultOverlay.build(
                 faults, cfg, f"{cfg.label}|{run.algorithm}|{workload.name}",
-                edge_footprint, chips,
-            ) for cfg, chips in zip(configs, edge_chips.tolist())
+                footprint, chips,
+            ) for cfg, footprint, chips in zip(configs, np.broadcast_to(
+                edge_footprint, n).tolist(), edge_chips.tolist())
         ))
         edge_chips = np.array(spared, dtype=np.int64)
         edge_ecc, vertex_ecc, sram_ecc, write_rounds = map(np.array, zip(*(
@@ -673,13 +691,16 @@ def _fold_kernel(
                                    edge_ecc)
         vertex_costs = _secded_costs(vertex_devices, vertex_rows, raw_vertex,
                                      vertex_ecc)
-    if onchip:
-        sizes, rows = _distinct([c.sram_bits for c in configs])
-        sram = np.array([_shared_sram(bits)[1] for bits in sizes],
-                        dtype=np.float64)[rows]
-        sram_cycle, s_r_en, s_w_en, s_abits, *sram_power = sram.T
-    else:
-        sram_cycle = edge_costs[:, _RR_LAT] / mlp
+    # Without a scratchpad the PUs are bound by main-memory requests and
+    # the on-chip terms price a zero-cost SRAM row, an exact 0.0.
+    sram_cycle = edge_costs[:, _RR_LAT] / mlp
+    if any_onchip := onchip.any():
+        sizes, rows = _distinct([c.sram_bits if c.has_onchip else None
+                                 for c in configs])
+        sram = np.array([(1.0, 0.0, 0.0, 1.0, 0.0, 0.0) if bits is None
+                         else _shared_sram(bits)[1] for bits in sizes])[rows]
+        s_cycle, s_r_en, s_w_en, s_abits, *sram_power = sram.T
+        sram_cycle = np.where(onchip, s_cycle, sram_cycle)
     pu = ProcessingUnitModel(sram_cycle=sram_cycle)
     mlp = np.minimum(mlp, counts.num_pus).astype(np.float64)
 
@@ -698,16 +719,14 @@ def _fold_kernel(
     t_stream = t.stream_lat + seek_extra
     t_proc = (counts.pu_ops * pu.initiation_interval * counts.imbalance
               / counts.num_pus)
-    if counts.random_read_ops or counts.random_write_ops:
-        t_random = (
-            counts.random_read_ops * t.rnd_r_lat
-            + counts.random_write_ops * t.rnd_w_lat
-        ) / mlp
-    else:
-        t_random = np.zeros(n)
-    t_step = counts.steps_total * (params.SYNC_LATENCY + pu.pipeline_fill())
-    if configs[0].data_sharing:
-        t_step += router.fill_latency(counts.steps_total)
+    t_random = np.where(
+        (counts.random_read_ops != 0) | (counts.random_write_ops != 0),
+        (counts.random_read_ops * t.rnd_r_lat
+         + counts.random_write_ops * t.rnd_w_lat) / mlp, 0.0)
+    sharing = np.array([c.data_sharing for c in configs])
+    t_step = counts.steps_total * (
+        params.SYNC_LATENCY + pu.pipeline_fill()
+    ) + router.fill_latency(np.where(sharing, counts.steps_total, 0.0))
     t_schedule = t.load_lat + t.store_lat
     duration = (
         np.maximum(np.maximum(t_stream, t_proc), t_random) + t_step
@@ -731,7 +750,7 @@ def _fold_kernel(
             + counts.random_write_ops * t.rnd_w_en
         ),
     }
-    if onchip:
+    if any_onchip:
         energy[rpt.ONCHIP_VERTEX] = (
             (counts.onchip_read_bits / s_abits) * s_r_en
             + (counts.onchip_write_bits / s_abits) * s_w_en
@@ -745,7 +764,7 @@ def _fold_kernel(
     energy[rpt.CONTROLLER] = requests * params.CONTROLLER_REQUEST_ENERGY
     energy[rpt.EDGE_MEMORY_BG] = edge_chips * edge_bg
     energy[rpt.OFFCHIP_VERTEX_BG] = vertex_chips * vertex_bg
-    if onchip:
+    if any_onchip:
         energy[rpt.ONCHIP_VERTEX_BG] = counts.num_pus * background_energy(
             *sram_power, duration, part=rpt.ONCHIP_VERTEX_BG
         )
@@ -770,7 +789,7 @@ def _fold_kernel(
              + counts.random_read_ops * (t.rnd_r_en - base.rnd_r_en)
              + counts.random_write_ops * (t.rnd_w_en - base.rnd_w_en)),
         ]
-        if onchip:
+        if any_onchip:
             rows = sram_ecc != 1.0
             onchip_en = energy[rpt.ONCHIP_VERTEX]
             onchip_extra = onchip_en * (sram_ecc - 1.0) + secded_logic_energy(
@@ -798,7 +817,9 @@ def _fold_kernel(
             resil = np.where(rows, resil + term, resil)
     # One (component x config) matrix, in the reports' insertion order.
     components = list(energy)
-    joules = np.array(np.broadcast_arrays(*energy.values()), dtype=np.float64)
+    joules = np.empty((len(components), n))
+    for row, values in zip(joules, energy.values()):
+        row[:] = values  # a scalar term broadcasts over the grid
     negative = joules < 0
     if np.count_nonzero(negative):  # EnergyReport.add's check
         k = int(np.flatnonzero(negative.any(axis=1))[0])
@@ -806,32 +827,40 @@ def _fold_kernel(
                           f"{joules[k][negative[k]][0]}")
     joules[0] += gating.overhead_energy  # rpt.EDGE_MEMORY comes first
     fault_reports: list[FaultReport | None] = [
-        overlay.settle(cfg, counts, spent)
-        for overlay, cfg, spent in zip(overlays, configs, resil.tolist())
+        overlay.settle(cfg, cfg_counts, spent)
+        for overlay, cfg, cfg_counts, spent in zip(
+            overlays, configs, row_counts, resil.tolist())
     ] if overlays else [None] * n
 
     # --- report assembly -------------------------------------------------
+    # A config without a scratchpad reports no on-chip components.
+    offchip = [c not in (rpt.ONCHIP_VERTEX, rpt.ONCHIP_VERTEX_BG)
+               for c in components]
+    names = (list(compress(components, offchip)), components)
     reports = [
         EnergyReport(
-            machine=label,
+            machine=cfg.label,
             algorithm=run.algorithm,
             graph=workload.name,
-            edges_traversed=counts.edges_total,
-            iterations=counts.iterations,
+            edges_traversed=cfg_counts.edges_total,
+            iterations=cfg_counts.iterations,
             time=time,
-            energy=dict(zip(components, row)),
+            energy=dict(zip(names[has], row if has
+                            else compress(row, offchip))),
         )
-        for label, time, row in zip([c.label for c in configs],
-                                    duration.tolist(), joules.T.tolist())
+        for cfg, cfg_counts, has, time, row in zip(
+            configs, row_counts, onchip.tolist(), duration.tolist(),
+            joules.T.tolist())
     ]
     metrics = obs_metrics.get_metrics()
-    metrics.counter(obs_metrics.EDGES_STREAMED).add(counts.edges_total, n)
+    for group_counts, times in zip(table, np.bincount(group).tolist()):
+        metrics.counter(obs_metrics.EDGES_STREAMED).add(
+            group_counts.edges_total, times)
+        metrics.counter(obs_metrics.ROUTER_ROTATIONS).add(
+            group_counts.reroute_events, times)
     # Integer wake counts sum exactly, in any order.
     metrics.counter(obs_metrics.BPG_BANK_WAKES).add(
         int(gating.transitions.sum())
-    )
-    metrics.counter(obs_metrics.ROUTER_ROTATIONS).add(
-        counts.reroute_events, n
     )
     tracer = get_tracer()
     if tracer.enabled:
@@ -840,11 +869,10 @@ def _fold_kernel(
         # to the report's modelled time.
         from ..obs.attribution import emit_report
 
-        t_step = float(t_step)
-        for report, ts, tp, trv, schedule, gate_time, wakes in zip(
+        for report, ts, tp, trv, step, schedule, gate_time, wakes in zip(
             reports, t_stream.tolist(), t_proc.tolist(), t_random.tolist(),
-            t_schedule.tolist(), gating.overhead_time.tolist(),
-            gating.transitions.tolist(),
+            t_step.tolist(), t_schedule.tolist(),
+            gating.overhead_time.tolist(), gating.transitions.tolist(),
         ):
             phase_times = {p: 0.0 for p in
                            ("stream", "process", "schedule", "gating")}
@@ -854,14 +882,14 @@ def _fold_kernel(
                 phase_times["process"] += tp
             else:
                 phase_times["schedule"] += trv
-            phase_times["process"] += t_step
+            phase_times["process"] += step
             phase_times["schedule"] += schedule
             phase_times["gating"] += gate_time
             emit_report(tracer, report, phase_times, detail={
                 "t_stream": ts,
                 "t_compute": tp,
                 "t_random_vertex": trv,
-                "t_step_overheads": t_step,
+                "t_step_overheads": step,
                 "bank_wake_transitions": wakes,
             })
     # EnergyReport.total_energy sums the same values in the same order.

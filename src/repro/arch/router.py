@@ -11,38 +11,52 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ConfigError
 from . import params
 
 
+def _check_count(values, what: str) -> None:
+    """Reject a negative count, naming the first offending value."""
+    negative = values < 0
+    if np.count_nonzero(negative):
+        raise ConfigError(
+            f"negative {what}: {np.extract(negative, values)[0]}"
+        )
+
+
 @dataclass(frozen=True)
 class RouterModel:
-    """Energy/latency model of the data-sharing router."""
+    """Energy/latency model of the data-sharing router.
+
+    Counts (and ``num_ports``) may be NumPy columns, one router per
+    row; each row is bit-identical to the scalar call.
+    """
 
     num_ports: int
 
     def __post_init__(self) -> None:
-        if self.num_ports <= 0:
+        low = self.num_ports <= 0
+        if np.count_nonzero(low):
             raise ConfigError(
-                f"router needs at least one port, got {self.num_ports}"
+                "router needs at least one port, got "
+                f"{np.extract(low, self.num_ports)[0]}"
             )
 
     def transfer_energy(self, words: float) -> float:
         """Energy to move ``words`` 32-bit words between PUs."""
-        if words < 0:
-            raise ConfigError(f"negative word count: {words}")
+        _check_count(words, "word count")
         return words * params.ROUTER_HOP_ENERGY_PER_WORD
 
     def reroute_energy(self, events: float) -> float:
         """Control energy of ``events`` rerouting operations."""
-        if events < 0:
-            raise ConfigError(f"negative event count: {events}")
+        _check_count(events, "event count")
         return events * params.ROUTER_REROUTE_ENERGY
 
     def fill_latency(self, steps: float) -> float:
         """Pipeline-fill latency across ``steps`` super-block steps."""
-        if steps < 0:
-            raise ConfigError(f"negative step count: {steps}")
+        _check_count(steps, "step count")
         return steps * params.ROUTER_FILL_LATENCY
 
     @property

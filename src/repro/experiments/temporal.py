@@ -113,14 +113,15 @@ def run(
             report = machine.run(algorithm, snapshot).report
             before = get_run_cache().stats.memory_hits
             machine.run(algorithm, temporal.snapshot_at(lo))
-            hits += get_run_cache().stats.memory_hits > before
+            hit = get_run_cache().stats.memory_hits > before
+            hits += hit
             slices.append(TimeSlice(lo, hi, report))
             result.add(
                 f"slice {PRICED_ALGORITHM}",
                 f"[t{lo},t{hi})",
                 snapshot.num_edges,
                 report.total_energy,
-                "cache-hit" if hits else "cache-MISS",
+                "cache-hit" if hit else "cache-MISS",
             )
         folded = fold_time_slices(slices)
         result.add(

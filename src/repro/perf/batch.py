@@ -5,10 +5,10 @@ does), *schedule counts* (what the machine does — Equations (3)-(8)),
 and *folding* (what that costs on concrete devices).  Convergence has
 been cached on disk since PR 2; this module adds the second level:
 schedule counts are memoized on their minimal key, and a whole grid of
-device configurations is priced against one counts record with
-:func:`repro.arch.machine.fold_many` — cf. the access-pattern
-characterizations that price one trace against many memory configs
-(Dann & Ritter, arXiv:2104.07776).
+device configurations is priced against its counts records in one pass
+of the pricing kernel — cf. the access-pattern characterizations that
+price one trace against many memory configs (Dann & Ritter,
+arXiv:2104.07776).
 
 The counts key is exactly the set of knobs that change Equations
 (3)-(8): graph content, the converged run, P, N, the on-chip /
@@ -23,9 +23,9 @@ Entry points:
   :meth:`~repro.arch.scheduler.ScheduleCounts.compute`.
 * :func:`run_grid` — evaluate one algorithm x workload against many
   configurations (under an optional fault profile), grouping them by
-  counts key and pricing each group with one pass of the pricing
-  kernel; bit-identical to a loop of :meth:`AcceleratorMachine.run`
-  calls, which price through the same kernel.
+  counts key and pricing the whole grid, every group's counts as
+  per-config columns, with one pass of the pricing kernel;
+  bit-identical to a loop of :meth:`AcceleratorMachine.run` calls.
 * :func:`price_grid` — the same pricing as one
   :class:`~repro.arch.machine.GridFold`, with time and total-energy
   columns for callers that rank the grid.
@@ -47,9 +47,15 @@ from ..arch.config import (
     Workload,
     choose_num_intervals,
 )
-from ..arch.machine import GridFold, SimulationResult, fold_columns
+from ..arch.machine import (
+    GridFold,
+    SimulationResult,
+    _check_grid_config,
+    _fold_kernel,
+)
 from ..arch.scheduler import ScheduleCounts
 from ..graph.graph import Graph
+from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
 from .cache import get_run_cache
 
@@ -188,9 +194,9 @@ def run_grid(
     Bit-identical to ``[AcceleratorMachine(c, faults=faults).run(...)
     for c in configs]`` but structured simulate-once / price-many: the
     algorithm converges once (run cache), each distinct counts key is
-    expanded once (counts cache), and every group of configurations
-    sharing a key is priced by one columnar pass of the pricing kernel
-    — fault profiles included (each config's injector seeds on its
+    expanded once (counts cache), and one columnar pass of the pricing
+    kernel prices every configuration against its group's counts —
+    fault profiles included (each config's injector seeds on its
     label, so the draws match the per-config runs).
     """
     run, fold = _price_groups(algorithm, workload, list(configs), faults)
@@ -231,23 +237,19 @@ def _price_groups(
     ):
         with tracer.span("algorithm.converge", algorithm=algorithm.name):
             run = run_cached(algorithm, workload.graph)
-        groups = group_by_counts_key(run, workload, configs)
-        reports: list = [None] * len(configs)
-        fault_reports: list = [None] * len(configs)
-        time = np.empty(len(configs))
-        total_energy = np.empty(len(configs))
-        for indices in groups.values():
+        # One counts record per group; the kernel gathers them per config.
+        table: list[ScheduleCounts] = []
+        group = np.empty(len(configs), dtype=np.intp)
+        for indices in group_by_counts_key(run, workload, configs).values():
+            members = [configs[i] for i in indices]
             with tracer.span("schedule.counts"):
-                counts = scheduled_counts(run, workload, configs[indices[0]])
-            fold = fold_columns(
-                run, counts, workload, [configs[i] for i in indices],
-                faults,
-            )
-            for idx, report, fault_report in zip(
-                indices, fold.reports, fold.faults
-            ):
-                reports[idx] = report
-                fault_reports[idx] = fault_report
-            time[indices] = fold.time
-            total_energy[indices] = fold.total_energy
-    return run, GridFold(reports, fault_reports, time, total_energy)
+                counts = scheduled_counts(run, workload, members[0])
+            _check_grid_config(members, counts)
+            group[indices] = len(table)
+            table.append(counts)
+        obs_metrics.get_metrics().counter(
+            obs_metrics.FOLD_MANY_CONFIGS).add(len(configs))
+        with tracer.span("fold_many", algorithm=run.algorithm,
+                         graph=workload.name, configs=len(configs)):
+            fold = _fold_kernel(run, table, workload, configs, faults, group)
+    return run, fold

@@ -2,13 +2,13 @@
 
 * :func:`exhaustive_search` prices *every* candidate.  HyVE candidates
   route through :func:`repro.perf.batch.price_grid`, so the space is
-  grouped by counts key and each group is priced by one columnar pass
-  of the pricing kernel, whose time and total-energy columns become
-  the objective rows directly.  On a warm counts cache the median
-  search over the 1,100-point structural spaces takes about 36 ms
-  (``python3 bench/run.py --workload design-sweep``, ``op_p50_ms`` on
-  a 2-core x86-64 host) while staying bit-identical to a serial
-  ``run()`` loop.
+  grouped by counts key and the whole grid is priced by one columnar
+  pass of the pricing kernel, whose time and total-energy columns
+  become the objective rows directly.  On a warm counts cache the
+  median search over the 1,100-point structural spaces takes about
+  21 ms (``python3 bench/run.py --workload design-sweep``,
+  ``op_p50_ms`` on a 2-core x86-64 host) while staying bit-identical
+  to a serial ``run()`` loop.
 
 * :func:`guided_search` runs seeded successive halving over counts-key
   *groups* for the axes that change the schedule (N, the SRAM point,

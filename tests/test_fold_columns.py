@@ -7,9 +7,12 @@ bit-identical to pricing each config alone with ``machine.run``, and
 the metrics counters add up to the same totals.
 """
 
+import io
 import json
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.algorithms import BFS, PageRank
@@ -22,11 +25,14 @@ from repro.arch.config import (
     Workload,
 )
 from repro.arch.machine import AcceleratorMachine, fold_many
+from repro.arch.router import RouterModel
 from repro.errors import ConfigError, MemoryModelError
 from repro.faults import make_profile
 from repro.memory.powergate import PowerGatingPolicy
 from repro.memory.reram import ReRAMConfig
+from repro.obs import get_tracer, set_tracer
 from repro.obs import metrics as obs_metrics
+from repro.perf import batch
 from repro.perf.batch import price_grid, run_grid, scheduled_counts
 from repro.tune.space import default_space
 from repro.units import GBIT, US
@@ -134,6 +140,101 @@ class TestGridIdentity:
         assert all(isinstance(device, ReRAMConfig) for device in wrapped)
 
 
+def _structural_shuffled() -> list[HyVEConfig]:
+    """The structural HyVE space in a seeded random order, so counts
+    groups and configs with and without a scratchpad interleave."""
+    cands, _ = default_space("hyve", structural=True).candidates()
+    configs = [c.config for c in cands]
+    random.Random(19).shuffle(configs)
+    return configs
+
+
+def _traced_attribution(price) -> tuple[list, list]:
+    """(``price()``'s result, the attribution events it traced)."""
+    sink = io.StringIO()
+    set_tracer(None)
+    tracer = get_tracer()
+    tracer.start(sink)
+    try:
+        result = price()
+    finally:
+        tracer.stop()
+        set_tracer(None)
+    records = [json.loads(line) for line in sink.getvalue().splitlines()]
+    return result, [
+        [r["name"], r.get("tags", {})] for r in records
+        if r["kind"] == "event"
+        and r["name"] in ("phase_time", "energy", "phase_detail", "report")
+    ]
+
+
+class TestInterleavedGrid:
+    @pytest.mark.parametrize("profile", [None, "worn"])
+    def test_grid_matches_run_loop(self, workload, profile):
+        faults = make_profile(profile, seed=7) if profile else None
+        configs = _structural_shuffled()
+        for flags in ([c.has_onchip for c in configs],
+                      [c.schedule_shape for c in configs]):
+            # Neither component sets nor counts groups are contiguous.
+            assert sum(a != b for a, b in zip(flags, flags[1:])) > 100
+        counters = (obs_metrics.FOLD_MANY_CONFIGS, obs_metrics.EDGES_STREAMED,
+                    obs_metrics.ROUTER_ROTATIONS, obs_metrics.BPG_BANK_WAKES)
+        try:
+            obs_metrics.set_metrics(None)
+            serial, serial_events = _traced_attribution(lambda: [
+                AcceleratorMachine(config, faults=faults).run(
+                    PageRank(), workload)
+                for config in configs
+            ])
+            loop = obs_metrics.get_metrics().snapshot()
+            obs_metrics.set_metrics(None)
+            batched, grid_events = _traced_attribution(
+                lambda: run_grid(PageRank(), workload, configs, faults=faults)
+            )
+            grid = obs_metrics.get_metrics().snapshot()
+        finally:
+            obs_metrics.set_metrics(None)
+        fold = price_grid(PageRank(), workload, configs, faults=faults)
+        for i, want in enumerate(serial):
+            for report in (batched[i].report, fold.reports[i]):
+                assert _exact(report.__dict__) == _exact(want.report.__dict__)
+            assert repr(fold.time[i].item()) == repr(want.report.time)
+            assert repr(fold.total_energy[i].item()) == repr(
+                want.report.total_energy)
+            for got in (batched[i].faults, fold.faults[i]):
+                assert (got is None) == (want.faults is None)
+                if got is not None:
+                    assert _exact(got.to_dict()) == _exact(
+                        want.faults.to_dict())
+        # Event by event, so a failure reports one event, not a diff of
+        # the whole trace.
+        assert len(grid_events) == len(serial_events)
+        for i, (got, want) in enumerate(zip(grid_events, serial_events)):
+            assert _exact(got) == _exact(want), f"event {i}"
+        machines = [tags["machine"] for name, tags in grid_events
+                    if name == "report"]
+        assert machines == [c.label for c in configs]
+        for name in counters[1:]:
+            assert repr(grid[name]["value"]) == repr(loop[name]["value"])
+        assert grid[counters[0]]["value"] == len(configs)
+        assert grid[obs_metrics.BPG_BANK_WAKES]["value"] > 0
+
+    def test_one_kernel_pass_per_grid(self, workload, monkeypatch):
+        calls = []
+        original = machine._fold_kernel
+
+        def counting(run, table, workload, configs, *args, **kwargs):
+            calls.append(len(configs))
+            return original(run, table, workload, configs, *args, **kwargs)
+
+        monkeypatch.setattr(machine, "_fold_kernel", counting)
+        monkeypatch.setattr(batch, "_fold_kernel", counting)
+        configs = _structural_shuffled()
+        price_grid(PageRank(), workload, configs)
+        # The grid spans every counts group and both component sets.
+        assert calls == [len(configs)]
+
+
 class TestCounters:
     def test_grid_totals_equal_run_loop(self, workload):
         names = (obs_metrics.EDGES_STREAMED, obs_metrics.BPG_BANK_WAKES,
@@ -209,6 +310,32 @@ class TestErrors:
         with pytest.raises(MemoryModelError,
                            match="edge_memory_background: negative duration"):
             run_grid(PageRank(), workload, [ungated])
+
+
+class TestRouterColumns:
+    @pytest.mark.parametrize("field, message", [
+        ("router_words", "negative word count: -3.0"),
+        ("reroute_events", "negative event count: -3.0"),
+        ("steps_total", "negative step count: -3.0"),
+    ])
+    def test_negative_count_row_names_value(self, workload, field, message):
+        configs = [HyVEConfig(label="a"), HyVEConfig(label="b", num_pus=4)]
+        run = run_cached(PageRank(), workload.graph)
+        table = [scheduled_counts(run, workload, c) for c in configs]
+        table[1] = replace(table[1], **{field: -3.0})
+        with pytest.raises(ConfigError) as scalar:
+            router = RouterModel(table[1].num_pus)
+            {"router_words": router.transfer_energy,
+             "reroute_events": router.reroute_energy,
+             "steps_total": router.fill_latency}[field](-3.0)
+        with pytest.raises(ConfigError) as folded:
+            machine._fold_kernel(run, table, workload, configs,
+                                 group=np.array([0, 1]))
+        assert str(folded.value) == str(scalar.value) == message
+
+    def test_port_column_names_value(self):
+        with pytest.raises(ConfigError, match="at least one port, got 0"):
+            RouterModel(np.array([8, 0, 4]))
 
 
 class TestScheduleChecks:

@@ -55,8 +55,8 @@ def _exact(value):
 def _grid() -> list:
     """Named machines plus gating, interleaving and hit-rate variants.
 
-    Configs sharing a schedule are contiguous, so ``run_grid`` (which
-    prices one counts group at a time) emits reports in list order.
+    ``run_grid`` prices the whole grid in one kernel pass and emits
+    reports in list order, like the ``machine.run`` loop.
     """
     named = {name: make() for name, make in NAMED_CONFIGS.items()}
     opt, reram = named["acc+HyVE-opt"], named["acc+ReRAM"]

@@ -11,6 +11,7 @@ rule, snapshot canonicalisation, and the time-sliced energy fold.
 from __future__ import annotations
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -524,3 +525,21 @@ class TestTemporalDriver:
             [row[:3] + row[4:] for row in self.EXPECTED]
         assert [row[3] for row in rows] == pytest.approx(
             [row[3] for row in self.EXPECTED], rel=1e-12)
+
+    def test_slice_cell_is_per_slice(self, monkeypatch):
+        # The driver reads the hit count before and after each slice's
+        # repricing; the middle slice misses, its neighbours hit.
+        reads = iter([0, 1, 1, 1, 1, 2])
+
+        class Stats:
+            @property
+            def memory_hits(self):
+                return next(reads)
+
+        monkeypatch.setattr(temporal, "get_run_cache",
+                            lambda: SimpleNamespace(stats=Stats()))
+        result = temporal.run(num_vertices=500, num_edges=4000,
+                              num_updates=1000, num_slices=3)
+        assert [row[4] for row in result.rows[1:5]] == [
+            "cache-hit", "cache-MISS", "cache-hit",
+            "repriced snapshots hit cache: 2/3"]
