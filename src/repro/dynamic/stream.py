@@ -9,6 +9,10 @@ item 3).  Three pieces:
   event) or as a packed ``(n, 4)`` int64 array.  The log is laid out
   the way HyVE's write-once ReRAM blocks stream: strictly sequential
   appends, no in-place mutation, so replay is a single forward scan.
+  Beside the events it keeps the open-edge multiset as sorted
+  ``(packed key, multiplicity)`` arrays; that multiset validates
+  deletes and is also the engine's live edge state, so each ingest
+  chunk is validated and merged once.
 * :class:`StreamEngine` — consumes updates and maintains incremental
   PR/CC/BFS values under a **bounded-staleness contract**: the
   published values may lag the log by at most ``K - 1`` updates, and a
@@ -35,9 +39,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -81,6 +83,15 @@ class UpdateLog:
     logical batch.  Appends are validated eagerly: vertex ids must be
     in range and a ``del`` must close a currently-open edge instance,
     so any prefix of a log is always replayable.
+
+    Events are stored as packed ``(n, 4)`` blocks (see
+    :meth:`to_arrays`).  The open-edge multiset is kept beside them as
+    two aligned int64 arrays, :attr:`support` (sorted distinct packed
+    ``(src << 32) | dst`` keys) and :attr:`multiplicity`.  Every append
+    replaces both arrays and never changes one in place, so a reference
+    to an earlier :attr:`support` stays a faithful record of that
+    moment; the :class:`StreamEngine` relies on this.  An append costs
+    O(support), so bulk input belongs in :meth:`extend_arrays`.
     """
 
     def __init__(self, num_vertices: int, name: str = "stream") -> None:
@@ -88,21 +99,19 @@ class UpdateLog:
             raise StreamError(f"negative vertex count: {num_vertices}")
         self.num_vertices = int(num_vertices)
         self.name = name
-        self._t: list[int] = []
-        self._op: list[str] = []
-        self._src: list[int] = []
-        self._dst: list[int] = []
-        #: open-instance multiset per packed key (append-time
-        #: validation); a defaultdict so bulk appends can read counts
-        #: through a single C-level ``itemgetter`` call
-        self._open: defaultdict[int, int] = defaultdict(int)
+        self._blocks: list[np.ndarray] = []
+        self._len = 0
+        self._last_time = -1
+        self.support = np.empty(0, dtype=np.int64)
+        self.multiplicity = np.empty(0, dtype=np.int64)
+        self._open_edges = 0
 
     # --- appending -------------------------------------------------------
 
     @property
     def last_time(self) -> int:
         """Timestamp of the newest event (-1 when empty)."""
-        return self._t[-1] if self._t else -1
+        return self._last_time
 
     def append(self, op: str, src: int, dst: int, t: int | None = None,
                dedupe: bool = False) -> bool:
@@ -115,34 +124,12 @@ class UpdateLog:
         """
         if op not in _OPS:
             raise StreamError(f"unknown op {op!r} (expected add/del)")
-        src = int(src)
-        dst = int(dst)
-        if not (0 <= src < self.num_vertices and 0 <= dst < self.num_vertices):
-            raise StreamError(
-                f"edge {src}->{dst} out of range [0, {self.num_vertices})"
-            )
         t = self.last_time + 1 if t is None else int(t)
-        if t < self.last_time:
-            raise StreamError(
-                f"non-monotonic timestamp {t} after {self.last_time}"
-            )
-        key = (src << 32) | dst
-        if op == "add":
-            if dedupe and self._open.get(key, 0):
-                return False
-            self._open[key] = self._open.get(key, 0) + 1
-        else:
-            if not self._open.get(key, 0):
-                raise StreamError(
-                    f"del {src}->{dst} at t={t} has no matching open edge"
-                )
-            self._open[key] -= 1
-            if not self._open[key]:
-                del self._open[key]
-        self._t.append(t)
-        self._op.append(op)
-        self._src.append(src)
-        self._dst.append(dst)
+        block = np.array([[t, _OPS.index(op), src, dst]], dtype=np.int64)
+        if dedupe and op == "add" \
+                and self._lookup((block[:, 2] << 32) | block[:, 3])[1][0]:
+            return False
+        self._extend(block)
         return True
 
     def extend(self, updates: Iterable["Update | tuple"]) -> int:
@@ -160,82 +147,120 @@ class UpdateLog:
         validation (range, monotonic timestamps, and the FIFO
         open-instance check for deletes) — the bulk-ingest fast path.
         """
-        events = np.asarray(events, dtype=np.int64)
-        if events.ndim != 2 or events.shape[1] != 4:
-            raise StreamError(
-                f"packed update array must be (n, 4), got {events.shape}"
-            )
-        if events.shape[0] == 0:
-            return 0
-        t, op, src, dst = events.T
+        events = _packed(events)
+        if events.shape[0]:
+            self._extend(events)
+        return events.shape[0]
+
+    def _extend(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                  np.ndarray]:
+        """Validate a non-empty packed block, merge it into the open-edge
+        multiset and append it.  Nothing changes when it is rejected.
+
+        Returns ``(keys, was_open, is_open)``: the block's sorted
+        distinct packed keys and, per key, whether it had an open
+        instance before and after the block.
+        """
+        t, op, src, dst = block.T
         bad_op = (op != 0) & (op != 1)
         if bad_op.any():
             raise StreamError(
                 f"packed op must be 0/1, got {int(op[np.argmax(bad_op)])}"
             )
-        if src.min() < 0 or dst.min() < 0 \
-                or max(src.max(), dst.max()) >= self.num_vertices:
+        out = (np.minimum(src, dst) < 0) \
+            | (np.maximum(src, dst) >= self.num_vertices)
+        if out.any():
+            j = int(np.argmax(out))
+            raise StreamError(f"edge {int(src[j])}->{int(dst[j])} out of "
+                              f"range [0, {self.num_vertices})")
+        if t[0] < self.last_time or np.any(t[1:] < t[:-1]):
             raise StreamError(
-                f"vertex ids must lie in [0, {self.num_vertices})"
-            )
-        if t[0] < self.last_time or np.any(np.diff(t) < 0):
-            raise StreamError(
-                f"non-monotonic timestamps in block starting at t={int(t[0])}"
+                f"non-monotonic timestamps in block starting at "
+                f"t={int(t[0])} (log at t={self.last_time})"
             )
         keys = (src << 32) | dst
-        delta = np.where(op == 0, 1, -1).astype(np.int64)
-        # Per-key running balance (seeded from the currently-open
-        # counts) must never go negative: group events by key with a
-        # stable sort, then do a segmented cumulative sum.
-        order = np.lexsort((np.arange(keys.size), keys))
-        ks, ds = keys[order], delta[order]
-        seg = np.r_[True, ks[1:] != ks[:-1]]
-        uk = ks[seg]
-        key_list = uk.tolist()
-        if len(key_list) == 1:
-            base = np.array([self._open[key_list[0]]], dtype=np.int64)
+        deletes = int(np.count_nonzero(op))
+        if deletes:
+            # FIFO balance: group events by key with a stable sort; the
+            # running per-key count, seeded from the open multiset, must
+            # never go negative.
+            order = np.argsort(keys, kind="stable")
+            ks = keys[order]
+            ds = 1 - 2 * op[order]
+            starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+            ends = np.r_[starts[1:], ks.size]
+            uk = ks[starts]
+            pos, was, base = self._lookup(uk)
+            csum = np.cumsum(ds)
+            offset = base - csum[starts] + ds[starts]
+            running = csum + np.repeat(offset, ends - starts)
+            if (running < 0).any():
+                j = int(order[int(np.argmax(running < 0))])
+                raise StreamError(
+                    f"del {int(src[j])}->{int(dst[j])} at t={int(t[j])} "
+                    f"has no matching open edge"
+                )
+            count = running[ends - 1]
         else:
-            base = np.array(itemgetter(*key_list)(self._open),
-                            dtype=np.int64)
-        csum = np.cumsum(ds)
-        starts = np.flatnonzero(seg)
-        seg_sizes = np.diff(np.r_[starts, keys.size])
-        seg_base = np.repeat(csum[starts] - ds[starts], seg_sizes)
-        running = csum - seg_base + np.repeat(base, seg_sizes)
-        if (running < 0).any():
-            j = int(order[int(np.argmax(running < 0))])
-            raise StreamError(
-                f"del {int(src[j])}->{int(dst[j])} at t={int(t[j])} "
-                f"has no matching open edge"
-            )
-        self._t.extend(t.tolist())
-        self._op.extend(["add" if o == 0 else "del" for o in op.tolist()])
-        self._src.extend(src.tolist())
-        self._dst.extend(dst.tolist())
-        final = running[np.r_[np.flatnonzero(seg)[1:] - 1, keys.size - 1]]
-        for k, c in zip(uk.tolist(), final.tolist()):
-            if c:
-                self._open[k] = c
-            else:
-                self._open.pop(k, None)
-        return events.shape[0]
+            uk, adds = np.unique(keys, return_counts=True)
+            pos, was, base = self._lookup(uk)
+            count = base + adds
+        now = count > 0
+        born = now & ~was
+        # Slot of each key once the born keys are inserted before it.
+        at = pos + np.cumsum(born) - born
+        if born.any():
+            support = np.insert(self.support, pos[born], uk[born])
+            mult = np.insert(self.multiplicity, pos[born], 0)
+        else:
+            support, mult = self.support, self.multiplicity.copy()
+        mult[at[was | born]] = count[was | born]
+        gone = was & ~now
+        if gone.any():
+            support = np.delete(support, at[gone])
+            mult = np.delete(mult, at[gone])
+        self.support, self.multiplicity = support, mult
+        self._open_edges += block.shape[0] - 2 * deletes
+        self._blocks.append(block.copy())
+        self._len += block.shape[0]
+        self._last_time = int(t[-1])
+        return uk, was, now
+
+    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]:
+        """(insertion slots, open mask, open counts) of sorted ``keys``
+        in the open-edge multiset."""
+        pos = np.searchsorted(self.support, keys)
+        if not self.support.size:
+            return pos, np.zeros(keys.size, dtype=bool), np.zeros_like(keys)
+        probe = np.minimum(pos, self.support.size - 1)
+        was = (pos < self.support.size) & (self.support[probe] == keys)
+        return pos, was, np.where(was, self.multiplicity[probe], 0)
 
     # --- reading ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._t)
+        return self._len
+
+    def _events(self) -> np.ndarray:
+        """Every event as one packed block (concatenated on demand)."""
+        if len(self._blocks) > 1:
+            self._blocks = [np.concatenate(self._blocks)]
+        return self._blocks[0] if self._blocks \
+            else np.empty((0, 4), dtype=np.int64)
 
     def __getitem__(self, i: int) -> Update:
-        return Update(self._t[i], self._op[i], self._src[i], self._dst[i])
+        t, op, src, dst = self._events()[i].tolist()
+        return Update(t, _OPS[op], src, dst)
 
     def __iter__(self) -> Iterator[Update]:
-        for i in range(len(self._t)):
-            yield self[i]
+        for t, op, src, dst in self._events().tolist():
+            yield Update(t, _OPS[op], src, dst)
 
     @property
     def open_edges(self) -> int:
         """Edges currently alive (multiset size) after the whole log."""
-        return sum(self._open.values())
+        return self._open_edges
 
     def temporal(self) -> TemporalGraph:
         """Replay into validity intervals (see :class:`TemporalGraph`)."""
@@ -246,27 +271,14 @@ class UpdateLog:
     def to_arrays(self) -> np.ndarray:
         """Packed ``(n, 4)`` int64 array: columns t, op(0=add,1=del),
         src, dst — the sequential-stream layout."""
-        arr = np.empty((len(self._t), 4), dtype=np.int64)
-        arr[:, 0] = self._t
-        arr[:, 1] = [0 if op == "add" else 1 for op in self._op]
-        arr[:, 2] = self._src
-        arr[:, 3] = self._dst
-        return arr
+        return self._events().copy()
 
     @classmethod
     def from_arrays(cls, num_vertices: int, events: np.ndarray,
                     name: str = "stream") -> "UpdateLog":
         """Rebuild (and re-validate) a log from its packed-array form."""
-        events = np.asarray(events, dtype=np.int64)
-        if events.ndim != 2 or events.shape[1] != 4:
-            raise StreamError(
-                f"packed update array must be (n, 4), got {events.shape}"
-            )
         log = cls(num_vertices, name=name)
-        for t, op, src, dst in events:
-            if op not in (0, 1):
-                raise StreamError(f"packed op must be 0/1, got {int(op)}")
-            log.append(_OPS[int(op)], int(src), int(dst), t=int(t))
+        log.extend_arrays(events)
         return log
 
     # --- JSONL form ------------------------------------------------------
@@ -307,23 +319,42 @@ class UpdateLog:
                 f"{path} is not a {UPDATES_SCHEMA} log (schema="
                 f"{header.get('schema') if isinstance(header, dict) else None!r})"
             )
-        log = cls(int(header["num_vertices"]),
-                  name=str(header.get("name", "stream")))
+        try:
+            num_vertices = int(header["num_vertices"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StreamError(
+                f"{path}:1: bad header num_vertices: {exc!r}") from exc
+        log = cls(num_vertices, name=str(header.get("name", "stream")))
+        rows = []
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                log.append(record["op"], record["src"], record["dst"],
-                           t=record["t"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                if record["op"] not in _OPS:
+                    raise ValueError(f"unknown op {record['op']!r}")
+                rows.append((int(record["t"]), _OPS.index(record["op"]),
+                             int(record["src"]), int(record["dst"])))
+            except (json.JSONDecodeError, KeyError, TypeError,
+                    ValueError) as exc:
                 raise StreamError(f"{path}:{lineno}: bad event: {exc}") from exc
+        log.extend_arrays(np.array(rows, dtype=np.int64).reshape(-1, 4))
         declared = header.get("events")
         if declared is not None and int(declared) != len(log):
             raise StreamError(
                 f"{path}: header declares {declared} events, found {len(log)}"
             )
         return log
+
+
+def _packed(events) -> np.ndarray:
+    """``events`` as an ``(n, 4)`` int64 array, or :class:`StreamError`."""
+    events = np.asarray(events, dtype=np.int64)
+    if events.ndim != 2 or events.shape[1] != 4:
+        raise StreamError(
+            f"packed update array must be (n, 4), got {events.shape}"
+        )
+    return events
 
 
 def generate_update_log(graph: Graph, num_updates: int, seed: int = 0,
@@ -336,22 +367,23 @@ def generate_update_log(graph: Graph, num_updates: int, seed: int = 0,
     if graph.num_vertices <= 0:
         raise StreamError("generate_update_log needs a non-empty vertex set")
     rng = np.random.default_rng(seed)
-    log = UpdateLog(graph.num_vertices, name=name or f"{graph.name}-stream")
-    open_edges: list[tuple[int, int]] = []
-    for s, d in zip(graph.src.tolist(), graph.dst.tolist()):
-        log.append("add", s, d, t=0)
-        open_edges.append((s, d))
-    for i in range(num_updates):
-        t = i + 1
+    base = graph.num_edges
+    rows = np.zeros((base + num_updates, 4), dtype=np.int64)
+    rows[:base, 2] = graph.src
+    rows[:base, 3] = graph.dst
+    rows[base:, 0] = np.arange(1, num_updates + 1)
+    open_edges = ((rows[:base, 2] << 32) | rows[:base, 3]).tolist()
+    for row in range(base, base + num_updates):
         if open_edges and rng.random() < delete_fraction:
-            j = int(rng.integers(len(open_edges)))
-            s, d = open_edges.pop(j)
-            log.append("del", s, d, t=t)
+            key = open_edges.pop(int(rng.integers(len(open_edges))))
+            rows[row, 1:] = (1, key >> 32, key & 0xFFFFFFFF)
         else:
             s = int(rng.integers(graph.num_vertices))
             d = int(rng.integers(graph.num_vertices))
-            log.append("add", s, d, t=t)
-            open_edges.append((s, d))
+            rows[row, 2:] = (s, d)
+            open_edges.append((s << 32) | d)
+    log = UpdateLog(graph.num_vertices, name=name or f"{graph.name}-stream")
+    log.extend_arrays(rows)
     return log
 
 
@@ -630,8 +662,10 @@ class StreamStats:
 class StreamEngine:
     """Bounded-staleness ingest engine over an append-only log.
 
-    The engine owns an :class:`UpdateLog`, applies every accepted event
-    to O(1) multiset edge state immediately, and refreshes the
+    The engine owns an :class:`UpdateLog`, whose open-edge multiset is
+    the live edge state: every accepted chunk lands there at once.  The
+    engine adds only the in-edge order of the support and the keys
+    touched since the last refresh, and refreshes the
     published algorithm values whenever ``k`` updates are pending or a
     query arrives — so published values lag the log by at most
     ``k - 1`` updates, and a query is always answered at the current
@@ -658,19 +692,13 @@ class StreamEngine:
             a: BFS(root=self.root) if a == "bfs" else make_algorithm(a)
             for a in self.algorithms
         }
-        #: live edge multiset as parallel sorted arrays (packed key,
-        #: multiplicity) — updated by vectorized merges per chunk.  Every
-        #: update replaces the arrays; none is ever changed in place.
-        self._live_keys = np.empty(0, dtype=np.int64)
-        self._live_mult = np.empty(0, dtype=np.int64)
-        #: the same support packed ``(dst << 32) | src`` and sorted — the
-        #: in-edge order, kept up to date per chunk
+        #: the log's support packed ``(dst << 32) | src`` and sorted —
+        #: the in-edge order, kept up to date per chunk
         self._live_rev = np.empty(0, dtype=np.int64)
-        self._num_edges = 0
         self._pending = 0
         #: edge support (distinct live keys) at the last value refresh —
-        #: a reference to that refresh's ``_live_keys``, not a copy
-        self._support_at_refresh = self._live_keys
+        #: a reference to that moment's ``log.support``, not a copy
+        self._support_at_refresh = self.log.support
         #: sorted unique keys of each chunk applied since that refresh;
         #: the flush probes only these to find the support delta
         self._touched: list[np.ndarray] = []
@@ -684,10 +712,10 @@ class StreamEngine:
         """Seed an engine with a base graph as one ``t=0`` add batch."""
         kwargs.setdefault("name", f"{graph.name}-stream")
         engine = cls(graph.num_vertices, **kwargs)
-        engine.ingest(
-            ("add", int(s), int(d), 0)
-            for s, d in zip(graph.src, graph.dst)
-        )
+        events = np.zeros((graph.num_edges, 4), dtype=np.int64)
+        events[:, 2] = graph.src
+        events[:, 3] = graph.dst
+        engine.ingest(events)
         return engine
 
     # --- state -----------------------------------------------------------
@@ -699,7 +727,7 @@ class StreamEngine:
     @property
     def num_edges(self) -> int:
         """Edges currently alive (multiset size)."""
-        return self._num_edges
+        return self.log.open_edges
 
     @property
     def logical_time(self) -> int:
@@ -731,7 +759,7 @@ class StreamEngine:
         if isinstance(updates, UpdateLog):
             events = updates.to_arrays()
         elif isinstance(updates, np.ndarray):
-            events = updates
+            events = _packed(updates)
         else:
             rows = []
             t_prev = self.log.last_time
@@ -753,9 +781,7 @@ class StreamEngine:
             n = events.shape[0]
             while i < n:
                 take = min(self.k - self._pending, n - i)
-                chunk = events[i:i + take]
-                self.log.extend_arrays(chunk)
-                self._apply_chunk(chunk)
+                self._apply_chunk(events[i:i + take])
                 self._pending += take
                 applied += take
                 i += take
@@ -767,41 +793,13 @@ class StreamEngine:
         return applied
 
     def _apply_chunk(self, chunk: np.ndarray) -> None:
-        """Merge one validated event block into the live multiset.
-
-        Sorted merge of (live keys, chunk keys) without re-sorting the
-        whole live array: insert the genuinely-new keys, then add the
-        net deltas to a fresh multiplicity array.  The ``(dst, src)``
-        order gains the keys that entered the support and loses those
+        """Append one event block to the log, which validates it and
+        merges it into the open-edge multiset.  The ``(dst, src)`` order
+        then gains the keys that entered the support and loses those
         that left it, and the chunk's unique keys are recorded for the
         next flush.
         """
-        keys = (chunk[:, 2] << 32) | chunk[:, 3]
-        delta = np.where(chunk[:, 1] == 0, 1, -1).astype(np.int64)
-        uk, inv = np.unique(keys, return_inverse=True)
-        net = np.zeros(uk.size, dtype=np.int64)
-        np.add.at(net, inv, delta)
-        was = _sorted_member(self._live_keys, uk)
-        fresh = uk[~was]
-        if fresh.size:
-            where = np.searchsorted(self._live_keys, fresh)
-            merged = np.insert(self._live_keys, where, fresh)
-            mult = np.insert(self._live_mult, where, 0)
-        else:
-            merged = self._live_keys
-            mult = self._live_mult.copy()
-        at = np.searchsorted(merged, uk)
-        mult[at] += net
-        now = mult[at] > 0
-        if now.all():
-            # No touched key left the support (untouched keys were
-            # alive already), so there is nothing to compact.
-            self._live_keys = merged
-            self._live_mult = mult
-        else:
-            keep = mult > 0
-            self._live_keys = merged[keep]
-            self._live_mult = mult[keep]
+        uk, was, now = self.log._extend(chunk)
         rev = self._live_rev
         gone = uk[was & ~now]
         if gone.size:
@@ -812,7 +810,6 @@ class StreamEngine:
             rev = np.insert(rev, np.searchsorted(rev, born), born)
         self._live_rev = rev
         self._touched.append(uk)
-        self._num_edges += int(delta.sum())
 
     def replay(self, log: UpdateLog) -> int:
         """Ingest every event of an existing log, timestamps preserved."""
@@ -848,7 +845,7 @@ class StreamEngine:
         t = self.logical_time
         with get_tracer().span("stream.flush", t=t, pending=self._pending,
                                log=self.log.name):
-            live = self._live_keys
+            live = self.log.support
             touched = np.unique(np.concatenate(self._touched))
             before = _sorted_member(self._support_at_refresh, touched)
             after = _sorted_member(live, touched)
@@ -895,7 +892,7 @@ class StreamEngine:
         get_metrics().counter(STALENESS_FLUSHES).add(1)
         self._values_time = t
         self._pending = 0
-        self._support_at_refresh = self._live_keys
+        self._support_at_refresh = self.log.support
         self._touched = []
 
     # --- queries ---------------------------------------------------------
@@ -903,8 +900,8 @@ class StreamEngine:
     def snapshot(self, t: int | None = None) -> Graph:
         """Canonical :class:`Graph` alive at ``t`` (default: now).
 
-        The current instant is served straight from the O(1) multiset
-        state (one vectorized sort — no log replay); historical times
+        The current instant is served straight from the log's open-edge
+        multiset (one ``np.repeat`` — no log replay); historical times
         replay the log into a :class:`TemporalGraph`.  Both produce the
         same canonical edge order and name, so the fingerprints agree.
         """
@@ -919,7 +916,7 @@ class StreamEngine:
     def _snapshot_now(self, t: int) -> Graph:
         from ..obs.metrics import SNAPSHOTS_MATERIALIZED
         with get_tracer().span("stream.snapshot", t=t, log=self.log.name):
-            keys = np.repeat(self._live_keys, self._live_mult)
+            keys = np.repeat(self.log.support, self.log.multiplicity)
             graph = Graph(
                 self.num_vertices,
                 (keys >> 32).astype(VERTEX_DTYPE),

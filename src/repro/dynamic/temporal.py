@@ -105,45 +105,32 @@ class TemporalGraph:
 
     @classmethod
     def from_log(cls, log: "UpdateLog") -> "TemporalGraph":  # noqa: F821
-        """Replay an update log into validity intervals (FIFO deletes)."""
-        src: list[int] = []
-        dst: list[int] = []
-        start: list[int] = []
-        end: list[int] = []
-        # Open intervals per packed edge key, FIFO: row indices in
-        # append order, so a delete closes the oldest open instance.
-        open_rows: dict[int, list[int]] = {}
-        for update in log:
-            key = (update.src << 32) | update.dst
-            if update.op == "add":
-                open_rows.setdefault(key, []).append(len(src))
-                src.append(update.src)
-                dst.append(update.dst)
-                start.append(update.t)
-                end.append(OPEN_END)
-            else:
-                rows = open_rows.get(key)
-                if not rows:
-                    raise StreamError(
-                        f"del {update.src}->{update.dst} at t={update.t} "
-                        f"has no matching open edge"
-                    )
-                row = rows.pop(0)
-                if not rows:
-                    del open_rows[key]
-                if start[row] == update.t:
-                    # Zero-width interval: the edge was added and deleted
-                    # at the same logical instant, so it is never visible.
-                    src[row] = dst[row] = -1
-                else:
-                    end[row] = update.t
-        keep = [i for i, s in enumerate(src) if s >= 0]
-        arr = np.asarray(
-            [(src[i], dst[i], start[i], end[i]) for i in keep],
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        return cls(log.num_vertices, arr[:, 0], arr[:, 1], arr[:, 2],
-                   arr[:, 3], name=log.name)
+        """Replay an update log into validity intervals (FIFO deletes).
+
+        FIFO pairing means the j-th ``del`` of a key closes the j-th
+        ``add`` of that key (the log's append-time validation guarantees
+        that add exists and comes first), so after a stable sort by key
+        both sides are paired by rank.  Rows come out in add order; an
+        edge added and deleted at the same logical instant has a
+        zero-width interval, is never visible, and is dropped.
+        """
+        t, op, src, dst = log.to_arrays().T
+        keys = (src << 32) | dst
+        adds = np.flatnonzero(op == 0)
+        dels = np.flatnonzero(op == 1)
+        adds_by_key = adds[np.argsort(keys[adds], kind="stable")]
+        dels_by_key = dels[np.argsort(keys[dels], kind="stable")]
+        add_keys = keys[adds_by_key]
+        del_keys = keys[dels_by_key]
+        # Rank of each del among the dels of its key, added to the first
+        # add of that key, is the slot of the add it closes.
+        rank = np.arange(del_keys.size) - np.searchsorted(del_keys, del_keys)
+        slot = np.searchsorted(add_keys, del_keys) + rank
+        end = np.full(t.size, OPEN_END, dtype=np.int64)
+        end[adds_by_key[slot]] = t[dels_by_key]
+        keep = adds[t[adds] != end[adds]]
+        return cls(log.num_vertices, src[keep], dst[keep], t[keep],
+                   end[keep], name=log.name)
 
     # --- queries ---------------------------------------------------------
 

@@ -85,6 +85,11 @@ class TestUpdateLog:
         path.write_text('{"schema": "something-else"}\n')
         with pytest.raises(StreamError):
             UpdateLog.load(path)
+        for header in ('{"schema": "hyve-updates-v1"}',
+                       '{"schema": "hyve-updates-v1", "num_vertices": "many"}'):
+            path.write_text(header + "\n")
+            with pytest.raises(StreamError, match="bad.jsonl"):
+                UpdateLog.load(path)
 
     def test_extend_arrays_matches_serial_appends(self):
         base = rmat(24, 96, seed=3, name="bulk")
@@ -271,6 +276,35 @@ class TestStreamEngine:
             assert engine.stats.queries == 1
         finally:
             set_metrics(None)
+
+    def test_rejected_chunk_leaves_no_state(self):
+        engine = StreamEngine(6, k=64)
+        engine.ingest([("add", 0, 1), ("add", 1, 2), ("add", 1, 2)])
+        before = (len(engine.log), engine.num_edges, engine.pending,
+                  engine.snapshot().fingerprint())
+        with pytest.raises(StreamError, match="no matching open edge"):
+            # Only the third del of 1 -> 2 lacks an open instance.
+            engine.ingest([("add", 3, 4), ("del", 1, 2), ("del", 1, 2),
+                           ("del", 1, 2)])
+        assert (len(engine.log), engine.num_edges, engine.pending,
+                engine.snapshot().fingerprint()) == before
+        engine.ingest([("del", 1, 2)])
+        _assert_matches_rebuild(engine)
+
+    def test_engine_state_is_the_log_multiset(self):
+        base = rmat(32, 128, seed=11, name="shared")
+        log = generate_update_log(base, 300, seed=11, delete_fraction=0.4)
+        events = log.to_arrays()
+        engine = StreamEngine(32, k=16, name=log.name)
+        for lo in range(0, len(events), 37):
+            engine.ingest(events[lo:lo + 37])
+        replayed = engine.log.temporal().snapshot_at(engine.logical_time)
+        assert engine.num_edges == engine.log.open_edges \
+            == replayed.num_edges
+        live = engine.snapshot()
+        assert np.array_equal(live.src, replayed.src)
+        assert np.array_equal(live.dst, replayed.dst)
+        assert live.fingerprint() == replayed.fingerprint()
 
 
 def _path(n: int) -> list[tuple[int, int]]:
