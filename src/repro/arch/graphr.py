@@ -18,7 +18,8 @@ simulate-once / price-many: :meth:`GraphRMachine.scheduled_counts`
 memoizes the Section 6 traffic quantities on a content key, and one
 kernel prices them in vectorized array passes — over a whole
 (algorithm x dataset) grid in :func:`graphr_fold_many`, over a single
-cell in :meth:`GraphRMachine.run`.
+cell in :meth:`GraphRMachine.run`.  :func:`price_configs` prices one
+cell on many configs (the tuner's GraphR space) with one counts lookup.
 """
 
 from __future__ import annotations
@@ -201,6 +202,27 @@ def graphr_fold_many(
     metrics = obs_metrics.get_metrics()
     metrics.counter(obs_metrics.GRAPHR_FOLD_CONFIGS).add(len(cells))
     return _graphr_kernel(machine.config, cells)
+
+
+def price_configs(
+    configs: "list[GraphRConfig]",
+    algorithm: EdgeCentricAlgorithm,
+    workload: Workload,
+) -> list[EnergyReport]:
+    """Price one (algorithm, workload) cell on many GraphR configs.
+
+    The counts key names no device knob, so the cell converges and
+    looks up its counts once; each config is then one kernel fold.
+    Element ``i`` is bit-identical to the report of
+    ``GraphRMachine(configs[i]).run`` on that cell.
+    """
+    with get_tracer().span("graphr.counts", configs=len(configs)):
+        run = run_cached(algorithm, workload.graph)
+        counts = GraphRMachine().scheduled_counts(algorithm, run, workload)
+        obs_metrics.get_metrics().counter(
+            obs_metrics.GRAPHR_FOLD_CONFIGS).add(len(configs))
+        return [_graphr_kernel(cfg, [(run, counts, workload)])[0]
+                for cfg in configs]
 
 
 def _graphr_kernel(

@@ -458,14 +458,74 @@ def _check_grid_config(
             )
 
 
-class GridFold(NamedTuple):
-    """A priced grid: each config's report and fault report (``None``
-    without a profile), plus its time and total energy as columns."""
+@dataclass(eq=False)
+class GridFold:
+    """A priced grid in configs order: each config's time and total
+    energy as columns, its fault report (``None`` without a profile),
+    and the columns its report is built from.
 
-    reports: list[EnergyReport]
-    faults: list[FaultReport | None]
+    Reports are assembled on demand: :meth:`report` builds one config's,
+    and :attr:`reports` builds the whole list in one pass on first
+    access, so a caller that ranks the grid by its columns pays only
+    for the reports it keeps.
+    """
+
+    configs: list[HyVEConfig]
+    #: Each config's row of the counts table.
+    counts: list[ScheduleCounts]
+    algorithm: str
+    graph: str
+    #: Whether each config has a scratchpad.
+    onchip: list[bool]
+    #: The rows of ``joules``, in the reports' insertion order.
+    components: list[str]
+    #: (component x config) joules.
+    joules: np.ndarray
     time: np.ndarray
     total_energy: np.ndarray
+    faults: list[FaultReport | None]
+
+    def __post_init__(self) -> None:
+        # A config without a scratchpad reports no on-chip components.
+        self._offchip = [c not in (rpt.ONCHIP_VERTEX, rpt.ONCHIP_VERTEX_BG)
+                         for c in self.components]
+        self._names = (list(compress(self.components, self._offchip)),
+                       self.components)
+        self._reports: list[EnergyReport] | None = None
+
+    @classmethod
+    def empty(cls) -> "GridFold":
+        return cls([], [], "", "", [], [], np.zeros((0, 0)), np.zeros(0),
+                   np.zeros(0), [])
+
+    def _build(self, cfg: HyVEConfig, counts: ScheduleCounts, has: bool,
+               time: float, row: list[float]) -> EnergyReport:
+        return EnergyReport(
+            machine=cfg.label,
+            algorithm=self.algorithm,
+            graph=self.graph,
+            edges_traversed=counts.edges_total,
+            iterations=counts.iterations,
+            time=time,
+            energy=dict(zip(self._names[has], row if has
+                            else compress(row, self._offchip))),
+        )
+
+    def report(self, i: int) -> EnergyReport:
+        """Config ``i``'s report, bit-identical to ``reports[i]``."""
+        if self._reports is not None:
+            return self._reports[i]
+        return self._build(self.configs[i], self.counts[i], self.onchip[i],
+                           self.time[i].item(), self.joules[:, i].tolist())
+
+    @property
+    def reports(self) -> list[EnergyReport]:
+        """Every config's report, in configs order."""
+        if self._reports is None:
+            self._reports = list(map(
+                self._build, self.configs, self.counts, self.onchip,
+                self.time.tolist(), self.joules.T.tolist()))
+        return self._reports
 
 
 def fold_many(
@@ -502,7 +562,7 @@ def fold_columns(
     fault report is ``None`` without an active profile.
     """
     if not configs:
-        return GridFold([], [], np.zeros(0), np.zeros(0))
+        return GridFold.empty()
     _check_grid_config(configs, counts)
     metrics = obs_metrics.get_metrics()
     metrics.counter(obs_metrics.FOLD_MANY_CONFIGS).add(len(configs))
@@ -641,8 +701,10 @@ def _fold_kernel(
     Columnar: each distinct device object of the grid is resolved once
     into a small table the configs index, and every term is a NumPy
     float64 pass over the grid in the scalar model's operation order, so
-    each config's floats are bit-identical to pricing it alone; only
-    report assembly runs per config.  ``table`` holds one
+    each config's floats are bit-identical to pricing it alone.  The
+    returned :class:`GridFold` keeps the columns and assembles reports
+    on demand (all of them here only when tracing, whose attribution
+    events follow configs order).  ``table`` holds one
     :class:`ScheduleCounts` per counts group and ``group`` each config's
     row in it (default: all ``table[0]``); the counts become per-config
     columns, so configs of any schedule, with or without a scratchpad,
@@ -831,27 +893,10 @@ def _fold_kernel(
         for overlay, cfg, cfg_counts, spent in zip(
             overlays, configs, row_counts, resil.tolist())
     ] if overlays else [None] * n
-
-    # --- report assembly -------------------------------------------------
-    # A config without a scratchpad reports no on-chip components.
-    offchip = [c not in (rpt.ONCHIP_VERTEX, rpt.ONCHIP_VERTEX_BG)
-               for c in components]
-    names = (list(compress(components, offchip)), components)
-    reports = [
-        EnergyReport(
-            machine=cfg.label,
-            algorithm=run.algorithm,
-            graph=workload.name,
-            edges_traversed=cfg_counts.edges_total,
-            iterations=cfg_counts.iterations,
-            time=time,
-            energy=dict(zip(names[has], row if has
-                            else compress(row, offchip))),
-        )
-        for cfg, cfg_counts, has, time, row in zip(
-            configs, row_counts, onchip.tolist(), duration.tolist(),
-            joules.T.tolist())
-    ]
+    # EnergyReport.total_energy sums the same values in the same order.
+    fold = GridFold(configs, row_counts, run.algorithm, workload.name,
+                    onchip.tolist(), components, joules, duration,
+                    sum(joules), fault_reports)
     metrics = obs_metrics.get_metrics()
     for group_counts, times in zip(table, np.bincount(group).tolist()):
         metrics.counter(obs_metrics.EDGES_STREAMED).add(
@@ -870,8 +915,8 @@ def _fold_kernel(
         from ..obs.attribution import emit_report
 
         for report, ts, tp, trv, step, schedule, gate_time, wakes in zip(
-            reports, t_stream.tolist(), t_proc.tolist(), t_random.tolist(),
-            t_step.tolist(), t_schedule.tolist(),
+            fold.reports, t_stream.tolist(), t_proc.tolist(),
+            t_random.tolist(), t_step.tolist(), t_schedule.tolist(),
             gating.overhead_time.tolist(), gating.transitions.tolist(),
         ):
             phase_times = {p: 0.0 for p in
@@ -892,8 +937,7 @@ def _fold_kernel(
                 "t_step_overheads": step,
                 "bank_wake_transitions": wakes,
             })
-    # EnergyReport.total_energy sums the same values in the same order.
-    return GridFold(reports, fault_reports, duration, sum(joules))
+    return fold
 
 
 def make_machine(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,30 +99,31 @@ def counts_cache_key(
     the SRAM operating point at fixed P, hit rates, MLP) do not appear
     here, which is what lets a sweep over them simulate once.
     """
-    return _counts_keyer(run, workload)(config)
+    [key] = _counts_groups(run, workload, [config])
+    return key
 
 
-def _counts_keyer(
-    run: AlgorithmRun, workload: Workload
-) -> Callable[[HyVEConfig], str]:
-    """:func:`counts_cache_key` for one (run, workload), as a function
-    of the configuration alone.
+def _counts_groups(
+    run: AlgorithmRun, workload: Workload, configs: Sequence[HyVEConfig]
+) -> dict[str, tuple[list[int], list[HyVEConfig]]]:
+    """Per :func:`counts_cache_key`, in first-seen order: the indices of
+    ``configs`` sharing it, and the first config of each distinct
+    schedule shape among them.
 
-    The run digest is the costly part of a key and does not depend on
-    the configuration, so a grid computes it once, not once per config.
+    Each config's schedule shape is read once.  The run digest, the
+    costly part of a key, is hashed once per grid; each distinct shape
+    joins its key once, and each distinct partition shape derives P once.
     """
     vertices = run.num_vertices * workload.vertex_scale
     head = (workload.graph.fingerprint(), _run_digest(run))
     tail = (f"vs{workload.vertex_scale!r}", f"es{workload.edge_scale!r}")
-    # Each distinct schedule shape joins its key once, and each distinct
-    # partition shape derives P once.
     keys: dict[tuple, str] = {}
     intervals: dict[tuple, int] = {}
-
-    def key(config: HyVEConfig) -> str:
+    groups: dict[str, tuple[list[int], list[HyVEConfig]]] = {}
+    for idx, config in enumerate(configs):
         shape = config.schedule_shape
-        found = keys.get(shape)
-        if found is None:
+        key = keys.get(shape)
+        if key is None:
             partition = config.partition_shape
             p = intervals.get(partition)
             if p is None:
@@ -131,12 +132,12 @@ def _counts_keyer(
                 )
             flags = (f"{tag}{int(getattr(config, flag))}"
                      for flag, tag in SCHEDULE_FLAGS.items())
-            found = keys[shape] = "|".join(
+            key = keys[shape] = "|".join(
                 (*head, f"n{config.num_pus}", f"p{p}", *flags, *tail)
             )
-        return found
-
-    return key
+            groups.setdefault(key, ([], []))[1].append(config)
+        groups[key][0].append(idx)
+    return groups
 
 
 def _counts_from_record(record: dict) -> ScheduleCounts:
@@ -150,17 +151,22 @@ def _counts_from_record(record: dict) -> ScheduleCounts:
 
 
 def scheduled_counts(
-    run: AlgorithmRun, workload: Workload, config: HyVEConfig
+    run: AlgorithmRun,
+    workload: Workload,
+    config: HyVEConfig,
+    key: str | None = None,
 ) -> ScheduleCounts:
     """Memoized :meth:`ScheduleCounts.compute`.
 
-    Keyed on :func:`counts_cache_key` in the two-level run cache, so a
-    device-knob sweep — or a fresh process pricing the same schedule —
-    expands Equations (3)-(8) once.  The stored record round-trips
-    every field exactly (JSON ints and shortest-round-trip floats), so
-    a cache hit folds bit-identically to a fresh computation.
+    Keyed on :func:`counts_cache_key` (``key``, when the caller already
+    built it) in the two-level run cache, so a device-knob sweep — or a
+    fresh process pricing the same schedule — expands Equations (3)-(8)
+    once.  The stored record round-trips every field exactly (JSON ints
+    and shortest-round-trip floats), so a cache hit folds
+    bit-identically to a fresh computation.
     """
-    key = counts_cache_key(run, workload, config)
+    if key is None:
+        key = counts_cache_key(run, workload, config)
 
     def compute() -> dict:
         counts = ScheduleCounts.compute(run, workload, config)
@@ -176,11 +182,8 @@ def group_by_counts_key(
     configs: Sequence[HyVEConfig],
 ) -> dict[str, list[int]]:
     """Indices of ``configs`` grouped by shared counts key (ordered)."""
-    key = _counts_keyer(run, workload)
-    groups: dict[str, list[int]] = {}
-    for idx, config in enumerate(configs):
-        groups.setdefault(key(config), []).append(idx)
-    return groups
+    return {key: indices for key, (indices, _) in
+            _counts_groups(run, workload, configs).items()}
 
 
 def run_grid(
@@ -227,7 +230,7 @@ def _price_groups(
     if isinstance(workload, Graph):
         workload = Workload(workload)
     if not configs:
-        return None, GridFold([], [], np.zeros(0), np.zeros(0))
+        return None, GridFold.empty()
     tracer = get_tracer()
     with tracer.span(
         "run_grid",
@@ -238,13 +241,14 @@ def _price_groups(
         with tracer.span("algorithm.converge", algorithm=algorithm.name):
             run = run_cached(algorithm, workload.graph)
         # One counts record per group; the kernel gathers them per config.
+        # Checking a group's first config of each shape checks them all.
         table: list[ScheduleCounts] = []
         group = np.empty(len(configs), dtype=np.intp)
-        for indices in group_by_counts_key(run, workload, configs).values():
-            members = [configs[i] for i in indices]
+        groups = _counts_groups(run, workload, configs)
+        for key, (indices, shapes) in groups.items():
             with tracer.span("schedule.counts"):
-                counts = scheduled_counts(run, workload, members[0])
-            _check_grid_config(members, counts)
+                counts = scheduled_counts(run, workload, shapes[0], key)
+            _check_grid_config(shapes, counts)
             group[indices] = len(table)
             table.append(counts)
         obs_metrics.get_metrics().counter(

@@ -4,11 +4,11 @@
   route through :func:`repro.perf.batch.price_grid`, so the space is
   grouped by counts key and the whole grid is priced by one columnar
   pass of the pricing kernel, whose time and total-energy columns
-  become the objective rows directly.  On a warm counts cache the
-  median search over the 1,100-point structural spaces takes about
-  21 ms (``python3 bench/run.py --workload design-sweep``,
-  ``op_p50_ms`` on a 2-core x86-64 host) while staying bit-identical
-  to a serial ``run()`` loop.
+  become the objective rows directly; only the frontier's reports are
+  assembled.  On a warm counts cache the median search over the
+  1,100-point structural spaces takes about 15 ms (``python3
+  bench/run.py --workload design-sweep``, ``op_p50_ms`` on a 2-core
+  x86-64 host) while staying bit-identical to a serial ``run()`` loop.
 
 * :func:`guided_search` runs seeded successive halving over counts-key
   *groups* for the axes that change the schedule (N, the SRAM point,
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..algorithms.base import EdgeCentricAlgorithm
 from ..algorithms.runner import run_cached
 from ..arch.config import Workload
 from ..arch.cpu import CPUMachine
-from ..arch.graphr import GraphRMachine
+from ..arch.graphr import price_configs
 from ..arch.report import EnergyReport
 from ..errors import ConfigError
 from ..graph.graph import Graph
@@ -48,7 +48,7 @@ from ..obs.trace import get_tracer
 from ..perf.batch import group_by_counts_key, price_grid
 from .frontier import FrontierPoint, ParetoFrontier
 from .pareto import pareto_mask
-from .space import BACKEND_HYVE, Candidate, SearchSpace
+from .space import BACKEND_GRAPHR, BACKEND_HYVE, Candidate, SearchSpace
 
 #: Engine names (the CLI's ``--engine`` vocabulary).
 EXHAUSTIVE = "exhaustive"
@@ -78,10 +78,16 @@ def _enumerate(
 
 
 class _Priced(NamedTuple):
-    """Reports in candidate order plus their (time, energy, EDP) rows."""
+    """Objective rows in candidate order, and where each candidate's
+    report comes from: a ``(build, row)`` pair, so a search assembles
+    reports only for the points it keeps."""
 
-    reports: list[EnergyReport]
+    builds: list[tuple[Callable[[int], EnergyReport], int]]
     objectives: np.ndarray
+
+    def report(self, i: int) -> EnergyReport:
+        build, row = self.builds[i]
+        return build(row)
 
 
 def _price(
@@ -93,42 +99,42 @@ def _price(
 
     HyVE configs go through the simulate-once/price-many grid
     (:func:`~repro.perf.batch.price_grid`), whose time and total-energy
-    columns become objective rows without a pass over the reports;
-    GraphR configurations share one cached traffic expansion per (run,
-    workload), so each extra config is a cheap one-cell fold; the CPU
-    baseline is closed-form.
+    columns become objective rows; its reports are built on demand.
+    GraphR configurations share one counts lookup per (run, workload),
+    so each config is a one-cell kernel fold; the CPU baseline is
+    closed-form.
     """
-    reports: list[EnergyReport | None] = [None] * len(candidates)
+    builds: list = [None] * len(candidates)
     objectives = np.empty((len(candidates), 3))
     by_backend: dict[str, list[int]] = {}
     for i, cand in enumerate(candidates):
         by_backend.setdefault(cand.backend, []).append(i)
     tracer = get_tracer()
     for backend, indices in by_backend.items():
+        configs = [candidates[i].config for i in indices]
         with tracer.span(
             "tune.price", backend=backend, configs=len(indices)
         ):
             if backend == BACKEND_HYVE:
-                fold = price_grid(
-                    algorithm, workload,
-                    [candidates[i].config for i in indices],
-                )
-                for i, report in zip(indices, fold.reports):
-                    reports[i] = report
+                fold = price_grid(algorithm, workload, configs)
+                build = fold.report
                 objectives[indices, 0] = fold.time
                 objectives[indices, 1] = fold.total_energy
             else:
-                machine_cls = (
-                    GraphRMachine if backend == "graphr" else CPUMachine
-                )
-                for i in indices:
-                    machine = machine_cls(candidates[i].config)
-                    report = machine.run(algorithm, workload).report
-                    reports[i] = report
-                    objectives[i, :2] = report.time, report.total_energy
+                if backend == BACKEND_GRAPHR:
+                    reports = price_configs(configs, algorithm, workload)
+                else:
+                    reports = [CPUMachine(config).run(algorithm, workload)
+                               .report for config in configs]
+                build = reports.__getitem__
+                objectives[indices, :2] = [
+                    (report.time, report.total_energy) for report in reports
+                ]
+        for row, i in enumerate(indices):
+            builds[i] = (build, row)
     # EDP is time x energy (Equation (5)), exactly as report.edp.
     objectives[:, 2] = objectives[:, 0] * objectives[:, 1]
-    return _Priced(reports, objectives)  # type: ignore[arg-type]
+    return _Priced(builds, objectives)
 
 
 def _extract(
@@ -139,7 +145,8 @@ def _extract(
     priced: _Priced,
     skipped: int,
 ) -> ParetoFrontier:
-    """One exact Pareto pass over everything an engine priced."""
+    """One exact Pareto pass over everything an engine priced; only the
+    frontier's reports are built."""
     metrics = get_metrics()
     metrics.counter(TUNE_CONFIGS_PRICED).add(len(candidates))
     with get_tracer().span("tune.pareto", points=len(candidates)):
@@ -157,7 +164,7 @@ def _extract(
                 report=report,
             )
             for cand, report in (
-                (candidates[i], priced.reports[i])
+                (candidates[i], priced.report(i))
                 for i in np.flatnonzero(mask).tolist()
             )
         ]
@@ -178,13 +185,13 @@ def _merge(
 ) -> "tuple[list[Candidate], _Priced]":
     """Concatenate priced parts, ordered by candidate index."""
     cands = [cand for part, _ in parts for cand in part]
-    reports = [report for _, priced in parts for report in priced.reports]
+    builds = [build for _, priced in parts for build in priced.builds]
     objectives = np.concatenate(
         [priced.objectives for _, priced in parts] or [np.empty((0, 3))]
     )
     order = sorted(range(len(cands)), key=lambda i: cands[i].index)
     return ([cands[i] for i in order],
-            _Priced([reports[i] for i in order], objectives[order]))
+            _Priced([builds[i] for i in order], objectives[order]))
 
 
 def _successive_halving(

@@ -34,6 +34,7 @@ from repro.obs import get_tracer, set_tracer
 from repro.obs import metrics as obs_metrics
 from repro.perf import batch
 from repro.perf.batch import price_grid, run_grid, scheduled_counts
+from repro.tune import exhaustive_search
 from repro.tune.space import default_space
 from repro.units import GBIT, US
 
@@ -235,6 +236,46 @@ class TestInterleavedGrid:
         assert calls == [len(configs)]
 
 
+class TestOnDemandReports:
+    def test_report_matches_run_grid(self, workload):
+        faults = make_profile("worn", seed=7)
+        configs = _mixed_grid() + [
+            replace(c, label=f"{c.label}-n4", num_pus=4)
+            for c in _mixed_grid()
+        ]
+        run = run_cached(PageRank(), workload.graph)
+        assert len(batch.group_by_counts_key(run, workload, configs)) > 2
+        assert {c.has_onchip for c in configs} == {True, False}
+        assert not faults.is_zero
+        want = run_grid(PageRank(), workload, configs, faults=faults)
+        fold = price_grid(PageRank(), workload, configs, faults=faults)
+        # Out of order, and before anything builds the whole list.
+        for i in reversed(range(len(configs))):
+            got = fold.report(i)
+            assert _exact(got.__dict__) == _exact(want[i].report.__dict__)
+            assert list(got.energy) == list(want[i].report.energy)
+            assert _exact(fold.faults[i].to_dict()) == _exact(
+                want[i].faults.to_dict())
+        assert fold.reports[0] is fold.report(0)
+
+    def test_search_builds_only_frontier_reports(self, workload,
+                                                 monkeypatch):
+        built = []
+
+        class Counting(machine.EnergyReport):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["machine"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(machine, "EnergyReport", Counting)
+        space = default_space("hyve", structural=True)
+        frontier = exhaustive_search(PageRank(), workload, space)
+        assert 0 < len(frontier.points) < frontier.evaluated
+        assert sorted(built) == sorted(p.report.machine
+                                       for p in frontier.points)
+        assert all(isinstance(p.report, Counting) for p in frontier.points)
+
+
 class TestCounters:
     def test_grid_totals_equal_run_loop(self, workload):
         names = (obs_metrics.EDGES_STREAMED, obs_metrics.BPG_BANK_WAKES,
@@ -382,15 +423,12 @@ class TestScheduleChecks:
         ]
         shapes = {c.schedule_shape for c in configs}
         partitions = {c.partition_shape for c in configs}
-        run = run_cached(PageRank(), workload.graph)
-        groups = batch.group_by_counts_key(run, workload, configs)
-        calls.clear()
         run_grid(PageRank(), workload, configs)
-        # Grouping derives P once per partition shape, each group's
-        # counts lookup once more for its key, and checking the grid
-        # once per schedule shape.
+        # Grouping derives P once per partition shape, and checking the
+        # grid once per schedule shape; each group's counts lookup reuses
+        # the key the grouping built.
         assert len(partitions) < len(shapes) < len(configs)
-        assert len(calls) == len(partitions) + len(groups) + len(shapes)
+        assert len(calls) == len(partitions) + len(shapes)
 
 
 def test_search_space_interns_device_objects():

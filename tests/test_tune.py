@@ -10,7 +10,7 @@ import pytest
 from repro.algorithms import BFS, PageRank
 from repro.arch.config import NAMED_CONFIGS, HyVEConfig, Workload
 from repro.arch.cpu import CPUMachine
-from repro.arch.graphr import GraphRMachine
+from repro.arch.graphr import GraphRMachine, price_configs
 from repro.arch.machine import AcceleratorMachine
 from repro.arch.sweep import sweep_axis
 from repro.cli import main
@@ -320,6 +320,61 @@ class TestGuidedEngine:
             search(PageRank(), small_rmat,
                    SearchSpace.from_axes(SMALL_AXES),
                    engine="guided", budget=0)
+
+
+# --- GraphR pricing ----------------------------------------------------------
+
+
+class TestGraphRPricing:
+    @pytest.fixture()
+    def space(self):
+        return default_space("graphr")
+
+    def test_reports_match_machine_run(self, small_rmat, space):
+        workload = Workload(small_rmat)
+        frontier = exhaustive_search(PageRank(), workload, space)
+        candidates, _ = space.candidates()
+        configs = [cand.config for cand in candidates]
+        # GraphR's frontier is one point here, so every candidate's
+        # priced report is checked too.
+        got = [(cand.index, report) for cand, report in zip(
+            candidates, price_configs(configs, PageRank(), workload))]
+        got += [(point.index, point.report) for point in frontier.points]
+        assert frontier.points and len(got) > len(configs)
+        for index, report in got:
+            want = GraphRMachine(configs[index]).run(
+                PageRank(), workload).report
+            # json writes floats by repr: equal text is equal bits.
+            assert json.dumps(report.__dict__) == json.dumps(want.__dict__)
+
+    def test_one_counts_lookup_per_search(self, small_rmat, space,
+                                          monkeypatch):
+        calls = []
+        original = GraphRMachine.scheduled_counts
+
+        def counting(machine, *args):
+            calls.append(machine.config.label)
+            return original(machine, *args)
+
+        monkeypatch.setattr(GraphRMachine, "scheduled_counts", counting)
+        frontier = exhaustive_search(
+            PageRank(), small_rmat,
+            [SearchSpace.from_axes(SMALL_AXES), space])
+        assert frontier.evaluated > space.size
+        assert len(calls) == 1
+
+    def test_fold_counter_counts_candidates(self, small_rmat, space):
+        from repro.obs import metrics as obs_metrics
+
+        candidates, _ = space.candidates()
+        try:
+            obs_metrics.set_metrics(None)
+            exhaustive_search(PageRank(), small_rmat, space)
+            snap = obs_metrics.get_metrics().snapshot()
+        finally:
+            obs_metrics.set_metrics(None)
+        assert snap[obs_metrics.GRAPHR_FOLD_CONFIGS]["value"] == len(
+            candidates)
 
 
 # --- frontier object ---------------------------------------------------------
