@@ -277,15 +277,10 @@ def run_cached(
     Backed by :class:`repro.perf.cache.RunCache`: a bounded in-memory
     LRU in front of an on-disk store, so fresh processes (the CLI,
     benchmarks, pool workers) skip re-convergence entirely.
-
-    Also accepts a :class:`repro.perf.shm.SharedGraphRef`: pool
-    workers can pass the shared-memory handle straight through and the
-    attached graph (same fingerprint, so same cache key) is used.
     """
     from ..perf.cache import get_run_cache
-    from ..perf.shm import resolve_graph
 
-    return get_run_cache().get_or_run(algorithm, resolve_graph(graph))
+    return get_run_cache().get_or_run(algorithm, graph)
 
 
 def clear_run_cache() -> None:

@@ -126,16 +126,14 @@ def run_selected(
 
     out: dict[str, ExperimentResult] = {}
     if jobs > 1 and len(names) > 1:
-        # Generate the evaluation datasets in the parent and publish
-        # their graphs to shared memory: forked workers inherit them
-        # directly, and any other start method attaches the shared
-        # segments instead of regenerating all five synthetic graphs.
-        from .common import attach_workloads, share_workloads
+        # Generate the evaluation datasets once, in the parent: forked
+        # workers inherit them, other start methods unpickle them once
+        # per worker through the initializer.
+        from .common import attach_workloads, workloads
 
-        manifest = share_workloads()
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(names)),
-            initializer=attach_workloads, initargs=(manifest,),
+            initializer=attach_workloads, initargs=(workloads(),),
         ) as pool:
             futures = {
                 name: pool.submit(_run_experiment_worker, name)

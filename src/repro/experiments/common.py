@@ -136,34 +136,16 @@ def workloads() -> dict[str, Workload]:
     return dict(_WORKLOADS)
 
 
-def share_workloads() -> dict[str, object]:
-    """Publish every evaluation workload's graph to shared memory.
+def attach_workloads(parent: dict[str, Workload]) -> None:
+    """Pool-worker initializer: fill the workload cache if it is empty.
 
-    Returns the picklable per-dataset payloads
-    (:class:`repro.perf.shm.SharedWorkloadRef`, or the workload itself
-    where sharing is unavailable) for use as pool-initializer args —
-    see :func:`attach_workloads`.
+    ``parent`` is the parent's :func:`workloads` dict.  A forked worker
+    inherits the parent's filled cache and keeps it (the argument is
+    never pickled); under ``spawn``/``forkserver`` the dict is
+    unpickled once per worker, so no worker regenerates the datasets.
     """
-    from ..perf.shm import share_workload
-
-    return {key: share_workload(wl) for key, wl in workloads().items()}
-
-
-def attach_workloads(manifest: dict[str, object]) -> None:
-    """Pool-worker initializer: pre-fill the workload cache.
-
-    Workers forked from a prewarmed parent already inherit the cache
-    (copy-on-write, never written) and keep it; under any other start
-    method the worker attaches each
-    dataset's graph from the shared segments instead of regenerating
-    all five synthetic graphs.
-    """
-    from ..perf.shm import resolve_workload
-
-    if _WORKLOADS:
-        return
-    for key, payload in manifest.items():
-        _WORKLOADS[key] = resolve_workload(payload)
+    if not _WORKLOADS:
+        _WORKLOADS.update(parent)
 
 
 #: Factories for the three main evaluation algorithms (Figs. 13-18).

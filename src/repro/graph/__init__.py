@@ -33,10 +33,7 @@ from .rmat_stream import rmat_stream
 from .shards import (
     ShardStore,
     ShardWriter,
-    ShardedGraphRef,
-    attach_sharded_graph,
     run_sharded,
-    sharded_graph_ref,
     sharded_scheduled_counts,
     sharded_workload,
     write_graph_shards,
@@ -88,10 +85,7 @@ __all__ = [
     "rmat_stream",
     "ShardStore",
     "ShardWriter",
-    "ShardedGraphRef",
-    "attach_sharded_graph",
     "run_sharded",
-    "sharded_graph_ref",
     "sharded_scheduled_counts",
     "sharded_workload",
     "write_graph_shards",

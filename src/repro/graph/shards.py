@@ -36,11 +36,11 @@ Two executors ride on the store:
   sum-based ones (same contract as ``run_blocked``).
 * :func:`sharded_scheduled_counts` — whole-graph
   :class:`~repro.arch.scheduler.ScheduleCounts` from per-shard
-  partials computed in parallel worker processes.  The partials are
-  *integers* (edge counts and reference-partition block histograms),
-  merge by exact summation, and feed the unchanged analytic pipeline,
-  so the merged counts are bit-identical to the in-memory path by
-  construction and land in the run cache under the same counts key.
+  partials.  The partials are *integers* (edge counts and
+  reference-partition block histograms), merge by exact summation, and
+  feed the unchanged analytic pipeline, so the merged counts are
+  bit-identical to the in-memory path by construction and land in the
+  run cache under the same counts key.
 
 See docs/scaling.md for the format specification, the memory-budget
 model and a worked end-to-end example.
@@ -869,39 +869,20 @@ def merge_shard_counts(
     return total, merged
 
 
-def _shard_counts_task(directory: str, shard_index: int, num_pus: int,
-                       hash_placement: bool) -> ShardCounts:
-    """Pool worker: open (memoised) the store and count one shard."""
-    store = _WORKER_STORES.get(directory)
-    if store is None:
-        store = ShardStore.open(directory)
-        _WORKER_STORES[directory] = store
-    return shard_schedule_counts(store, shard_index, num_pus,
-                                 hash_placement)
-
-
-#: Worker-side store memo, keyed on directory: a pool worker mapping
-#: the same files for every shard task would otherwise re-validate the
-#: manifest per task.
-_WORKER_STORES: dict[str, ShardStore] = {}
-
-
 def sharded_scheduled_counts(
     run,
     workload,
     config,
     *,
     store: ShardStore | None = None,
-    jobs: int | None = None,
 ):
     """Whole-graph :class:`ScheduleCounts` from per-shard partials.
 
     The only O(E) ingredient of the counts — the reference-partition
     block histogram behind the imbalance estimate — is computed per
-    shard (in parallel worker processes when ``jobs > 1``), merged by
-    exact integer summation, pushed through the identical float
-    pipeline, and seeded into the scalar cache under the same key the
-    in-memory path uses.  The subsequent
+    shard, merged by exact integer summation, pushed through the
+    identical float pipeline, and seeded into the scalar cache under
+    the same key the in-memory path uses.  The subsequent
     :func:`~repro.perf.batch.scheduled_counts` call therefore computes
     — and caches, under the unchanged counts key — a result
     bit-identical to the in-memory path, composing with ``fold_many``
@@ -929,22 +910,9 @@ def sharded_scheduled_counts(
     n = config.num_pus
     hp = config.hash_placement
     with get_tracer().span("shard.counts", graph=store.name,
-                           shards=store.num_shards, num_pus=n,
-                           jobs=jobs or 1):
-        indices = range(store.num_shards)
-        if jobs is not None and jobs > 1 and store.num_shards > 1:
-            import concurrent.futures
-            from functools import partial
-
-            task = partial(_shard_counts_task, str(store.directory),
-                           num_pus=n, hash_placement=hp)
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(jobs, store.num_shards)
-            ) as pool:
-                parts = list(pool.map(task, indices))
-        else:
-            parts = [shard_schedule_counts(store, i, n, hp)
-                     for i in indices]
+                           shards=store.num_shards, num_pus=n):
+        parts = [shard_schedule_counts(store, i, n, hp)
+                 for i in range(store.num_shards)]
         total, merged = merge_shard_counts(parts)
         if total != store.num_edges:
             raise ShardError(
@@ -977,64 +945,3 @@ def sharded_workload(
         reported_vertices=reported_vertices,
         reported_edges=reported_edges,
     )
-
-
-# --- cross-process handoff ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardedGraphRef:
-    """Picklable handle to an on-disk shard store.
-
-    The disk-resident sibling of
-    :class:`repro.perf.shm.SharedGraphRef`: pool tasks ship this tiny
-    record and workers memory-map the same files (zero-copy through the
-    page cache) instead of receiving a pickled edge list — and unlike
-    the shared-memory path, nothing has to fit in ``/dev/shm``.
-    """
-
-    directory: str
-    fingerprint: str
-    graph_name: str
-    num_vertices: int
-    num_edges: int
-
-
-def sharded_graph_ref(store: ShardStore) -> ShardedGraphRef:
-    """The picklable handle for ``store``."""
-    return ShardedGraphRef(
-        directory=str(store.directory),
-        fingerprint=store.fingerprint,
-        graph_name=store.name,
-        num_vertices=store.num_vertices,
-        num_edges=store.num_edges,
-    )
-
-
-#: Worker-side attach memo: fingerprint -> (graph, store).
-_ATTACHED_STORES: dict[str, tuple[Graph, ShardStore]] = {}
-
-
-def attach_sharded_graph(ref: ShardedGraphRef) -> Graph:
-    """Open the referenced store and return its memmap-backed graph.
-
-    Memoised per fingerprint, mirroring
-    :func:`repro.perf.shm.attach_graph`; a ref whose fingerprint does
-    not match the manifest on disk is rejected (the store moved or was
-    regenerated under the worker).
-    """
-    memo = _ATTACHED_STORES.get(ref.fingerprint)
-    if memo is not None:
-        return memo[0]
-    with get_tracer().span("shard.attach", fingerprint=ref.fingerprint[:16],
-                           edges=ref.num_edges):
-        store = ShardStore.open(ref.directory)
-        if store.fingerprint != ref.fingerprint:
-            raise ShardError(
-                f"{ref.directory}: store fingerprint "
-                f"{store.fingerprint} does not match the task's ref "
-                f"{ref.fingerprint}"
-            )
-        graph = store.as_graph()
-    _ATTACHED_STORES[ref.fingerprint] = (graph, store)
-    return graph

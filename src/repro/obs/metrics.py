@@ -29,9 +29,6 @@ EXECUTOR_EDGES = "executor_edges_processed"
 #: path (memoised CSR + full-frontier fast path) instead of per-edge
 #: Python dispatch.
 EXECUTOR_VECTORIZED_EDGES = "executor_vectorized_edges"
-#: Graphs attached from shared-memory segments by pool workers instead
-#: of being unpickled from the task payload.
-SHM_GRAPHS_ATTACHED = "shm_graphs_attached"
 #: Shard slices streamed by the out-of-core executor (one per shard per
 #: iteration; see :func:`repro.graph.shards.run_sharded`).
 SHARDS_STREAMED = "shards_streamed"

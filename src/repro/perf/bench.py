@@ -67,15 +67,12 @@ def bench_experiments(
     else:
         import concurrent.futures
 
-        from ..experiments.common import attach_workloads, share_workloads
+        from ..experiments.common import attach_workloads, workloads
 
-        # Same parent prewarm + shared-memory publish as
-        # run_selected(jobs=...): forked workers inherit the datasets,
-        # other start methods attach the shared segments.
-        manifest = share_workloads()
+        # Same parent prewarm as run_selected(jobs=...).
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(chosen)),
-            initializer=attach_workloads, initargs=(manifest,),
+            initializer=attach_workloads, initargs=(workloads(),),
         ) as pool:
             futures = {
                 name: pool.submit(_timed_experiment_worker, name)
@@ -477,7 +474,6 @@ def bench_outofcore_scenario(
     chunk_edges: int = 1 << 20,
     seed: int = 8,
     directory: str | Path | None = None,
-    jobs: int = 1,
 ) -> dict:
     """Time the out-of-core path end to end at a chosen scale.
 
@@ -540,7 +536,7 @@ def bench_outofcore_scenario(
             clear_imbalance_cache()
             start = time.perf_counter()
             counts = sharded_scheduled_counts(
-                pr_run, sharded_workload(store), config, jobs=jobs,
+                pr_run, sharded_workload(store), config,
             )
             counts_s = time.perf_counter() - start
 
@@ -556,7 +552,6 @@ def bench_outofcore_scenario(
             "edge_vertex_ratio": num_edges / max(num_vertices, 1),
             "shard_edges": shard_edges,
             "num_shards": store.num_shards,
-            "jobs": jobs,
             "generate_s": generate_s,
             "generate_edges_per_s": num_edges / generate_s,
             "verify_s": verify_s,

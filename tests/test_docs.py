@@ -30,6 +30,25 @@ class TestRepoDocs:
         files.append(REPO_ROOT / "README.md")
         assert check_docs.check_links(files) == []
 
+    def test_no_stale_api_names(self):
+        files = sorted((REPO_ROOT / "docs").glob("*.md"))
+        files.append(REPO_ROOT / "README.md")
+        assert check_docs.check_api_names(files) == []
+
+    def test_checker_flags_stale_api_name(self, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "`repro.graph.shards` `repro.perf.cache.RunCache` "
+            "`repro.arch.graphr.price_configs(configs)`\n"
+            "`repro.perf.no_such_module` and `repro.graph.NoSuchName`\n"
+            "```\n`repro.in_a_fence`\n```\n"
+        )
+        problems = check_docs.check_api_names([page])
+        assert problems == [
+            f"{page}:2: stale API name -> repro.perf.no_such_module",
+            f"{page}:2: stale API name -> repro.graph.NoSuchName",
+        ]
+
     def test_doc_doctests_pass(self):
         assert check_docs.run_doctests(check_docs.DOCTEST_FILES) == []
 

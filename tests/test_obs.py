@@ -246,9 +246,8 @@ class TestAttributionTaxonomy:
 
 
 class TestHotPathObservability:
-    """The PR-7 hot-path instruments: counters for the vectorized
-    executor, shared-memory attaches and the GraphR fold path, plus the
-    ``shm.attach`` / ``fig21.fold`` spans."""
+    """The hot-path instruments: counters for the vectorized executor
+    and the GraphR fold path, plus the ``fig21.fold`` span."""
 
     def test_vectorized_executor_counts_edges(self, fresh_obs):
         from repro.algorithms import PageRank
@@ -259,29 +258,6 @@ class TestHotPathObservability:
         snap = get_metrics().snapshot()
         assert snap[obs_metrics.EXECUTOR_VECTORIZED_EDGES]["value"] \
             == vc.edges_examined
-
-    def test_shm_attach_counter_and_span(self, tmp_path, fresh_obs):
-        from repro.perf import shm
-
-        if not shm.shared_memory_available():
-            pytest.skip("no shared memory on this platform")
-        g = rmat(64, 256, seed=9, name="obs-shm")
-        path = tmp_path / "shm.jsonl"
-        tracer = get_tracer()
-        tracer.start(path)
-        try:
-            ref = shm.share_graph(g)
-            shm.attach_graph(ref)
-            shm.attach_graph(ref)  # memo hit: no second attach
-        finally:
-            tracer.stop()
-            shm.release_all()
-        records = read_trace(path)
-        spans = [r for r in records if r.get("name") == "shm.attach"]
-        assert len(spans) == 1
-        assert spans[0]["tags"]["edges"] == g.num_edges
-        snap = get_metrics().snapshot()
-        assert snap[obs_metrics.SHM_GRAPHS_ATTACHED]["value"] == 1.0
 
     def test_graphr_fold_counter_and_fig21_span(self, tmp_path, fresh_obs,
                                                 monkeypatch):

@@ -1,8 +1,13 @@
 """Parallel execution: run_selected(jobs=...), plus sweep CSV rendering.
 
 The contract under test: fan-out changes wall-clock only.  Experiment
-tables must be indistinguishable from a serial run.
+tables must be indistinguishable from a serial run, under ``fork`` and
+under ``spawn``.  A ``spawn`` worker starts without the parent's memory,
+as a ``forkserver`` worker does.
 """
+
+import concurrent.futures
+import multiprocessing
 
 import pytest
 
@@ -37,12 +42,28 @@ class TestPointsToCsv:
 
 
 class TestParallelExperiments:
-    def test_jobs_matches_serial_tables(self):
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_jobs_matches_serial_tables(self, monkeypatch, method):
+        """Two drivers that read ``workloads()``, because a single name
+        runs serially and never starts the pool."""
         from repro.experiments import run_selected
 
-        names = ["table3"]
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method!r} start method on this platform")
+        pool_class = concurrent.futures.ProcessPoolExecutor
+        context = multiprocessing.get_context(method)
+        started = []
+
+        def pool_with_context(*args, **kwargs):
+            started.append(method)
+            return pool_class(*args, mp_context=context, **kwargs)
+
+        names = ["table1", "table4"]
         serial = run_selected(names, save=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            pool_with_context)
         fanned = run_selected(names, save=False, jobs=2)
+        assert started == [method]
         assert set(serial) == set(fanned)
         for name in names:
             assert fanned[name].format() == serial[name].format()
@@ -59,3 +80,31 @@ class TestParallelExperiments:
 
         with pytest.raises(ConfigError):
             run_selected(["fig99"], save=False)
+
+
+class TestWorkerInitializer:
+    """``attach_workloads`` is the pool initializer; its argument is the
+    parent's ``workloads()`` dict."""
+
+    def test_inherited_cache_is_kept(self, monkeypatch):
+        from repro.experiments import common
+
+        inherited = {"XX": Workload(rmat(64, 256, seed=3, name="xx"))}
+        monkeypatch.setattr(common, "_WORKLOADS", dict(inherited))
+        parent = {"YY": Workload(rmat(64, 256, seed=4, name="yy"))}
+        common.attach_workloads(parent)
+        assert common._WORKLOADS == inherited
+
+    def test_empty_cache_filled_without_regenerating(self, monkeypatch):
+        from repro.experiments import common
+
+        def regenerate(key):
+            raise AssertionError(f"worker regenerated dataset {key}")
+
+        monkeypatch.setattr(common, "_WORKLOADS", {})
+        monkeypatch.setattr(Workload, "from_dataset",
+                            staticmethod(regenerate))
+        parent = {"XX": Workload(rmat(64, 256, seed=3, name="xx"))}
+        common.attach_workloads(parent)
+        assert common.workloads() == parent
+        assert common.workloads()["XX"] is parent["XX"]

@@ -10,11 +10,7 @@ The promises under test are the ones docs/scaling.md documents:
   under the per-algorithm value policy with identical traces;
 * :func:`repro.graph.shards.sharded_scheduled_counts` merges per-shard
   integer partials into :class:`ScheduleCounts` **bit-identical** to
-  the whole-graph computation, on every named machine, serial or
-  fanned out over worker processes;
-* shard-backed graphs hand off across processes as tiny refs through
-  the same ``share_workload``/``resolve_workload`` seam as shared
-  memory.
+  the whole-graph computation, on every named machine.
 """
 
 from __future__ import annotations
@@ -33,13 +29,10 @@ from repro.arch.scheduler import (clear_imbalance_cache,
 from repro.errors import ShardError
 from repro.graph import generators, rmat
 from repro.graph.rmat_stream import rmat_stream
-from repro.graph.shards import (ShardStore, ShardWriter, ShardedGraphRef,
-                                attach_sharded_graph, merge_shard_counts,
+from repro.graph.shards import (ShardStore, ShardWriter, merge_shard_counts,
                                 run_sharded, shard_schedule_counts,
-                                sharded_graph_ref, sharded_scheduled_counts,
-                                sharded_workload, write_graph_shards,
-                                write_rmat_shards)
-from repro.perf import shm
+                                sharded_scheduled_counts, sharded_workload,
+                                write_graph_shards, write_rmat_shards)
 from repro.perf.batch import scheduled_counts
 from repro.perf.cache import temporary_run_cache
 
@@ -305,21 +298,6 @@ def test_merged_counts_bit_identical_natural_placement(graph, store):
     assert merged == whole
 
 
-def test_merged_counts_bit_identical_with_worker_pool(graph, store):
-    run = run_vectorized(PageRank(), graph)
-    config = NAMED_CONFIGS["acc+HyVE"]()
-    with temporary_run_cache():
-        clear_imbalance_cache()
-        whole = scheduled_counts(run, Workload(graph=graph), config)
-    with temporary_run_cache():
-        clear_imbalance_cache()
-        merged = sharded_scheduled_counts(
-            run, sharded_workload(store), config, jobs=2
-        )
-    clear_imbalance_cache()
-    assert merged == whole
-
-
 def test_shard_partials_are_additive(graph, store):
     config = NAMED_CONFIGS["acc+HyVE"]()
     n = config.num_pus
@@ -348,38 +326,3 @@ def test_sharded_counts_rejects_foreign_workload(graph, store):
         sharded_scheduled_counts(
             run, Workload(graph=other), NAMED_CONFIGS["acc+HyVE"]()
         )
-
-
-# --- cross-process handoff ---------------------------------------------------
-
-def test_sharded_ref_round_trip(graph, store):
-    ref = sharded_graph_ref(store)
-    assert isinstance(ref, ShardedGraphRef)
-    attached = attach_sharded_graph(ref)
-    assert attached.fingerprint() == graph.fingerprint()
-    # Memoised: same object on re-attach.
-    assert attach_sharded_graph(ref) is attached
-
-
-def test_share_workload_routes_shard_backed_graphs(graph, store):
-    workload = sharded_workload(store, reported_edges=10 ** 9)
-    payload = shm.share_workload(workload)
-    assert isinstance(payload, shm.SharedWorkloadRef)
-    assert isinstance(payload.graph_ref, ShardedGraphRef)
-    resolved = shm.resolve_workload(payload)
-    assert resolved.graph.fingerprint() == graph.fingerprint()
-    assert resolved.reported_edges == 10 ** 9
-    # No shared-memory segments were published for the shard store.
-    assert graph.fingerprint() not in shm.owned_fingerprints()
-
-
-def test_attach_rejects_stale_ref(store):
-    import dataclasses
-
-    # A ref whose fingerprint is not the one committed on disk (the
-    # store was regenerated under the worker).  The fabricated digest
-    # also misses the attach memo, so the check really runs.
-    stale = dataclasses.replace(sharded_graph_ref(store),
-                                fingerprint="0" * 32)
-    with pytest.raises(ShardError, match="does not match"):
-        attach_sharded_graph(stale)

@@ -168,7 +168,6 @@ def run_outofcore_scenario(args: argparse.Namespace) -> int:
         num_vertices=args.ooc_vertices,
         num_edges=args.ooc_edges,
         shard_edges=args.ooc_shard_edges,
-        jobs=args.jobs,
     )
     payload["min_edges_per_s"] = floor
     path = write_bench(payload, args.output)
@@ -395,7 +394,8 @@ def main(argv: list[str] | None = None) -> int:
                              "on-disk shard store at paper scale "
                              "(default: live-journal's 4.85M/69M) and "
                              "times generation, verification, streamed "
-                             "PR/BFS and the per-shard counts merge; "
+                             "PR/BFS and the serial per-shard counts "
+                             "merge (--jobs does not apply); "
                              "'tune' times the autotuner's exhaustive "
                              "engine over a 360-point pricing space "
                              "(configs/s, warm counts cache) and gates "

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs gate: check markdown links/anchors and run doc doctests.
+"""Docs gate: check markdown links/anchors, API names and doc doctests.
 
-Two checks, both over ``docs/*.md`` plus ``README.md``:
+Three checks, the first two over ``docs/*.md`` plus ``README.md``:
 
 1. **Links** — every relative markdown link must point at an existing
    file (resolved from the linking file's directory), and every
@@ -9,19 +9,24 @@ Two checks, both over ``docs/*.md`` plus ``README.md``:
    heading anchor in the target file, using GitHub's slug rules
    (lowercase, punctuation stripped, spaces to hyphens).  External
    links (``http(s)://``, ``mailto:``) are not fetched.
-2. **Doctests** — fenced ``>>>`` examples in ``docs/observability.md``
+2. **API names** — every backticked dotted ``repro.…`` name outside
+   code fences must import as a module or resolve as an attribute, so
+   a rename or deletion cannot leave a stale name behind.
+3. **Doctests** — fenced ``>>>`` examples in ``docs/observability.md``
    are executed with :mod:`doctest` so the documented API stays real.
 
 Usage (CI runs exactly this)::
 
     python tools/check_docs.py
 
-Exits non-zero listing every broken link/anchor or failing example.
+Exits non-zero listing every broken link/anchor, stale name or
+failing example.
 """
 
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -40,6 +45,8 @@ DOCTEST_FILES = (
 _LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 _CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+_API_NAME_RE = re.compile(r"`(repro(?:\.\w+)+)[`(]")
+_MISSING = object()
 
 
 def github_slug(heading: str) -> str:
@@ -72,8 +79,9 @@ def heading_anchors(path: Path) -> set[str]:
     return anchors
 
 
-def iter_links(path: Path):
-    """Yield (lineno, target) for every markdown link in ``path``."""
+def iter_prose(path: Path):
+    """Yield (lineno, line) for every line of ``path`` outside code
+    fences."""
     in_fence = False
     for lineno, line in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
@@ -81,19 +89,29 @@ def iter_links(path: Path):
         if _CODE_FENCE_RE.match(line):
             in_fence = not in_fence
             continue
-        if in_fence:
-            continue
+        if not in_fence:
+            yield lineno, line
+
+
+def iter_links(path: Path):
+    """Yield (lineno, target) for every markdown link in ``path``."""
+    for lineno, line in iter_prose(path):
         for match in _LINK_RE.finditer(line):
             yield lineno, match.group(1)
+
+
+def display_path(path: Path) -> Path:
+    """``path`` relative to the repo root, when it lies inside it."""
+    try:
+        return path.relative_to(REPO_ROOT)
+    except ValueError:  # checking a file outside the repo (tests)
+        return path
 
 
 def check_links(files: list[Path]) -> list[str]:
     problems: list[str] = []
     for path in files:
-        try:
-            rel = path.relative_to(REPO_ROOT)
-        except ValueError:  # checking a file outside the repo (tests)
-            rel = path
+        rel = display_path(path)
         for lineno, target in iter_links(path):
             if target.startswith(("http://", "https://", "mailto:")):
                 continue
@@ -114,6 +132,29 @@ def check_links(files: list[Path]) -> list[str]:
                     problems.append(
                         f"{rel}:{lineno}: broken anchor -> {target}"
                     )
+    return problems
+
+
+def check_api_names(files: list[Path]) -> list[str]:
+    """Every backticked ``repro.…`` name outside code fences imports as
+    a module or is an attribute of its longest importable prefix."""
+    problems: list[str] = []
+    for path in files:
+        for lineno, line in iter_prose(path):
+            for match in _API_NAME_RE.finditer(line):
+                parts = match.group(1).split(".")
+                obj = _MISSING
+                for i in range(len(parts), 0, -1):
+                    try:
+                        obj = importlib.import_module(".".join(parts[:i]))
+                    except ImportError:
+                        continue
+                    for attr in parts[i:]:
+                        obj = getattr(obj, attr, _MISSING)
+                    break
+                if obj is _MISSING:
+                    problems.append(f"{display_path(path)}:{lineno}: "
+                                    f"stale API name -> {match.group(1)}")
     return problems
 
 
@@ -141,6 +182,7 @@ def main() -> int:
     files = sorted((REPO_ROOT / "docs").glob("*.md"))
     files.append(REPO_ROOT / "README.md")
     problems = check_links(files)
+    problems += check_api_names(files)
     problems += run_doctests(DOCTEST_FILES)
     if problems:
         for problem in problems:
@@ -148,7 +190,7 @@ def main() -> int:
         print(f"{len(problems)} docs problem(s)", file=sys.stderr)
         return 1
     checked = len(files)
-    print(f"docs ok: {checked} file(s) link-checked, "
+    print(f"docs ok: {checked} file(s) link- and name-checked, "
           f"{len(DOCTEST_FILES)} doctested")
     return 0
 
