@@ -21,8 +21,9 @@ item 3).  Three pieces:
   BFS and CC refresh *incrementally*: BFS by monotone min-relaxation
   from the previous fixpoint (exact, because the fixpoint is unique)
   after a local repair for deletions; CC by merging the previous
-  component labels when the support only grew, and by re-seeding the
-  touched components and relaxing to the fixpoint after deletions.
+  component labels, after searches sized to the pieces that deletions
+  split off (re-seeding the touched components and relaxing to the
+  fixpoint only when those searches cannot settle it).
   PR and first-time initialisation rebuild the canonical snapshot from
   scratch through the run cache, which is bit-identical by
   construction.  Either way, every published value is bit-identical
@@ -90,8 +91,10 @@ class UpdateLog:
     ``(src << 32) | dst`` keys) and :attr:`multiplicity`.  Every append
     replaces both arrays and never changes one in place, so a reference
     to an earlier :attr:`support` stays a faithful record of that
-    moment; the :class:`StreamEngine` relies on this.  An append costs
-    O(support), so bulk input belongs in :meth:`extend_arrays`.
+    moment.  An append finds its keys by binary search, O(block log
+    support), and then copies each array once for the keys it opens
+    and once for those it closes; that copy is O(support) memory
+    traffic, so bulk input belongs in :meth:`extend_arrays`.
     """
 
     def __init__(self, num_vertices: int, name: str = "stream") -> None:
@@ -390,6 +393,15 @@ def generate_update_log(graph: Graph, num_updates: int, seed: int = 0,
 # --- incremental maintenance (exact min-relaxation) ---------------------------
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct ``values`` by one sort (``np.unique`` may hash
+    first, which costs several times more on these small int arrays)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _sorted_member(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     """Membership mask of ``needles`` in a *sorted* ``haystack``."""
     if not haystack.size:
@@ -402,6 +414,21 @@ def _sorted_member(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
 def _swap_words(keys: np.ndarray) -> np.ndarray:
     """Packed ``(a << 32) | b`` keys as ``(b << 32) | a``."""
     return ((keys & 0xFFFFFFFF) << 32) | (keys >> 32)
+
+
+def _net_delta(steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold consecutive ``(sorted keys, was_open, is_open)`` steps into
+    one: each key's ``was`` from the first step that touched it and its
+    ``is`` from the last, which is its state across the whole run."""
+    if len(steps) == 1:
+        return steps[0]
+    keys, was, now = (np.concatenate(part) for part in zip(*steps))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    last = np.r_[first[1:], keys.size] - 1
+    return keys[first], was[order[first]], now[order[last]]
 
 
 def _segment_rows(keys: np.ndarray, vertices: np.ndarray
@@ -508,13 +535,13 @@ def _bfs_delete_repair(previous: np.ndarray, dropped: np.ndarray,
     du = dropped >> 32
     dv = dropped & 0xFFFFFFFF
     invalid = np.zeros(previous.size, dtype=bool)
-    frontier = _orphaned(previous, np.unique(dv[_tight(previous, du, dv)]),
+    frontier = _orphaned(previous, _distinct(dv[_tight(previous, du, dv)]),
                          rev, invalid)
     while frontier.size:
         invalid[frontier] = True
         rows, _ = _segment_rows(keys, frontier)
         child = keys[rows] & 0xFFFFFFFF
-        hit = np.unique(child[_tight(previous, keys[rows] >> 32, child)])
+        hit = _distinct(child[_tight(previous, keys[rows] >> 32, child)])
         frontier = _orphaned(previous, hit[~invalid[hit]], rev, invalid)
     invalidated = np.flatnonzero(invalid)
     if not invalidated.size:
@@ -553,7 +580,7 @@ def _bfs_push(levels: np.ndarray, src: np.ndarray, dst: np.ndarray,
             levels, owned = levels.copy(), True
         dst = dst[better]
         np.minimum.at(levels, dst, cand[better])
-        rows, _ = _segment_rows(keys, np.unique(dst))
+        rows, _ = _segment_rows(keys, _distinct(dst))
         src, dst = keys[rows] >> 32, keys[rows] & 0xFFFFFFFF
     return levels
 
@@ -579,7 +606,7 @@ def _cc_union(values: np.ndarray, added: np.ndarray) -> np.ndarray:
     if not cross.any():
         return values
     a, b = a[cross], b[cross]
-    nodes = np.unique(np.concatenate([a, b]))
+    nodes = _distinct(np.concatenate([a, b]))
     parent = np.arange(values.size, dtype=values.dtype)
     while True:
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
@@ -644,6 +671,154 @@ def _cc_delete_seed(values: np.ndarray, dropped: np.ndarray) -> np.ndarray:
                     values)
 
 
+#: Vertices one side of a :func:`_cc_split` search may visit without
+#: meeting the other side or running out of edges; past it the flush
+#: falls back to :func:`_cc_delete_seed` and :func:`_cc_refixpoint`.
+SPLIT_SEARCH_BUDGET = 256
+
+#: After ``m`` failed :func:`_cc_split` searches in a row, the next
+#: ``2**min(m, SPLIT_BACKOFF_CAP) - 1`` deletion flushes go straight to
+#: the fallback.  On a graph without hubs the searches rarely settle
+#: and each costs about as much as the sweep, so they are tried ever
+#: more rarely; on a power-law graph a failure is rare and costs one
+#: skipped flush.
+SPLIT_BACKOFF_CAP = 6
+
+
+def _degrees(vertices: np.ndarray, keys: np.ndarray,
+             rev: np.ndarray) -> np.ndarray:
+    """Out- plus in-degree over the support of each of ``vertices``."""
+    lo, hi = vertices << 32, (vertices + 1) << 32
+    return (np.searchsorted(keys, hi) - np.searchsorted(keys, lo)
+            + np.searchsorted(rev, hi) - np.searchsorted(rev, lo))
+
+
+def _neighbours(vertices: np.ndarray, keys: np.ndarray, rev: np.ndarray,
+                skip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected neighbours of ``vertices`` over the support minus the
+    sorted keys ``skip``: out-edges are segments of the ``(src, dst)``
+    order ``keys``, in-edges segments of the ``(dst, src)`` order
+    ``rev``.  Returns ``(neighbour, position in vertices)`` per edge."""
+    rows, owner = _segment_rows(keys, vertices)
+    back, back_owner = _segment_rows(rev, vertices)
+    out_keys, in_keys = keys[rows], rev[back]
+    nbr = np.concatenate([out_keys, in_keys]) & 0xFFFFFFFF
+    owner = np.concatenate([owner, back_owner])
+    keep = ~_sorted_member(
+        skip, np.concatenate([out_keys, _swap_words(in_keys)]))
+    return nbr[keep], owner[keep]
+
+
+def _cc_split(values: np.ndarray, dropped: np.ndarray, added: np.ndarray,
+              keys: np.ndarray, rev: np.ndarray) -> np.ndarray | None:
+    """Exact CC min-labels after support deletions, found by searches
+    sized to the pieces that split off; ``None`` when that cannot be
+    shown within :data:`SPLIT_SEARCH_BUDGET`.
+
+    ``values`` labels the support before the flush; ``keys``/``rev``
+    are the support after it, and leaving out ``added`` gives G'', the
+    old support minus ``dropped``.  The result labels G''; the caller
+    then merges ``added`` with :func:`_cc_union`.
+
+    Every dropped pair ``(u, v)`` runs a bidirectional search over G''.
+    A *hub* — the dropped endpoint of highest degree — and its G''
+    neighbours form a star that G'' keeps connected, so a side that
+    reaches the star is *anchored* and stops; on a power-law graph most
+    endpoints are in it or next to it.  All pairs advance together,
+    level by level: each grows an unanchored side, the one whose
+    frontier has fewer edges (then fewer visited vertices).  A pair is
+    still connected when a side reaches a vertex its partner visited,
+    or when both sides are anchored.  A side that runs out of new
+    vertices has visited a whole component of G'' that does not hold
+    its partner: a *piece*, labelled with its own minimum id.
+
+    What is left of an old component is still connected when each
+    piece's dropped edges all end on one vertex ``w`` outside every
+    piece: an old path that entered a piece left it again at ``w``, so
+    it shortcuts there, and every dropped edge inside the remainder
+    belongs to a pair that stayed connected.  The remainder keeps its
+    old label, unless that minimum id left with a piece; then it takes
+    its own minimum, an O(V) pass.  A piece that ends on two vertices —
+    a hinge that joined two halves — or on another piece returns
+    ``None``.
+    """
+    low = 0xFFFFFFFF
+    du, dv = dropped >> 32, dropped & low
+    loop = du == dv
+    du, dv = du[~loop], dv[~loop]
+    if not du.size:
+        return values
+    root = np.column_stack([du, dv]).ravel()
+    sides = root.size
+    hub = root[np.argmax(_degrees(root, keys, rev))]
+    star = np.zeros(values.size, dtype=bool)
+    star[hub] = True
+    star[_neighbours(np.array([hub]), keys, rev, added)[0]] = True
+    anchored = star[root]
+    done = anchored[::2] & anchored[1::2]
+    # Side 2i searches from du[i] and side 2i + 1 from dv[i]; search
+    # state is sorted (side << 32) | vertex keys.
+    visited = (np.arange(sides, dtype=np.int64) << 32) | root
+    frontier = visited[~anchored & ~np.repeat(done, 2)]
+    visited = visited[~np.repeat(done, 2)]
+    pieces = []
+    while frontier.size:
+        side = frontier >> 32
+        pair = _distinct(side >> 1)
+        load = np.bincount(side, _degrees(frontier & low, keys, rev),
+                           minlength=sides)
+        load[anchored] = np.inf
+        size = np.bincount(visited >> 32, minlength=sides)
+        a, b = 2 * pair, 2 * pair + 1
+        chosen = np.zeros(sides, dtype=bool)
+        chosen[a + ((load[b] < load[a])
+                    | ((load[b] == load[a]) & (size[b] < size[a])))] = True
+        grow = chosen[side]
+        nbr, owner = _neighbours(frontier[grow] & low, keys, rev, added)
+        found = _distinct((side[grow][owner] << 32) | nbr)
+        found = found[~_sorted_member(visited, found)]
+        done[found[_sorted_member(visited, found ^ (1 << 32))] >> 33] = True
+        anchored[found[star[found & low]] >> 32] = True
+        done |= anchored[::2] & anchored[1::2]
+        spent = chosen & (np.bincount(found >> 32, minlength=sides) == 0)
+        done[np.flatnonzero(spent) >> 1] = True
+        if spent.any():
+            pieces.append(visited[spent[visited >> 32]])
+        visited = np.sort(np.concatenate([visited, found]))
+        frontier = np.sort(np.concatenate([frontier[~grow], found]))
+        visited = visited[~done[visited >> 33]]
+        frontier = frontier[~done[frontier >> 33]
+                            & ~anchored[frontier >> 32]]
+        if np.bincount(visited >> 32).max(initial=0) > SPLIT_SEARCH_BUDGET:
+            return None
+    if not pieces:
+        return values
+    piece = np.concatenate(pieces)
+    side, vertex = piece >> 32, piece & low
+    head = np.flatnonzero(np.r_[True, side[1:] != side[:-1]])
+    owner = np.full(values.size, -1, dtype=values.dtype)
+    owner[vertex] = np.repeat(vertex[head], np.diff(np.r_[head, side.size]))
+    pu, pv = owner[du], owner[dv]
+    cross = pu != pv
+    if (cross & (pu >= 0) & (pv >= 0)).any():
+        return None
+    inside = pu >= 0
+    ends = _distinct((np.where(inside, pu, pv)[cross] << 32)
+                     | np.where(inside, dv, du)[cross])
+    if _distinct(ends >> 32).size < ends.size:
+        return None
+    labels = np.where(owner >= 0, owner, values)
+    heads = np.flatnonzero((owner >= 0)
+                           & (values == np.arange(values.size)))
+    if heads.size:
+        moved = np.zeros(values.size, dtype=bool)
+        moved[heads] = True
+        rest = np.flatnonzero(moved[values] & (owner < 0))
+        old, first = np.unique(values[rest], return_index=True)
+        labels[rest] = rest[first][np.searchsorted(old, values[rest])]
+    return labels
+
+
 @dataclass
 class StreamStats:
     """Counters describing one engine's lifetime (mutable, additive)."""
@@ -692,16 +867,20 @@ class StreamEngine:
             a: BFS(root=self.root) if a == "bfs" else make_algorithm(a)
             for a in self.algorithms
         }
-        #: the log's support packed ``(dst << 32) | src`` and sorted —
-        #: the in-edge order, kept up to date per chunk
-        self._live_rev = np.empty(0, dtype=np.int64)
         self._pending = 0
-        #: edge support (distinct live keys) at the last value refresh —
-        #: a reference to that moment's ``log.support``, not a copy
-        self._support_at_refresh = self.log.support
-        #: sorted unique keys of each chunk applied since that refresh;
-        #: the flush probes only these to find the support delta
-        self._touched: list[np.ndarray] = []
+        #: ``(sorted keys, was_open, is_open)`` of each chunk applied
+        #: since the last value refresh, as the log's merge reported it
+        self._window: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: the support packed ``(dst << 32) | src`` and sorted — the
+        #: in-edge order, as of the last flush that dropped a key
+        self._rev = np.empty(0, dtype=np.int64)
+        #: ``(keys, was_open, is_open)`` steps of the support keys later
+        #: flushes added or dropped, still to be merged into ``_rev``
+        self._rev_lag: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: failed CC split searches in a row, and the deletion flushes
+        #: still to skip before the next try (:data:`SPLIT_BACKOFF_CAP`)
+        self._split_misses = 0
+        self._split_skip = 0
         self._values: dict[str, np.ndarray] = {}
         self._values_time = -1
         self._temporal: tuple[int, TemporalGraph] | None = None
@@ -781,7 +960,9 @@ class StreamEngine:
             n = events.shape[0]
             while i < n:
                 take = min(self.k - self._pending, n - i)
-                self._apply_chunk(events[i:i + take])
+                # The log validates the chunk and merges it into the
+                # open-edge multiset; the flush reads its per-key report.
+                self._window.append(self.log._extend(events[i:i + take]))
                 self._pending += take
                 applied += take
                 i += take
@@ -791,25 +972,6 @@ class StreamEngine:
             get_metrics().counter(UPDATES_APPLIED).add(applied)
             self.stats.updates += applied
         return applied
-
-    def _apply_chunk(self, chunk: np.ndarray) -> None:
-        """Append one event block to the log, which validates it and
-        merges it into the open-edge multiset.  The ``(dst, src)`` order
-        then gains the keys that entered the support and loses those
-        that left it, and the chunk's unique keys are recorded for the
-        next flush.
-        """
-        uk, was, now = self.log._extend(chunk)
-        rev = self._live_rev
-        gone = uk[was & ~now]
-        if gone.size:
-            rev = np.delete(rev, np.searchsorted(
-                rev, np.sort(_swap_words(gone))))
-        born = np.sort(_swap_words(uk[now & ~was]))
-        if born.size:
-            rev = np.insert(rev, np.searchsorted(rev, born), born)
-        self._live_rev = rev
-        self._touched.append(uk)
 
     def replay(self, log: UpdateLog) -> int:
         """Ingest every event of an existing log, timestamps preserved."""
@@ -821,9 +983,9 @@ class StreamEngine:
         No-op when nothing is pending.  BFS and CC always refresh
         incrementally (and exactly) once initialised: support-growing
         deltas merge the previous CC labels and relax BFS from the
-        previous fixpoint, CC deletions re-seed the affected components
-        locally, and BFS deletions invalidate just the orphaned region
-        before relaxing.  PR — a sum-based fixpoint with no monotone
+        previous fixpoint, CC deletions label the pieces they split
+        off before merging, and BFS deletions invalidate just the
+        orphaned region before relaxing.  PR — a sum-based fixpoint with no monotone
         incremental rule — and first-time initialisation rebuild the
         canonical snapshot from scratch.
         ``use_cache=True`` routes rebuilds through the run cache
@@ -831,14 +993,23 @@ class StreamEngine:
         same instant reuses the run); contract flushes between queries
         skip the cache store.
 
-        Cost: the support delta comes from probing only the keys the
-        pending chunks touched, and the whole BFS refresh (delete
-        repair and frontier push) follows segments of the two sorted
-        support orders, so both cost O(touched keys + affected edges)
-        up to log factors.  A CC refresh after pure growth is a label
-        union, O(added + V).  A CC refresh after deletions still sweeps
-        the whole support, O(support) per sweep: a deletion re-seeds
-        every component it touches, the giant one included.
+        Cost: the support delta is the log's own per-key report for
+        the pending chunks, with no probe of the support.  An
+        insert-only flush merges the previous CC labels, O(added + V),
+        and pushes BFS from the added edges along out-edge segments;
+        it leaves the in-edge order stale.  A flush that dropped keys
+        first merges into the in-edge order every key born or gone
+        since the last such flush, one O(support) copy.  BFS then
+        repairs just the orphaned region.  CC searches from each
+        dropped pair until the pair meets, both sides reach the star
+        of a high-degree endpoint, or one side is used up
+        (:func:`_cc_split`), so its cost follows the pieces split off
+        and the edges scanned to show the rest still connected.  Only
+        a search past :data:`SPLIT_SEARCH_BUDGET`, or a piece that
+        hinged two parts, falls back to re-seeding the touched
+        components and sweeping the whole support; after failed
+        searches the next few deletion flushes fall back without one
+        (:data:`SPLIT_BACKOFF_CAP`).
         """
         if self._pending == 0:
             return
@@ -846,36 +1017,49 @@ class StreamEngine:
         with get_tracer().span("stream.flush", t=t, pending=self._pending,
                                log=self.log.name):
             live = self.log.support
-            touched = np.unique(np.concatenate(self._touched))
-            before = _sorted_member(self._support_at_refresh, touched)
-            after = _sorted_member(live, touched)
-            dropped = touched[before & ~after]
-            added = touched[after & ~before]
+            keys, was, now = _net_delta(self._window)
+            changed = was != now
+            if changed.any():
+                lag = self._rev_lag
+                lag.append((keys[changed], was[changed], now[changed]))
+                # Fold the newest steps while they outgrow the one before,
+                # so the lag stays a few steps long on any stream.
+                while len(lag) > 1 and lag[-1][0].size >= lag[-2][0].size:
+                    lag[-2:] = [_net_delta(lag[-2:])]
+            dropped = keys[was & ~now]
+            added = keys[now & ~was]
+            # Only deletions read the in-edge order, so insert-only
+            # flushes leave it stale and the next deletion merges the
+            # whole lag in one step.
+            rev = self._in_edge_order() if dropped.size else None
             # BFS/CC see only the edge *support*, so incremental
             # refreshes work from the added/dropped support delta and
             # the distinct-key arrays; the multiset snapshot Graph is
             # materialised lazily, only when some algorithm rebuilds.
-            rev = self._live_rev
             snapshot: Graph | None = None
             for name in self.algorithms:
                 previous = self._values.get(name)
                 values = None
                 if previous is not None and name == "cc":
-                    if dropped.size:
+                    values = self._try_cc_split(
+                        previous, dropped, added, live, rev) \
+                        if dropped.size else previous
+                    if values is None:
                         values = _cc_refixpoint(
                             _cc_delete_seed(previous, dropped),
                             _RelaxEdges(live, rev))
                     else:
-                        values = _cc_union(previous, added)
+                        values = _cc_union(values, added)
                 elif previous is not None and name == "bfs":
-                    values, orphans = _bfs_delete_repair(
-                        previous, dropped, live, rev)
-                    rows, _ = _segment_rows(rev, orphans)
-                    values = _bfs_push(
-                        values,
-                        np.concatenate([added >> 32, rev[rows] & 0xFFFFFFFF]),
-                        np.concatenate([added & 0xFFFFFFFF, rev[rows] >> 32]),
-                        live)
+                    src, dst = added >> 32, added & 0xFFFFFFFF
+                    values = previous
+                    if dropped.size:
+                        values, orphans = _bfs_delete_repair(
+                            previous, dropped, live, rev)
+                        rows, _ = _segment_rows(rev, orphans)
+                        src = np.concatenate([src, rev[rows] & 0xFFFFFFFF])
+                        dst = np.concatenate([dst, rev[rows] >> 32])
+                    values = _bfs_push(values, src, dst, live)
                 if values is not None:
                     self.stats.incremental_refreshes += 1
                 else:
@@ -892,8 +1076,39 @@ class StreamEngine:
         get_metrics().counter(STALENESS_FLUSHES).add(1)
         self._values_time = t
         self._pending = 0
-        self._support_at_refresh = self.log.support
-        self._touched = []
+        self._window = []
+
+    def _try_cc_split(self, values: np.ndarray, dropped: np.ndarray,
+                      added: np.ndarray, keys: np.ndarray,
+                      rev: np.ndarray) -> np.ndarray | None:
+        """:func:`_cc_split`, skipped (``None``) while backing off after
+        failed searches."""
+        if self._split_skip:
+            self._split_skip -= 1
+            return None
+        labels = _cc_split(values, dropped, added, keys, rev)
+        self._split_misses = 0 if labels is not None \
+            else self._split_misses + 1
+        self._split_skip = (1 << min(self._split_misses,
+                                     SPLIT_BACKOFF_CAP)) - 1
+        return labels
+
+    def _in_edge_order(self) -> np.ndarray:
+        """The support in ``(dst, src)`` order: the keys born or gone
+        since the last call are merged in one step."""
+        if not self._rev_lag:
+            return self._rev
+        keys, was, now = _net_delta(self._rev_lag)
+        self._rev_lag = []
+        rev = self._rev
+        gone = np.sort(_swap_words(keys[was & ~now]))
+        if gone.size:
+            rev = np.delete(rev, np.searchsorted(rev, gone))
+        born = np.sort(_swap_words(keys[now & ~was]))
+        if born.size:
+            rev = np.insert(rev, np.searchsorted(rev, born), born)
+        self._rev = rev
+        return rev
 
     # --- queries ---------------------------------------------------------
 

@@ -36,7 +36,7 @@ from repro.dynamic import (
 from repro.dynamic import stream
 from repro.errors import ConfigError, StreamError
 from repro.experiments import temporal
-from repro.graph import rmat
+from repro.graph import Graph, rmat
 from repro.perf.cache import temporary_run_cache
 
 from .conftest import seeded_rng
@@ -380,6 +380,15 @@ class TestIncrementalFlush:
         assert engine.stats.rebuilds == rebuilds
 
 
+def _never_sweep(monkeypatch):
+    """Make any whole-support CC sweep raise."""
+    def whole_support(*args):
+        raise AssertionError("whole-support CC sweep")
+
+    monkeypatch.setattr(stream, "_RelaxEdges", whole_support)
+    monkeypatch.setattr(stream, "_cc_refixpoint", whole_support)
+
+
 def _grown(engine, edges):
     """Ingest ``edges`` as adds and return the previous and the
     refreshed CC labels."""
@@ -451,18 +460,157 @@ class TestCCGrowth:
 
     def test_growth_never_sweeps_the_support(self, monkeypatch):
         engine = _seeded_engine(12, _path(5) + [(6, 7), (8, 9)])
-
-        def whole_support(*args):
-            raise AssertionError("whole-support CC sweep")
-
-        monkeypatch.setattr(stream, "_RelaxEdges", whole_support)
-        monkeypatch.setattr(stream, "_cc_refixpoint", whole_support)
+        _never_sweep(monkeypatch)
         _grown(engine, [(4, 6), (9, 7), (11, 10)])
         _assert_matches_rebuild(engine)
-        # The patch is live: a deletion flush still sweeps.
-        engine.ingest([("del", 0, 1)])
+        # The patch is live: dropping both edges of the hinge 4, which
+        # joins the halves {0..3} and {6..9}, leaves {4} ending on two
+        # vertices, so the flush still sweeps.
+        engine.ingest([("del", 3, 4), ("del", 4, 6)])
         with pytest.raises(AssertionError, match="whole-support"):
             engine.query("cc")
+
+
+def _pin_split_to_reseed(monkeypatch) -> list[bool]:
+    """Check every labelling the deletion search finds against the
+    re-seed fallback; returns the list of which path each flush took."""
+    split = stream._cc_split
+    taken = []
+
+    def pinned(values, dropped, added, keys, rev):
+        labels = split(values, dropped, added, keys, rev)
+        if labels is not None:
+            reseed = stream._cc_refixpoint(
+                stream._cc_delete_seed(values, dropped),
+                stream._RelaxEdges(keys, rev))
+            assert np.array_equal(stream._cc_union(labels, added), reseed)
+        taken.append(labels is not None)
+        return labels
+
+    monkeypatch.setattr(stream, "_cc_split", pinned)
+    return taken
+
+
+class TestDeletionFlush:
+    """Deletion flushes refresh CC by searches sized to what split off,
+    and only they bring the in-edge order up to date."""
+
+    def test_insert_only_flush_never_rebuilds_the_in_edge_order(
+            self, monkeypatch):
+        engine = _seeded_engine(8, _path(6))
+
+        def rebuild(self):
+            raise AssertionError("in-edge order rebuilt")
+
+        monkeypatch.setattr(StreamEngine, "_in_edge_order", rebuild)
+        for batch in ([(0, 6)], [(6, 7), (2, 0)]):
+            _grown(engine, batch)
+            _assert_matches_rebuild(engine)
+        # The patch is live: the first deletion flush merges the lag.
+        engine.ingest([("del", 0, 1)])
+        with pytest.raises(AssertionError, match="in-edge order"):
+            engine.query("cc")
+
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    def test_in_edge_order_catches_up_with_the_support(self, k):
+        base = rmat(24, 60, seed=5, name="lag")
+        log = generate_update_log(base, 150, seed=5, delete_fraction=0.45)
+        events = log.to_arrays()
+        engine = StreamEngine(base.num_vertices, algorithms=("cc",), k=k)
+        for lo in range(0, len(events), 23):
+            engine.ingest(events[lo:lo + 23])
+            engine.flush()
+            expected = np.sort(stream._swap_words(engine.log.support))
+            assert np.array_equal(engine._in_edge_order(), expected)
+
+    def test_non_bridge_deletion_does_not_sweep(self, monkeypatch):
+        # A cycle with a chord: neither dropped edge is a bridge.
+        engine = _seeded_engine(9, _path(8) + [(7, 0), (2, 5)])
+        previous = engine.query("cc")
+        _never_sweep(monkeypatch)
+        engine.ingest([("del", 3, 4), ("del", 2, 5), ("add", 8, 8)])
+        _assert_matches_rebuild(engine)
+        assert engine.query("cc") is previous
+
+    @pytest.mark.parametrize("dropped, expected", [
+        # the reverse edge keeps 4 attached
+        ([(3, 4)], [0, 0, 0, 0, 0, 5]),
+        # the leaf {4} splits off; both its edges end on 3
+        ([(3, 4), (4, 3)], [0, 0, 0, 0, 4, 5]),
+        # the leaf {0} held the old minimum label
+        ([(0, 1)], [0, 1, 1, 1, 1, 5]),
+        # a three-vertex piece splits off
+        ([(1, 2)], [0, 0, 2, 2, 2, 5]),
+        # two leaves at once, one with the minimum
+        ([(0, 1), (4, 3), (3, 4)], [0, 1, 1, 1, 4, 5]),
+    ])
+    def test_leaf_split_does_not_sweep(self, monkeypatch, dropped, expected):
+        engine = _seeded_engine(6, _path(5) + [(4, 3)])
+        _never_sweep(monkeypatch)
+        engine.ingest([("del", s, d) for s, d in dropped])
+        _assert_matches_rebuild(engine)
+        assert engine.query("cc").tolist() == expected
+
+    def test_failed_search_backs_off(self, monkeypatch):
+        engine = _seeded_engine(12, _path(11))
+        taken = _pin_split_to_reseed(monkeypatch)
+        # Dropping both edges of the hinge 5 fails the search, so the
+        # next deletion flush goes straight to the fallback and the one
+        # after searches again.
+        for dropped in ([(4, 5), (5, 6)], [(0, 1)], [(9, 10)]):
+            engine.ingest([("del", s, d) for s, d in dropped])
+            _assert_matches_rebuild(engine)
+        assert taken == [False, True]
+        assert engine.query("cc").tolist() == [0, 1, 1, 1, 1, 5, 6, 6, 6,
+                                               6, 10, 11]
+
+    def test_split_then_growth_in_one_flush(self, monkeypatch):
+        engine = _seeded_engine(7, _path(5) + [(5, 6)])
+        _never_sweep(monkeypatch)
+        # {0} splits off and takes the minimum with it, then (0, 6)
+        # merges it with {5, 6}.
+        engine.ingest([("del", 0, 1), ("add", 0, 6)])
+        _assert_matches_rebuild(engine)
+        assert engine.query("cc").tolist() == [0, 1, 1, 1, 1, 0, 0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_deletion_heavy_logs_match_rebuild(self, data):
+        n = data.draw(st.integers(2, 12), label="n")
+        vertex = st.integers(0, n - 1)
+        base = data.draw(st.lists(st.tuples(vertex, vertex),
+                                  max_size=3 * n), label="base")
+        graph = Graph(n, [s for s, _ in base], [d for _, d in base])
+        log = generate_update_log(
+            graph, data.draw(st.integers(1, 80), label="updates"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+            delete_fraction=data.draw(st.floats(0.4, 0.8), label="fraction"))
+        events = log.to_arrays()
+        engine = StreamEngine(n, algorithms=("cc", "bfs"),
+                              k=data.draw(st.integers(1, 16), label="k"))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _pin_split_to_reseed(monkeypatch)
+            done = 0
+            while done < len(events):
+                step = data.draw(st.integers(1, 12), label="chunk")
+                engine.ingest(events[done:done + step])
+                done += step
+                # A query mid-window forces a flush of a partial window.
+                if data.draw(st.booleans(), label="query"):
+                    _assert_matches_rebuild(engine)
+            _assert_matches_rebuild(engine)
+
+    def test_seeded_churn_takes_the_search_path(self, monkeypatch):
+        base = rmat(60, 240, seed=3, name="churn")
+        log = generate_update_log(base, 600, seed=3, delete_fraction=0.45)
+        taken = _pin_split_to_reseed(monkeypatch)
+        engine = StreamEngine(base.num_vertices, algorithms=("cc", "bfs"),
+                              k=20)
+        events = log.to_arrays()
+        for lo in range(0, len(events), 20):
+            engine.ingest(events[lo:lo + 20])
+            _assert_matches_rebuild(engine)
+        assert sum(taken) >= 0.9 * len(taken) > 0
 
 
 class TestMeasureStream:
