@@ -90,6 +90,14 @@ _GRAPHR_COUNTS_INT_FIELDS = frozenset(
 )
 
 
+def _graphr_counts_from_record(record: dict) -> GraphRCounts:
+    return GraphRCounts(**{
+        f.name: (int(record[f.name])
+                 if f.name in _GRAPHR_COUNTS_INT_FIELDS
+                 else float(record[f.name]))
+        for f in dataclasses.fields(GraphRCounts)})
+
+
 class GraphRMachine:
     """Trace-driven model of GraphR built from Section 6's equations."""
 
@@ -162,16 +170,8 @@ class GraphRMachine:
                 self._compute_counts(algorithm, run, workload)
             )
 
-        record = get_run_cache().get_or_counts(key, compute)
-        kwargs = {}
-        for f in dataclasses.fields(GraphRCounts):
-            value = record[f.name]
-            kwargs[f.name] = (
-                int(value)
-                if f.name in _GRAPHR_COUNTS_INT_FIELDS
-                else float(value)
-            )
-        return GraphRCounts(**kwargs)
+        return get_run_cache().get_or_counts(key, compute,
+                                             _graphr_counts_from_record)
 
     # --- main entry -----------------------------------------------------
 

@@ -154,26 +154,22 @@ def scheduled_counts(
     run: AlgorithmRun,
     workload: Workload,
     config: HyVEConfig,
-    key: str | None = None,
 ) -> ScheduleCounts:
     """Memoized :meth:`ScheduleCounts.compute`.
 
-    Keyed on :func:`counts_cache_key` (``key``, when the caller already
-    built it) in the two-level run cache, so a device-knob sweep — or a
-    fresh process pricing the same schedule — expands Equations (3)-(8)
-    once.  The stored record round-trips every field exactly (JSON ints
-    and shortest-round-trip floats), so a cache hit folds
-    bit-identically to a fresh computation.
+    Keyed on :func:`counts_cache_key` in the two-level run cache, so a
+    device-knob sweep — or a fresh process pricing the same schedule —
+    expands Equations (3)-(8) once.  The stored record round-trips
+    every field exactly (JSON ints and shortest-round-trip floats), so
+    a cache hit folds bit-identically to a fresh computation.
     """
-    if key is None:
-        key = counts_cache_key(run, workload, config)
+    key = counts_cache_key(run, workload, config)
 
     def compute() -> dict:
         counts = ScheduleCounts.compute(run, workload, config)
         return dataclasses.asdict(counts)
 
-    record = get_run_cache().get_or_counts(key, compute)
-    return _counts_from_record(record)
+    return get_run_cache().get_or_counts(key, compute, _counts_from_record)
 
 
 def group_by_counts_key(
@@ -240,14 +236,23 @@ def _price_groups(
     ):
         with tracer.span("algorithm.converge", algorithm=algorithm.name):
             run = run_cached(algorithm, workload.graph)
-        # One counts record per group; the kernel gathers them per config.
-        # Checking a group's first config of each shape checks them all.
+        # One counts record per group, all looked up in one batched
+        # read; the kernel gathers them per config.  Checking a group's
+        # first config of each shape checks them all.
+        groups = _counts_groups(run, workload, configs)
+
+        def compute(key: str) -> dict:
+            config = groups[key][1][0]
+            return dataclasses.asdict(
+                ScheduleCounts.compute(run, workload, config))
+
+        with tracer.span("schedule.counts"):
+            records = get_run_cache().get_or_counts_many(
+                groups, compute, _counts_from_record)
         table: list[ScheduleCounts] = []
         group = np.empty(len(configs), dtype=np.intp)
-        groups = _counts_groups(run, workload, configs)
         for key, (indices, shapes) in groups.items():
-            with tracer.span("schedule.counts"):
-                counts = scheduled_counts(run, workload, shapes[0], key)
+            counts = records[key]
             _check_grid_config(shapes, counts)
             group[indices] = len(table)
             table.append(counts)

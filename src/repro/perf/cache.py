@@ -41,6 +41,7 @@ import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -70,6 +71,7 @@ def _observe_counts_lookup(hit: bool) -> None:
     name = (obs_metrics.COUNTS_CACHE_HITS if hit
             else obs_metrics.COUNTS_CACHE_MISSES)
     metrics.counter(name).add(1)
+
 
 #: Code-version salt baked into every cache key.  Bump when the
 #: executor or an algorithm changes in a result-affecting way.
@@ -252,6 +254,19 @@ class RunCache:
             self.stats.errors += 1
             return None
 
+    def _disk_get_many(self, keys: list[str]) -> dict[str, bytes]:
+        """:meth:`_disk_get` for many keys in one store round-trip; a
+        misbehaving disk counts one error per key, as per-key reads
+        would."""
+        store = self._disk()
+        if store is None:
+            return {}
+        try:
+            return store.get_many(keys)
+        except _STORE_ERRORS:
+            self.stats.errors += len(keys)
+            return {}
+
     def _disk_put(self, key: str, payload: bytes, kind: str) -> bool:
         store = self._disk()
         if store is None:
@@ -429,58 +444,82 @@ class RunCache:
         self._remember(key, value)
         return value
 
-    def get_or_counts(self, counts_key: str, compute) -> dict:
-        """Cached schedule-counts record (the Equations (3)-(8) expansion).
+    def get_or_counts(self, counts_key: str, compute, parse):
+        """One cached schedule-counts record: :meth:`get_or_counts_many`
+        of one key, with a ``compute()`` that takes no argument."""
+        return self.get_or_counts_many(
+            [counts_key], lambda _: compute(), parse)[counts_key]
 
-        ``counts_key`` is the *content* key assembled by
+    def get_or_counts_many(self, counts_keys: Iterable[str], compute,
+                           parse) -> dict:
+        """Cached schedule-counts records (the Equations (3)-(8)
+        expansion), keyed by counts key.
+
+        A ``counts_key`` is the *content* key assembled by
         :func:`repro.perf.batch.counts_cache_key` — graph fingerprint,
         algorithm signature, partition count P, PU count N, the
         data-sharing/on-chip/placement flags and the workload scale.
-        ``compute`` returns a JSON-ready dict of the
-        :class:`~repro.arch.scheduler.ScheduleCounts` fields; JSON
-        round-trips every int and float exactly, so a disk hit prices
-        bit-identically to a fresh computation.
+        ``compute(counts_key)`` returns a JSON-ready dict of the counts
+        fields; JSON round-trips every int and float exactly, so a disk
+        hit prices bit-identically to a fresh computation.  ``parse``
+        turns a record into the value returned and remembered (a
+        :class:`~repro.arch.scheduler.ScheduleCounts`, or GraphR's
+        counts); a stored record it rejects with ``KeyError``,
+        ``ValueError`` or ``TypeError`` is counted as an error,
+        recomputed and overwritten.
 
-        Sweeps over device knobs (density, BPG timeout, cell bits, SRAM
-        technology) share one entry per counts key, which is the whole
-        point: simulate once, price many.
+        Memory hits are served first; every other key comes from one
+        batched store read (:meth:`SQLiteStore.get_many`), and the keys
+        still missing are computed and stored one by one.  Sweeps over
+        device knobs (density, BPG timeout, cell bits, SRAM technology)
+        share one entry per counts key, which is the whole point:
+        simulate once, price many.
         """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(counts_key.encode())
-        h.update(b"|")
-        h.update(self.salt.encode())
-        key = "counts-" + h.hexdigest()
-        hit = self._memory.get(key)
-        if hit is not None:
-            self._memory.move_to_end(key)
-            self.stats.counts_memory_hits += 1
-            _observe_counts_lookup(hit=True)
-            return hit
-        payload = self._disk_get(key)
-        if payload is not None:
-            try:
-                record = json.loads(payload.decode("utf-8"))["counts"]
-                if not isinstance(record, dict):
-                    raise ValueError("counts entry is not a record")
-                self.stats.counts_disk_hits += 1
-                self.stats.bytes_read += len(payload)
+        found = {}
+        pending: dict[str, str] = {}  # store key -> counts key
+        for counts_key in dict.fromkeys(counts_keys):
+            h = hashlib.blake2b(digest_size=16)
+            h.update(counts_key.encode())
+            h.update(b"|")
+            h.update(self.salt.encode())
+            key = "counts-" + h.hexdigest()
+            hit = self._memory.get(key)
+            if hit is not None:
+                self._memory.move_to_end(key)
+                self.stats.counts_memory_hits += 1
                 _observe_counts_lookup(hit=True)
-                self._remember(key, record)
-                return record
-            except (ValueError, KeyError, UnicodeDecodeError,
-                    json.JSONDecodeError):
-                self.stats.errors += 1
-        self.stats.counts_misses += 1
-        _observe_counts_lookup(hit=False)
-        record = compute()
-        blob = json.dumps(
-            {"key": counts_key, "salt": self.salt, "counts": record}
-        ).encode("utf-8")
-        if self._disk_put(key, blob, kind="counts"):
-            self.stats.counts_stores += 1
-            self.stats.bytes_written += len(blob)
-        self._remember(key, record)
-        return record
+                found[counts_key] = hit
+            else:
+                pending[key] = counts_key
+        payloads = self._disk_get_many(list(pending)) if pending else {}
+        for key, counts_key in pending.items():
+            payload = payloads.get(key)
+            if payload is not None:
+                try:
+                    value = parse(
+                        json.loads(payload.decode("utf-8"))["counts"])
+                except (ValueError, KeyError, TypeError,
+                        UnicodeDecodeError):
+                    self.stats.errors += 1
+                else:
+                    self.stats.counts_disk_hits += 1
+                    self.stats.bytes_read += len(payload)
+                    _observe_counts_lookup(hit=True)
+                    self._remember(key, value)
+                    found[counts_key] = value
+                    continue
+            self.stats.counts_misses += 1
+            _observe_counts_lookup(hit=False)
+            record = compute(counts_key)
+            blob = json.dumps(
+                {"key": counts_key, "salt": self.salt, "counts": record}
+            ).encode("utf-8")
+            if self._disk_put(key, blob, kind="counts"):
+                self.stats.counts_stores += 1
+                self.stats.bytes_written += len(blob)
+            value = found[counts_key] = parse(record)
+            self._remember(key, value)
+        return found
 
     def _remember(self, key: str, run) -> None:
         self._memory[key] = run

@@ -44,6 +44,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from ..errors import StoreError
 from ..obs import metrics as obs_metrics
@@ -63,6 +64,10 @@ BUSY_TIMEOUT_MS = 5_000
 #: exponential backoff (the second line of defence).
 BUSY_RETRIES = 5
 BUSY_BACKOFF_S = 0.01
+
+#: Keys per ``SELECT … IN (…)`` of a batched read, under SQLite's
+#: host-parameter limit (999 before SQLite 3.32).
+_READ_CHUNK = 500
 
 _ENTRY_COLUMNS = (
     "key", "kind", "payload", "checksum", "size",
@@ -245,33 +250,51 @@ class SQLiteStore:
     # --- entry operations -------------------------------------------------
 
     def get(self, key: str) -> bytes | None:
-        """Fetch one payload, verifying its checksum.
+        """Fetch one payload (:meth:`get_many` of one key)."""
+        return self.get_many([key]).get(key)
 
-        A checksum mismatch quarantines the entry and returns ``None``
-        (the caller recomputes), so a corrupt store degrades to a cold
-        one instead of propagating bad data.
+    def get_many(self, keys: Iterable[str]) -> dict[str, bytes]:
+        """Fetch every stored payload among ``keys``, verifying each
+        checksum: one SELECT per :data:`_READ_CHUNK` keys, then one
+        recency touch and one commit for all the keys served.
+
+        Absent keys are left out of the result.  A checksum mismatch
+        quarantines that row alone and leaves it out (the caller
+        recomputes), so a corrupt store degrades to a cold one instead
+        of propagating bad data.
         """
+        keys = list(keys)
+        if not keys:
+            return {}
         chaos = _chaos()
         if chaos is not None:
             chaos.io_delay()
+        found: dict[str, bytes] = {}
         with self._lock:
             conn = self._connection()
-            row = self._with_retry(lambda: conn.execute(
-                "SELECT payload, checksum, kind FROM entries WHERE key=?",
-                (key,),
-            ).fetchone())
-            if row is None:
-                return None
-            payload = bytes(row[0])
-            if payload_checksum(payload) != row[1]:
-                self._quarantine(key, row[2], payload, row[1],
-                                 reason="checksum mismatch on read")
-                return None
+            rows = []
+            for start in range(0, len(keys), _READ_CHUNK):
+                chunk = keys[start:start + _READ_CHUNK]
+                rows += self._with_retry(lambda: conn.execute(
+                    "SELECT key, payload, checksum, kind FROM entries "
+                    f"WHERE key IN ({', '.join('?' * len(chunk))})",
+                    chunk,
+                ).fetchall())
+            for key, payload, checksum, kind in rows:
+                payload = bytes(payload)
+                if payload_checksum(payload) == checksum:
+                    found[key] = payload
+                else:
+                    self._quarantine(key, kind, payload, checksum,
+                                     reason="checksum mismatch on read")
+            if not found:
+                return found
+            now = time.time()
 
             def touch() -> None:
-                conn.execute(
+                conn.executemany(
                     "UPDATE entries SET last_used_at=? WHERE key=?",
-                    (time.time(), key),
+                    [(now, key) for key in found],
                 )
                 conn.commit()
 
@@ -281,7 +304,7 @@ class SQLiteStore:
                 self._with_retry(touch)
             except sqlite3.OperationalError:
                 pass
-            return payload
+        return found
 
     def put(
         self,

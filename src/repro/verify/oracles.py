@@ -52,7 +52,7 @@ from ..errors import VerificationError
 from ..faults import FaultProfile
 from ..faults.chaos import ChaosProfile, chaos_context
 from ..perf.batch import run_grid, scheduled_counts
-from ..perf.cache import temporary_run_cache
+from ..perf.cache import get_run_cache, temporary_run_cache
 from .cases import Case
 
 #: Algorithms whose executors are bit-identical everywhere (min-based
@@ -392,11 +392,22 @@ def chaos_recovery(case: Case) -> None:
     graph = case.graph()
     workload = case.workload(graph)
     config = case.config()
+    # Three distinct counts keys, read by the grid in one batched store
+    # read that may meet torn or bit-flipped rows.
+    grid = [
+        config,
+        dataclasses.replace(config, label=f"{config.label}/2x-pus",
+                            num_pus=2 * config.num_pus),
+        dataclasses.replace(config, label=f"{config.label}/hash-flipped",
+                            hash_placement=not config.hash_placement),
+    ]
 
     def evaluate():
-        return AcceleratorMachine(config).run(
+        single = AcceleratorMachine(config).run(
             case.make_algorithm(graph), workload
         )
+        get_run_cache().clear(disk=False)
+        return single, run_grid(case.make_algorithm(graph), workload, grid)
 
     with tempfile.TemporaryDirectory() as clean_dir:
         with temporary_run_cache(clean_dir):
@@ -414,12 +425,19 @@ def chaos_recovery(case: Case) -> None:
             # Chaos off: recovery against whatever damage remains.
             cache.clear(disk=False)
             recovered = evaluate()
-    for context, result in (("chaos cold run", cold),
-                            ("chaos warm run", warm),
-                            ("post-chaos recovery run", recovered)):
-        assert_reports_identical(baseline.report, result.report, context)
-        assert_values_match(case, baseline.run.values,
-                            result.run.values, f"{context} values")
+    clean_single, clean_grid = baseline
+    for context, (single, gridded) in (("chaos cold run", cold),
+                                       ("chaos warm run", warm),
+                                       ("post-chaos recovery run",
+                                        recovered)):
+        assert_reports_identical(clean_single.report, single.report,
+                                 context)
+        assert_values_match(case, clean_single.run.values,
+                            single.run.values, f"{context} values")
+        for want, got in zip(clean_grid, gridded):
+            assert_reports_identical(
+                want.report, got.report,
+                f"{context} grid config {want.report.machine}")
 
 
 @oracle(

@@ -7,17 +7,23 @@ float — across machines, algorithms, workloads, fault profiles, and
 the sweep driver.
 """
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.algorithms import ConnectedComponents, PageRank
+from repro.algorithms.runner import run_cached
 from repro.arch.config import NAMED_CONFIGS, HyVEConfig, Workload
 from repro.arch.machine import AcceleratorMachine, fold_many
 from repro.arch.sweep import SweepPoint, points_to_csv, sweep
 from repro.errors import ConfigError
 from repro.faults import make_profile
+from repro.memory.powergate import PowerGatingPolicy
 from repro.perf.batch import (
     counts_cache_key,
     group_by_counts_key,
+    price_grid,
     run_grid,
     scheduled_counts,
 )
@@ -160,6 +166,135 @@ class TestCountsCache:
         # Both points share one key: at most one fresh expansion.
         assert cache.stats.counts_misses - misses <= 1
         assert "counts cache:" in cache.stats.counts_summary()
+
+
+@pytest.fixture
+def disk_cache(tmp_path):
+    """A fresh disk-backed process-wide cache for one test."""
+    previous = get_run_cache()
+    cache = RunCache(directory=tmp_path / "cache")
+    set_run_cache(cache)
+    yield cache
+    set_run_cache(previous)
+
+
+def _three_key_grid() -> list[HyVEConfig]:
+    """Four configs over three counts keys: PU count and hash placement
+    change the schedule, the BPG timeout only the pricing."""
+    return [
+        HyVEConfig(label="n8"),
+        HyVEConfig(num_pus=4, label="n4"),
+        HyVEConfig(hash_placement=False, label="n8-no-hash"),
+        HyVEConfig(power_gating=PowerGatingPolicy(idle_timeout=5e-6),
+                   label="n8-5us"),
+    ]
+
+
+def _rewarm_run(cache, workload) -> None:
+    """Drop the memory level, then reload the converged run, so the next
+    grid reads nothing but its counts from the store."""
+    cache.clear(disk=False)
+    run_cached(PageRank(), workload.graph)
+
+
+class TestBatchedCountsRead:
+    def test_warm_grid_reads_store_once(self, workloads, disk_cache):
+        workload = workloads["small"]
+        configs = _three_key_grid()
+        run = run_cached(PageRank(), workload.graph)
+        assert len(group_by_counts_key(run, workload, configs)) == 3
+        price_grid(PageRank(), workload, configs)
+        _rewarm_run(disk_cache, workload)
+        conn = disk_cache._disk()._connection()
+        statements: list[str] = []
+        conn.set_trace_callback(statements.append)
+        try:
+            price_grid(PageRank(), workload, configs)
+        finally:
+            conn.set_trace_callback(None)
+        selects = [s for s in statements
+                   if s.startswith("SELECT") and "FROM entries" in s]
+        assert len(selects) == 1
+        assert statements.count("COMMIT") == 1
+        assert disk_cache.stats.counts_disk_hits == 3
+
+    def test_empty_grid_touches_no_store(self, workloads, disk_cache):
+        conn = disk_cache._disk()._connection()
+        statements: list[str] = []
+        conn.set_trace_callback(statements.append)
+        try:
+            price_grid(PageRank(), workloads["small"], [])
+        finally:
+            conn.set_trace_callback(None)
+        assert statements == []
+
+    def test_corrupt_row_in_batch(self, workloads, disk_cache, tmp_path):
+        from repro.obs import metrics as obs_metrics
+
+        workload = workloads["small"]
+        configs = _three_key_grid()
+        set_run_cache(RunCache(directory=tmp_path / "clean"))
+        clean = run_grid(PageRank(), workload, configs)
+        set_run_cache(disk_cache)
+        run_grid(PageRank(), workload, configs)
+        store = disk_cache._disk()
+        keys = store.keys(kind="counts")
+        assert len(keys) == 3
+        conn = store._connection()
+        conn.execute("UPDATE entries SET last_used_at=0")
+        conn.commit()
+        assert store.corrupt_bit(keys[1], 77)
+        _rewarm_run(disk_cache, workload)
+        registry = obs_metrics.get_metrics()
+        quarantined = registry.counter(obs_metrics.STORE_QUARANTINED).value
+        stats = dataclasses.replace(disk_cache.stats)
+
+        results = run_grid(PageRank(), workload, configs)
+
+        assert store.quarantine_count() == 1
+        assert (registry.counter(obs_metrics.STORE_QUARANTINED).value
+                == quarantined + 1)
+        assert disk_cache.stats.counts_disk_hits == stats.counts_disk_hits + 2
+        assert disk_cache.stats.counts_misses == stats.counts_misses + 1
+        used = dict(conn.execute(
+            "SELECT key, last_used_at FROM entries WHERE kind='counts'"))
+        # Served rows were touched; the quarantined one was recomputed.
+        assert set(used) == set(keys)
+        assert all(stamp > 0 for stamp in used.values())
+        for got, want in zip(results, clean):
+            _assert_reports_identical(got.report, want.report)
+
+    @pytest.mark.parametrize("damage", ["missing-field", "non-numeric"])
+    def test_unparseable_record_is_recomputed(self, workloads, disk_cache,
+                                              damage):
+        workload = workloads["small"]
+        config = HyVEConfig()
+        [expected] = run_grid(PageRank(), workload, [config])
+        store = disk_cache._disk()
+        [key] = store.keys(kind="counts")
+        entry = json.loads(store.get(key))
+        if damage == "missing-field":
+            del entry["counts"]["imbalance"]
+        else:
+            entry["counts"] = dict.fromkeys(entry["counts"], "x")
+        # A well-formed, checksummed entry that is not a ScheduleCounts.
+        store.put(key, json.dumps(entry).encode(), kind="counts")
+        _rewarm_run(disk_cache, workload)
+        stats = dataclasses.replace(disk_cache.stats)
+
+        [result] = run_grid(PageRank(), workload, [config])
+
+        _assert_reports_identical(result.report, expected.report)
+        assert disk_cache.stats.errors == stats.errors + 1
+        assert disk_cache.stats.counts_misses == stats.counts_misses + 1
+        assert disk_cache.stats.counts_disk_hits == stats.counts_disk_hits
+        # The bad entry was overwritten with the recomputed record.
+        disk_cache.clear(disk=False)
+        again = scheduled_counts(run_cached(PageRank(), workload.graph),
+                                 workload, config)
+        assert disk_cache.stats.counts_disk_hits == 1
+        assert json.loads(store.get(key))["counts"] == dataclasses.asdict(
+            again)
 
 
 class TestBatchedSweep:

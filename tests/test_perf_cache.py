@@ -186,6 +186,50 @@ class TestScalarStore:
         assert cache.get_or_scalar("b", graph, lambda: 2.0) == 2.0
 
 
+class TestCountsStore:
+    def test_batched_lookup_counts_each_key(self, tmp_path):
+        """A batch of memory hits, disk hits and misses counts each key
+        as a one-key lookup would."""
+        from repro.obs import metrics as obs_metrics
+
+        writer = RunCache(directory=tmp_path / "store")
+        writer.get_or_counts("a", lambda: {"v": 1}, dict)
+        writer.get_or_counts("b", lambda: {"v": 2}, dict)
+        cache = RunCache(directory=tmp_path / "store")
+        assert cache.get_or_counts("a", lambda: {"v": -1}, dict) == {"v": 1}
+        registry = obs_metrics.get_metrics()
+        hits = registry.counter(obs_metrics.COUNTS_CACHE_HITS).value
+        misses = registry.counter(obs_metrics.COUNTS_CACHE_MISSES).value
+        got = cache.get_or_counts_many(["a", "b", "c", "b"],
+                                       lambda key: {"v": key}, dict)
+        assert got == {"a": {"v": 1}, "b": {"v": 2}, "c": {"v": "c"}}
+        stats = cache.stats
+        assert stats.counts_memory_hits == 1
+        assert stats.counts_disk_hits == 2
+        assert stats.counts_misses == 1
+        assert stats.counts_stores == 1
+        assert stats.errors == 0
+        assert (registry.counter(obs_metrics.COUNTS_CACHE_HITS).value
+                == hits + 2)
+        assert (registry.counter(obs_metrics.COUNTS_CACHE_MISSES).value
+                == misses + 1)
+
+    def test_rejected_record_is_recomputed_and_overwritten(self, tmp_path):
+        writer = RunCache(directory=tmp_path / "store")
+        writer.get_or_counts("a", lambda: {"v": "not a number"}, dict)
+
+        def parse(record):
+            return int(record["v"])
+
+        cache = RunCache(directory=tmp_path / "store")
+        assert cache.get_or_counts("a", lambda: {"v": 3}, parse) == 3
+        assert cache.stats.errors == 1
+        assert cache.stats.counts_misses == 1
+        reader = RunCache(directory=tmp_path / "store")
+        assert reader.get_or_counts("a", lambda: {"v": -1}, parse) == 3
+        assert reader.stats.counts_disk_hits == 1
+
+
 class TestVertexCentricEntries:
     def test_round_trip_preserves_extra_counters(self, cache, graph):
         first = cache.get_or_run_vertex_centric(BFS(0), graph)

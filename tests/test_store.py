@@ -1,8 +1,8 @@
 """Unit tests for the crash-safe SQLite result store.
 
-Covers checksummed round-trips, quarantine-on-corruption, LRU size
-budgeting, provenance columns, verify/vacuum maintenance and the
-busy-retry loop.  The
+Covers checksummed round-trips, batched reads, quarantine-on-corruption,
+LRU size budgeting, provenance columns, verify/vacuum maintenance and
+the busy-retry loop.  The
 multi-process stress and kill-mid-write scenarios live in
 tests/test_store_stress.py and tests/test_crash_consistency.py.
 """
@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import StoreError
 from repro.obs import metrics as obs_metrics
+from repro.perf import store as store_module
 from repro.perf.store import SQLiteStore, payload_checksum
 
 
@@ -128,6 +129,80 @@ class TestQuarantine:
         assert row[2] == payload_checksum(b"b" * 32)
         assert row[2] != row[3]
         assert "checksum" in row[4]
+
+
+def _traced(store):
+    """Start recording every statement the store's connection runs."""
+    statements: list[str] = []
+    store._connection().set_trace_callback(statements.append)
+    return statements
+
+
+def _entry_selects(statements):
+    return [s for s in statements
+            if s.startswith("SELECT") and "FROM entries" in s]
+
+
+class TestBatchedRead:
+    def test_serves_present_keys_only(self, store):
+        store.put("a", b"one", kind="run")
+        store.put("b", b"two", kind="counts")
+        got = store.get_many(["a", "missing", "b", "a"])
+        assert got == {"a": b"one", "b": b"two"}
+
+    def test_empty_batch_touches_nothing(self, store):
+        statements = _traced(store)
+        assert store.get_many([]) == {}
+        assert statements == []
+
+    def test_one_select_and_one_commit(self, store):
+        for key in "abc":
+            store.put(key, key.encode() * 8, kind="counts")
+        conn = store._connection()
+        conn.execute("UPDATE entries SET last_used_at=0")
+        conn.commit()
+        statements = _traced(store)
+        assert len(store.get_many(["a", "b", "c", "x"])) == 3
+        conn.set_trace_callback(None)
+        assert len(_entry_selects(statements)) == 1
+        assert statements.count("COMMIT") == 1
+        used = conn.execute("SELECT MIN(last_used_at) FROM entries")
+        assert used.fetchone()[0] > 0
+
+    def test_more_keys_than_one_chunk(self, store):
+        keys = [f"k{i:04d}" for i in range(store_module._READ_CHUNK + 7)]
+        conn = store._connection()
+        conn.executemany(
+            "INSERT INTO entries (key, kind, payload, checksum, size, "
+            "salt, seed, created_at, last_used_at) "
+            "VALUES (?, 'run', ?, ?, ?, '', NULL, 0, 0)",
+            [(k, k.encode(), payload_checksum(k.encode()), len(k))
+             for k in keys],
+        )
+        conn.commit()
+        statements = _traced(store)
+        assert store.get_many(keys) == {k: k.encode() for k in keys}
+        conn.set_trace_callback(None)
+        assert len(_entry_selects(statements)) == 2
+        assert statements.count("COMMIT") == 1
+
+    def test_corrupt_row_quarantined_alone(self, store):
+        for key in "abcd":
+            store.put(key, key.encode() * 32, kind="counts")
+        conn = store._connection()
+        conn.execute("UPDATE entries SET last_used_at=0")
+        conn.commit()
+        assert store.corrupt_bit("c", 21)
+        registry = obs_metrics.get_metrics()
+        before = registry.counter(obs_metrics.STORE_QUARANTINED).value
+        got = store.get_many("abcd")
+        assert got == {key: key.encode() * 32 for key in "abd"}
+        assert store.quarantine_count() == 1
+        after = registry.counter(obs_metrics.STORE_QUARANTINED).value
+        assert after == before + 1
+        used = dict(conn.execute("SELECT key, last_used_at FROM entries"))
+        assert set(used) == set("abd")
+        assert all(stamp > 0 for stamp in used.values())
 
 
 class TestEviction:

@@ -4,7 +4,9 @@ Eight processes hammer one store concurrently — mixed readers, writers
 and a size-budgeted evictor — and the acceptance bar is *zero corrupted
 reads and zero deadlocks*: every ``get`` returns either ``None`` (miss
 or evicted) or the exact payload deterministically derived from the
-key.  Torn or interleaved data of any kind is a hard failure.
+key.  Half the reads are batched ``get_many`` calls over four keys,
+whose payloads are checked the same way.  Torn or interleaved data of
+any kind is a hard failure.
 """
 
 import multiprocessing
@@ -57,13 +59,22 @@ def _worker(worker_id: int, directory: str, queue) -> None:
                           seed=version)
                 writes += 1
             else:
-                payload = store.get(key)
-                reads += 1
-                if payload is not None:
-                    valid = any(payload == _payload_for(key, v)
-                                for v in range(3))
-                    if not valid:
+                if op % 2:
+                    payloads = {key: store.get(key)}
+                else:
+                    # A batched read of this key and its next three.
+                    batch = [f"key-{(int(key[4:]) + i) % KEYS}"
+                             for i in range(4)]
+                    payloads = store.get_many(batch)
+                    if set(payloads) - set(batch):
                         corrupt += 1
+                for read_key, payload in payloads.items():
+                    reads += 1
+                    if payload is not None:
+                        valid = any(payload == _payload_for(read_key, v)
+                                    for v in range(3))
+                        if not valid:
+                            corrupt += 1
         queue.put(("ok", worker_id, reads, writes, corrupt))
     except BaseException as exc:  # report, don't hang the parent
         queue.put(("error", worker_id, type(exc).__name__, str(exc), 1))
