@@ -17,14 +17,13 @@ treats it uniformly.  Like the HyVE machine, evaluation factors as
 simulate-once / price-many: :meth:`GraphRMachine.scheduled_counts`
 memoizes the Section 6 traffic quantities on a content key, and one
 kernel prices them in vectorized array passes — over a whole
-(algorithm x dataset) grid in :func:`graphr_fold_many`, over a single
-cell in :meth:`GraphRMachine.run`.  :func:`price_configs` prices one
+(algorithm x dataset) grid in :func:`run_many`, over a single cell in
+:meth:`GraphRMachine.run`.  :func:`price_configs` prices one
 cell on many configs (the tuner's GraphR space) with one counts lookup.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -82,20 +81,6 @@ class GraphRCounts:
     @property
     def nonempty_blocks(self) -> float:
         return self.edges_per_iter / self.navg
-
-
-#: Fields of :class:`GraphRCounts` declared ``int`` (JSON round-trip).
-_GRAPHR_COUNTS_INT_FIELDS = frozenset(
-    {"iterations", "vertex_bits", "edge_bits"}
-)
-
-
-def _graphr_counts_from_record(record: dict) -> GraphRCounts:
-    return GraphRCounts(**{
-        f.name: (int(record[f.name])
-                 if f.name in _GRAPHR_COUNTS_INT_FIELDS
-                 else float(record[f.name]))
-        for f in dataclasses.fields(GraphRCounts)})
 
 
 class GraphRMachine:
@@ -163,15 +148,10 @@ class GraphRMachine:
         """
         from ..perf.cache import get_run_cache
 
-        key = self.counts_key(run, workload)
-
-        def compute() -> dict:
-            return dataclasses.asdict(
-                self._compute_counts(algorithm, run, workload)
-            )
-
-        return get_run_cache().get_or_counts(key, compute,
-                                             _graphr_counts_from_record)
+        return get_run_cache().get_or_counts(
+            self.counts_key(run, workload),
+            lambda: self._compute_counts(algorithm, run, workload),
+            GraphRCounts)
 
     # --- main entry -----------------------------------------------------
 
@@ -186,22 +166,6 @@ class GraphRMachine:
         counts = self.scheduled_counts(algorithm, run, workload)
         [report] = _graphr_kernel(self.config, [(run, counts, workload)])
         return SimulationResult(report=report, run=run)
-
-
-def graphr_fold_many(
-    machine: GraphRMachine,
-    cells: "list[tuple[AlgorithmRun, GraphRCounts, Workload]]",
-) -> list[EnergyReport]:
-    """Price many (algorithm x dataset) cells on one GraphR config.
-
-    Element ``i`` is bit-identical to the report of
-    ``machine.run`` on that cell: both price through the same kernel.
-    """
-    if not cells:
-        return []
-    metrics = obs_metrics.get_metrics()
-    metrics.counter(obs_metrics.GRAPHR_FOLD_CONFIGS).add(len(cells))
-    return _graphr_kernel(machine.config, cells)
 
 
 def price_configs(
@@ -338,8 +302,9 @@ def run_many(
 ) -> list[SimulationResult]:
     """Batched :meth:`GraphRMachine.run` over many (algorithm, workload)
     cells: converge each (run cache), expand each counts record (counts
-    cache), then price the whole grid with one :func:`graphr_fold_many`
-    pass.  Bit-identical per cell to a loop of ``machine.run`` calls.
+    cache), then price the whole grid with one kernel pass.
+    Bit-identical per cell to a loop of ``machine.run`` calls: both
+    price through the same kernel.
     """
     tracer = get_tracer()
     cells: list[tuple[AlgorithmRun, GraphRCounts, Workload]] = []
@@ -350,7 +315,11 @@ def run_many(
             run = run_cached(algorithm, workload.graph)
             counts = machine.scheduled_counts(algorithm, run, workload)
             cells.append((run, counts, workload))
-    reports = graphr_fold_many(machine, cells)
+    if not cells:
+        return []
+    obs_metrics.get_metrics().counter(
+        obs_metrics.GRAPHR_FOLD_CONFIGS).add(len(cells))
+    reports = _graphr_kernel(machine.config, cells)
     return [
         SimulationResult(report=report, run=run)
         for report, (run, _, _) in zip(reports, cells)

@@ -543,36 +543,15 @@ def fold_many(
     :func:`repro.perf.batch.counts_cache_key` guarantees this);
     mismatches raise :class:`ConfigError`.
     """
-    return fold_columns(run, counts, workload, configs).reports
-
-
-def fold_columns(
-    run: AlgorithmRun,
-    counts: ScheduleCounts,
-    workload: Workload,
-    configs: list[HyVEConfig],
-    faults: FaultProfile | None = None,
-) -> GridFold:
-    """:func:`fold_many` under an optional fault profile, as a
-    :class:`GridFold` whose time and total-energy columns spare callers
-    a pass over the reports.
-
-    Element ``i`` is bit-identical to
-    ``AcceleratorMachine(configs[i], faults=faults).run(...)``; its
-    fault report is ``None`` without an active profile.
-    """
     if not configs:
-        return GridFold.empty()
+        return []
     _check_grid_config(configs, counts)
-    metrics = obs_metrics.get_metrics()
-    metrics.counter(obs_metrics.FOLD_MANY_CONFIGS).add(len(configs))
-    with get_tracer().span(
-        "fold_many",
-        algorithm=run.algorithm,
-        graph=workload.name,
-        configs=len(configs),
-    ):
-        return _fold_kernel(run, [counts], workload, configs, faults)
+    obs_metrics.get_metrics().counter(
+        obs_metrics.FOLD_MANY_CONFIGS).add(len(configs))
+    with get_tracer().span("fold_many", algorithm=run.algorithm,
+                           graph=workload.name, configs=len(configs)):
+        fold = _fold_kernel(run, [counts], workload, configs)
+    return fold.reports
 
 
 class _Traffic(NamedTuple):

@@ -22,12 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, FaultError
-from ..memory.ecc import (
-    SECDED_CHECK_BITS,
-    SECDED_DATA_BITS,
-    secded_factor,
-    secded_logic_energy,
-)
 from ..units import PJ
 from .profile import FaultProfile
 

@@ -33,7 +33,6 @@ Entry points:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from typing import Iterable, Sequence
 
@@ -58,13 +57,6 @@ from ..graph.graph import Graph
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
 from .cache import get_run_cache
-
-#: ScheduleCounts fields declared ``int`` — everything else is a float.
-#: JSON round-trips both exactly, but the coercion keeps the rebuilt
-#: dataclass type-identical to a freshly computed one.
-_COUNTS_INT_FIELDS = frozenset(
-    {"iterations", "num_pus", "num_intervals", "edge_bits", "vertex_bits"}
-)
 
 
 def _run_digest(run: AlgorithmRun) -> str:
@@ -140,16 +132,6 @@ def _counts_groups(
     return groups
 
 
-def _counts_from_record(record: dict) -> ScheduleCounts:
-    kwargs = {}
-    for f in dataclasses.fields(ScheduleCounts):
-        value = record[f.name]
-        kwargs[f.name] = (
-            int(value) if f.name in _COUNTS_INT_FIELDS else float(value)
-        )
-    return ScheduleCounts(**kwargs)
-
-
 def scheduled_counts(
     run: AlgorithmRun,
     workload: Workload,
@@ -163,13 +145,10 @@ def scheduled_counts(
     every field exactly (JSON ints and shortest-round-trip floats), so
     a cache hit folds bit-identically to a fresh computation.
     """
-    key = counts_cache_key(run, workload, config)
-
-    def compute() -> dict:
-        counts = ScheduleCounts.compute(run, workload, config)
-        return dataclasses.asdict(counts)
-
-    return get_run_cache().get_or_counts(key, compute, _counts_from_record)
+    return get_run_cache().get_or_counts(
+        counts_cache_key(run, workload, config),
+        lambda: ScheduleCounts.compute(run, workload, config),
+        ScheduleCounts)
 
 
 def group_by_counts_key(
@@ -241,14 +220,12 @@ def _price_groups(
         # first config of each shape checks them all.
         groups = _counts_groups(run, workload, configs)
 
-        def compute(key: str) -> dict:
-            config = groups[key][1][0]
-            return dataclasses.asdict(
-                ScheduleCounts.compute(run, workload, config))
+        def compute(key: str) -> ScheduleCounts:
+            return ScheduleCounts.compute(run, workload, groups[key][1][0])
 
         with tracer.span("schedule.counts"):
             records = get_run_cache().get_or_counts_many(
-                groups, compute, _counts_from_record)
+                groups, compute, ScheduleCounts)
         table: list[ScheduleCounts] = []
         group = np.empty(len(configs), dtype=np.intp)
         for key, (indices, shapes) in groups.items():

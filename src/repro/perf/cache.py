@@ -17,8 +17,12 @@ entries are checksummed payloads (npz bytes for runs, JSON for scalars
 and schedule counts) with provenance columns, verified on every read —
 a corrupt entry is quarantined and recomputed, never served.  The
 store is the only disk level: files of the pre-store file-per-entry
-layout are ignored.  A miss computes, stores and remembers; concurrent
-misses on one key each write the same content-addressed entry.  The
+layout are ignored.  Every record kind (runs, vertex-centric runs,
+scalars, schedule counts) goes through one lookup: memory hits first,
+one batched store read for the rest, and a miss computes, stores and
+remembers.  A checksum-clean entry that does not decode into its kind
+is counted as an error, recomputed and overwritten.  Concurrent misses
+on one key each write the same content-addressed entry.  The
 durability model is documented in docs/robustness.md.
 
 The key embeds :data:`CACHE_SALT`; bump it whenever an executor change
@@ -39,7 +43,7 @@ import os
 import sqlite3
 import zipfile
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -57,21 +61,11 @@ from .store import SQLiteStore, VerifyReport
 #: degrades to compute-and-carry-on when one of these surfaces.
 _STORE_ERRORS = (OSError, sqlite3.Error, StoreError)
 
-
-def _observe_lookup(hit: bool) -> None:
-    """Mirror a cache lookup into the process metrics registry."""
-    metrics = obs_metrics.get_metrics()
-    name = obs_metrics.CACHE_HITS if hit else obs_metrics.CACHE_MISSES
-    metrics.counter(name).add(1)
-
-
-def _observe_counts_lookup(hit: bool) -> None:
-    """Mirror a schedule-counts lookup into the metrics registry."""
-    metrics = obs_metrics.get_metrics()
-    name = (obs_metrics.COUNTS_CACHE_HITS if hit
-            else obs_metrics.COUNTS_CACHE_MISSES)
-    metrics.counter(name).add(1)
-
+#: Errors that mean "a checksum-clean payload is not a record of its
+#: kind" (truncated npz, malformed JSON, a missing or mistyped field);
+#: the entry is recomputed and overwritten.
+_DECODE_ERRORS = (KeyError, ValueError, TypeError, OSError,
+                  zipfile.BadZipFile)
 
 #: Code-version salt baked into every cache key.  Bump when the
 #: executor or an algorithm changes in a result-affecting way.
@@ -151,19 +145,7 @@ class CacheStats:
         return self.counts_hits / lookups if lookups else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "errors": self.errors,
-            "counts_memory_hits": self.counts_memory_hits,
-            "counts_disk_hits": self.counts_disk_hits,
-            "counts_misses": self.counts_misses,
-            "counts_stores": self.counts_stores,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         """One line for ``--verbose`` CLI output and reports."""
@@ -219,7 +201,7 @@ class RunCache:
         self.max_bytes = (max_bytes if max_bytes is not None
                           else default_max_bytes())
         self.stats = CacheStats()
-        self._memory: OrderedDict[str, AlgorithmRun] = OrderedDict()
+        self._memory: OrderedDict[str, object] = OrderedDict()
         self._store_obj: SQLiteStore | None = None
         self._store_failed = False
 
@@ -242,22 +224,10 @@ class RunCache:
                 return None
         return self._store_obj
 
-    def _disk_get(self, key: str) -> bytes | None:
-        """Checksum-verified store lookup (``None`` on a miss, a
-        quarantined entry or a misbehaving disk)."""
-        store = self._disk()
-        if store is None:
-            return None
-        try:
-            return store.get(key)
-        except _STORE_ERRORS:
-            self.stats.errors += 1
-            return None
-
     def _disk_get_many(self, keys: list[str]) -> dict[str, bytes]:
-        """:meth:`_disk_get` for many keys in one store round-trip; a
-        misbehaving disk counts one error per key, as per-key reads
-        would."""
+        """Checksum-verified store read of many keys in one round-trip
+        (a key is absent on a miss or a quarantined entry); a
+        misbehaving disk counts one error per key."""
         store = self._disk()
         if store is None:
             return {}
@@ -293,15 +263,78 @@ class RunCache:
         algorithm) pair — the edge-centric run and the vertex-centric
         run cache under distinct keys.
         """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(graph.fingerprint().encode())
-        h.update(b"|")
-        h.update(algorithm.signature().encode())
-        h.update(b"|")
-        h.update(self.salt.encode())
-        h.update(b"|")
-        h.update(kind.encode())
-        return h.hexdigest()
+        return _digest(graph.fingerprint(), algorithm.signature(),
+                       self.salt, kind)
+
+    # --- the one lookup --------------------------------------------------
+
+    def _lookup(self, keys: dict, kind: str, decode, compute) -> dict:
+        """Resolve store keys to values; every ``get_or_*`` goes here.
+
+        ``keys`` maps each store key to the name its value is returned
+        under and that ``compute(name)`` receives.  Memory hits are
+        served first, every other key comes from one batched store read
+        (:meth:`SQLiteStore.get_many`), and the keys still missing are
+        computed and stored one by one: ``compute`` returns the value and
+        its payload, stored as a ``kind`` entry.  A checksum-clean
+        payload that ``decode`` rejects is counted in ``errors``,
+        recomputed and overwritten.  Counts lookups count in the
+        ``counts_*`` stats and metrics, every other kind in the
+        run-cache ones.
+        """
+        if kind == "counts":
+            prefix = "counts_"
+            hit, miss = (obs_metrics.COUNTS_CACHE_HITS,
+                         obs_metrics.COUNTS_CACHE_MISSES)
+        else:
+            prefix = ""
+            hit, miss = obs_metrics.CACHE_HITS, obs_metrics.CACHE_MISSES
+        stats = self.stats
+        metrics = obs_metrics.get_metrics()
+
+        def count(field: str, metric: str | None = None) -> None:
+            field = prefix + field
+            setattr(stats, field, getattr(stats, field) + 1)
+            if metric is not None:
+                metrics.counter(metric).add(1)
+
+        found = {}
+        pending = {}
+        for key, name in keys.items():
+            value = self._memory.get(key)
+            if value is None:
+                pending[key] = name
+            else:
+                self._memory.move_to_end(key)
+                count("memory_hits", hit)
+                found[name] = value
+        payloads = self._disk_get_many(list(pending)) if pending else {}
+        for key, name in pending.items():
+            payload = payloads.get(key)
+            if payload is not None:
+                try:
+                    value = decode(payload)
+                except _DECODE_ERRORS:
+                    stats.errors += 1
+                else:
+                    count("disk_hits", hit)
+                    stats.bytes_read += len(payload)
+                    found[name] = self._remember(key, value)
+                    continue
+            count("misses", miss)
+            value, payload = compute(name)
+            if self._disk_put(key, payload, kind):
+                count("stores")
+                stats.bytes_written += len(payload)
+            found[name] = self._remember(key, value)
+        return found
+
+    def _remember(self, key: str, value):
+        self._memory[key] = value
+        self._memory.move_to_end(key)
+        while len(self._memory) > self.max_entries:
+            self._memory.popitem(last=False)
+        return value
 
     # --- main entry ------------------------------------------------------
 
@@ -309,25 +342,13 @@ class RunCache:
         self, algorithm: EdgeCentricAlgorithm, graph: Graph
     ) -> AlgorithmRun:
         """Return the cached run, loading or computing it on demand."""
-        key = self.key(algorithm, graph)
-        run = self._memory.get(key)
-        if run is not None:
-            self._memory.move_to_end(key)
-            self.stats.memory_hits += 1
-            _observe_lookup(hit=True)
-            return run
-        loaded = self._load(key)
-        if loaded is not None:
-            run, _ = loaded
-            self.stats.disk_hits += 1
-            _observe_lookup(hit=True)
-        else:
-            self.stats.misses += 1
-            _observe_lookup(hit=False)
+        def compute(_):
             run = run_vectorized(algorithm, graph)
-            self._store(key, run)
-        self._remember(key, run)
-        return run
+            return run, self._encode_run(run)
+
+        key = self.key(algorithm, graph)
+        return self._lookup({key: key}, "run", lambda p: _decode_run(p)[0],
+                            compute)[key]
 
     def seed_run(
         self, algorithm: EdgeCentricAlgorithm, graph: Graph, run: AlgorithmRun
@@ -338,22 +359,15 @@ class RunCache:
         converges paper-scale graphs by streaming shards; seeding its
         result here lets every downstream engine price the workload
         through the normal :meth:`get_or_run` without an in-memory
-        convergence pass.  An existing entry wins — keys are
-        content-addressed, so whatever is already cached is equivalent
-        — mirroring :meth:`get_or_scalar`.
+        convergence pass.  This is a :meth:`get_or_run` lookup whose
+        computation is ``run`` itself, so it counts as one: an existing
+        entry wins (a hit) — keys are content-addressed, so whatever is
+        already cached is equivalent — and otherwise ``run`` is stored
+        (a miss and a store), mirroring :meth:`get_or_scalar`.
         """
         key = self.key(algorithm, graph)
-        existing = self._memory.get(key)
-        if existing is not None:
-            self._memory.move_to_end(key)
-            return existing
-        loaded = self._load(key)
-        if loaded is not None:
-            run = loaded[0]
-        else:
-            self._store(key, run)
-        self._remember(key, run)
-        return run
+        return self._lookup({key: key}, "run", lambda p: _decode_run(p)[0],
+                            lambda _: (run, self._encode_run(run)))[key]
 
     def get_or_run_vertex_centric(
         self, algorithm: EdgeCentricAlgorithm, graph: Graph
@@ -367,37 +381,22 @@ class RunCache:
         from ..algorithms.vertex_centric import (VertexCentricRun,
                                                  run_vertex_centric)
 
-        key = self.key(algorithm, graph, kind="vertex")
-        vc = self._memory.get(key)
-        if vc is not None:
-            self._memory.move_to_end(key)
-            self.stats.memory_hits += 1
-            _observe_lookup(hit=True)
-            return vc
-        loaded = self._load(key)
-        if loaded is not None:
-            run, meta = loaded
-            try:
-                vc = VertexCentricRun(
-                    run=run,
-                    edges_examined=int(meta["edges_examined"]),
-                    vertices_scanned=int(meta["vertices_scanned"]),
-                )
-                self.stats.disk_hits += 1
-                _observe_lookup(hit=True)
-            except KeyError:
-                self.stats.errors += 1
-                vc = None
-        if vc is None:
-            self.stats.misses += 1
-            _observe_lookup(hit=False)
+        def decode(payload: bytes) -> VertexCentricRun:
+            run, meta = _decode_run(payload)
+            return VertexCentricRun(
+                run=run,
+                edges_examined=int(meta["edges_examined"]),
+                vertices_scanned=int(meta["vertices_scanned"]),
+            )
+
+        def compute(_):
             vc = run_vertex_centric(algorithm, graph)
-            self._store(key, vc.run, extra={
-                "edges_examined": vc.edges_examined,
-                "vertices_scanned": vc.vertices_scanned,
-            })
-        self._remember(key, vc)
-        return vc
+            return vc, self._encode_run(
+                vc.run, edges_examined=vc.edges_examined,
+                vertices_scanned=vc.vertices_scanned)
+
+        key = self.key(algorithm, graph, kind="vertex")
+        return self._lookup({key: key}, "run", decode, compute)[key]
 
     def get_or_scalar(self, name: str, graph: Graph, compute) -> float:
         """Cached scalar graph statistic (imbalance, block counts, ...).
@@ -407,51 +406,27 @@ class RunCache:
         by one process and read back by every other (shard workers,
         ``--jobs`` experiment runners, fresh CLI invocations).
         """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(graph.fingerprint().encode())
-        h.update(b"|")
-        h.update(name.encode())
-        h.update(b"|")
-        h.update(self.salt.encode())
-        key = "scalar-" + h.hexdigest()
-        hit = self._memory.get(key)
-        if hit is not None:
-            self._memory.move_to_end(key)
-            self.stats.memory_hits += 1
-            _observe_lookup(hit=True)
-            return hit
-        payload = self._disk_get(key)
-        if payload is not None:
-            try:
-                value = float(json.loads(payload.decode("utf-8"))["value"])
-                self.stats.disk_hits += 1
-                self.stats.bytes_read += len(payload)
-                _observe_lookup(hit=True)
-                self._remember(key, value)
-                return value
-            except (ValueError, KeyError, UnicodeDecodeError,
-                    json.JSONDecodeError):
-                self.stats.errors += 1
-        self.stats.misses += 1
-        _observe_lookup(hit=False)
-        value = float(compute())
-        blob = json.dumps(
-            {"name": name, "value": value, "salt": self.salt}
-        ).encode("utf-8")
-        if self._disk_put(key, blob, kind="scalar"):
-            self.stats.stores += 1
-            self.stats.bytes_written += len(blob)
-        self._remember(key, value)
-        return value
+        key = "scalar-" + _digest(graph.fingerprint(), name, self.salt)
 
-    def get_or_counts(self, counts_key: str, compute, parse):
+        def compute_entry(_):
+            value = float(compute())
+            return value, json.dumps(
+                {"name": name, "value": value, "salt": self.salt}
+            ).encode("utf-8")
+
+        return self._lookup(
+            {key: key}, "scalar",
+            lambda payload: float(json.loads(payload)["value"]),
+            compute_entry)[key]
+
+    def get_or_counts(self, counts_key: str, compute, record_type):
         """One cached schedule-counts record: :meth:`get_or_counts_many`
         of one key, with a ``compute()`` that takes no argument."""
         return self.get_or_counts_many(
-            [counts_key], lambda _: compute(), parse)[counts_key]
+            [counts_key], lambda _: compute(), record_type)[counts_key]
 
     def get_or_counts_many(self, counts_keys: Iterable[str], compute,
-                           parse) -> dict:
+                           record_type) -> dict:
         """Cached schedule-counts records (the Equations (3)-(8)
         expansion), keyed by counts key.
 
@@ -459,107 +434,46 @@ class RunCache:
         :func:`repro.perf.batch.counts_cache_key` — graph fingerprint,
         algorithm signature, partition count P, PU count N, the
         data-sharing/on-chip/placement flags and the workload scale.
-        ``compute(counts_key)`` returns a JSON-ready dict of the counts
-        fields; JSON round-trips every int and float exactly, so a disk
-        hit prices bit-identically to a fresh computation.  ``parse``
-        turns a record into the value returned and remembered (a
+        ``compute(counts_key)`` returns a ``record_type`` instance (a
         :class:`~repro.arch.scheduler.ScheduleCounts`, or GraphR's
-        counts); a stored record it rejects with ``KeyError``,
-        ``ValueError`` or ``TypeError`` is counted as an error,
-        recomputed and overwritten.
+        counts), a dataclass whose fields are declared ``int`` or
+        ``float``.  The entry stores its fields as JSON, which
+        round-trips every int and float exactly, and every returned
+        value is rebuilt from those fields with each coerced to its
+        declared type, so a disk hit prices bit-identically to a fresh
+        computation.
 
-        Memory hits are served first; every other key comes from one
-        batched store read (:meth:`SQLiteStore.get_many`), and the keys
-        still missing are computed and stored one by one.  Sweeps over
-        device knobs (density, BPG timeout, cell bits, SRAM technology)
-        share one entry per counts key, which is the whole point:
-        simulate once, price many.
+        The keys go through one lookup: memory hits first, every other
+        key from one batched store read, the rest computed and stored.
+        Sweeps over device knobs (density, BPG timeout, cell bits, SRAM
+        technology) share one entry per counts key, which is the whole
+        point: simulate once, price many.
         """
-        found = {}
-        pending: dict[str, str] = {}  # store key -> counts key
-        for counts_key in dict.fromkeys(counts_keys):
-            h = hashlib.blake2b(digest_size=16)
-            h.update(counts_key.encode())
-            h.update(b"|")
-            h.update(self.salt.encode())
-            key = "counts-" + h.hexdigest()
-            hit = self._memory.get(key)
-            if hit is not None:
-                self._memory.move_to_end(key)
-                self.stats.counts_memory_hits += 1
-                _observe_counts_lookup(hit=True)
-                found[counts_key] = hit
-            else:
-                pending[key] = counts_key
-        payloads = self._disk_get_many(list(pending)) if pending else {}
-        for key, counts_key in pending.items():
-            payload = payloads.get(key)
-            if payload is not None:
-                try:
-                    value = parse(
-                        json.loads(payload.decode("utf-8"))["counts"])
-                except (ValueError, KeyError, TypeError,
-                        UnicodeDecodeError):
-                    self.stats.errors += 1
-                else:
-                    self.stats.counts_disk_hits += 1
-                    self.stats.bytes_read += len(payload)
-                    _observe_counts_lookup(hit=True)
-                    self._remember(key, value)
-                    found[counts_key] = value
-                    continue
-            self.stats.counts_misses += 1
-            _observe_counts_lookup(hit=False)
-            record = compute(counts_key)
-            blob = json.dumps(
+        types = [(f.name, int if f.type in (int, "int") else float)
+                 for f in fields(record_type)]
+
+        def rebuild(record: dict):
+            return record_type(**{name: cast(record[name])
+                                  for name, cast in types})
+
+        def compute_entry(counts_key: str):
+            record = asdict(compute(counts_key))
+            return rebuild(record), json.dumps(
                 {"key": counts_key, "salt": self.salt, "counts": record}
             ).encode("utf-8")
-            if self._disk_put(key, blob, kind="counts"):
-                self.stats.counts_stores += 1
-                self.stats.bytes_written += len(blob)
-            value = found[counts_key] = parse(record)
-            self._remember(key, value)
-        return found
 
-    def _remember(self, key: str, run) -> None:
-        self._memory[key] = run
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_entries:
-            self._memory.popitem(last=False)
+        keys = {"counts-" + _digest(counts_key, self.salt): counts_key
+                for counts_key in counts_keys}
+        return self._lookup(
+            keys, "counts",
+            lambda payload: rebuild(json.loads(payload)["counts"]),
+            compute_entry)
 
-    # --- disk level ------------------------------------------------------
+    # --- run entries -----------------------------------------------------
 
-    def _load(self, key: str) -> tuple[AlgorithmRun, dict] | None:
-        payload = self._disk_get(key)
-        if payload is None:
-            return None
-        try:
-            with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
-                meta = json.loads(str(npz["meta"]))
-                values = npz["values"]
-                active = npz["active_sources"]
-            self.stats.bytes_read += len(payload)
-            return AlgorithmRun(
-                algorithm=meta["algorithm"],
-                graph_name=meta["graph_name"],
-                values=values,
-                iterations=int(meta["iterations"]),
-                num_vertices=int(meta["num_vertices"]),
-                edges_per_iteration=int(meta["edges_per_iteration"]),
-                vertex_bits=int(meta["vertex_bits"]),
-                edge_bits=int(meta["edge_bits"]),
-                active_sources=tuple(int(a) for a in active),
-            ), meta
-        except (OSError, KeyError, ValueError, json.JSONDecodeError,
-                zipfile.BadZipFile):
-            # A corrupt/truncated entry is treated as a miss and will be
-            # overwritten by the recomputed run.
-            self.stats.errors += 1
-            return None
-
-    def _store(
-        self, key: str, run: AlgorithmRun, extra: dict | None = None
-    ) -> None:
+    def _encode_run(self, run: AlgorithmRun, **extra) -> bytes:
+        """A run entry: an npz of the values and active sources, with the
+        scalar fields (and ``extra``) as JSON metadata."""
         record = {
             "algorithm": run.algorithm,
             "graph_name": run.graph_name,
@@ -569,9 +483,8 @@ class RunCache:
             "vertex_bits": run.vertex_bits,
             "edge_bits": run.edge_bits,
             "salt": self.salt,
+            **extra,
         }
-        if extra:
-            record.update(extra)
         buffer = io.BytesIO()
         np.savez(
             buffer,
@@ -579,10 +492,7 @@ class RunCache:
             values=run.values,
             active_sources=np.asarray(run.active_sources, dtype=np.int64),
         )
-        payload = buffer.getvalue()
-        if self._disk_put(key, payload, kind="run"):
-            self.stats.stores += 1
-            self.stats.bytes_written += len(payload)
+        return buffer.getvalue()
 
     # --- maintenance ------------------------------------------------------
 
@@ -647,6 +557,32 @@ class RunCache:
             "memory_limit": self.max_entries,
             "stats": self.stats.to_dict(),
         }
+
+
+def _digest(*parts: str) -> str:
+    """The 128-bit BLAKE2b hex digest of ``parts`` joined by ``|``."""
+    return hashlib.blake2b("|".join(parts).encode(),
+                           digest_size=16).hexdigest()
+
+
+def _decode_run(payload: bytes) -> tuple[AlgorithmRun, dict]:
+    """The run and the JSON metadata of a :meth:`RunCache._encode_run`
+    entry."""
+    with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
+        meta = json.loads(str(npz["meta"]))
+        values = npz["values"]
+        active = npz["active_sources"]
+    return AlgorithmRun(
+        algorithm=meta["algorithm"],
+        graph_name=meta["graph_name"],
+        values=values,
+        iterations=int(meta["iterations"]),
+        num_vertices=int(meta["num_vertices"]),
+        edges_per_iteration=int(meta["edges_per_iteration"]),
+        vertex_bits=int(meta["vertex_bits"]),
+        edge_bits=int(meta["edge_bits"]),
+        active_sources=tuple(int(a) for a in active),
+    ), meta
 
 
 # --- process-wide default ----------------------------------------------------

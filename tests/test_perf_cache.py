@@ -5,7 +5,10 @@ derivation from algorithm signatures, the scalar statistic store, and
 that files of the pre-store layout are never read.
 """
 
+import dataclasses
+import io
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -13,6 +16,18 @@ import pytest
 from repro.algorithms import BFS, PageRank, SpMV
 from repro.graph import rmat
 from repro.perf.cache import RunCache, default_cache_dir
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    """A one-field counts record type."""
+
+    v: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _OtherRecord:
+    w: int
 
 
 @pytest.fixture
@@ -193,16 +208,19 @@ class TestCountsStore:
         from repro.obs import metrics as obs_metrics
 
         writer = RunCache(directory=tmp_path / "store")
-        writer.get_or_counts("a", lambda: {"v": 1}, dict)
-        writer.get_or_counts("b", lambda: {"v": 2}, dict)
+        writer.get_or_counts("a", lambda: _Record(1), _Record)
+        writer.get_or_counts("b", lambda: _Record(2), _Record)
         cache = RunCache(directory=tmp_path / "store")
-        assert cache.get_or_counts("a", lambda: {"v": -1}, dict) == {"v": 1}
+        assert cache.get_or_counts("a", lambda: _Record(-1),
+                                   _Record) == _Record(1)
         registry = obs_metrics.get_metrics()
         hits = registry.counter(obs_metrics.COUNTS_CACHE_HITS).value
         misses = registry.counter(obs_metrics.COUNTS_CACHE_MISSES).value
         got = cache.get_or_counts_many(["a", "b", "c", "b"],
-                                       lambda key: {"v": key}, dict)
-        assert got == {"a": {"v": 1}, "b": {"v": 2}, "c": {"v": "c"}}
+                                       lambda key: _Record(ord(key)),
+                                       _Record)
+        assert got == {"a": _Record(1), "b": _Record(2),
+                       "c": _Record(ord("c"))}
         stats = cache.stats
         assert stats.counts_memory_hits == 1
         assert stats.counts_disk_hits == 2
@@ -215,19 +233,134 @@ class TestCountsStore:
                 == misses + 1)
 
     def test_rejected_record_is_recomputed_and_overwritten(self, tmp_path):
+        """A stored record without the record type's fields is an error,
+        recomputed and overwritten; every value is rebuilt from its
+        record with each field coerced to its declared type."""
         writer = RunCache(directory=tmp_path / "store")
-        writer.get_or_counts("a", lambda: {"v": "not a number"}, dict)
-
-        def parse(record):
-            return int(record["v"])
+        writer.get_or_counts("a", lambda: _OtherRecord(7), _OtherRecord)
 
         cache = RunCache(directory=tmp_path / "store")
-        assert cache.get_or_counts("a", lambda: {"v": 3}, parse) == 3
+        got = cache.get_or_counts("a", lambda: _Record(3.0), _Record)
+        assert got == _Record(3) and type(got.v) is int
         assert cache.stats.errors == 1
         assert cache.stats.counts_misses == 1
         reader = RunCache(directory=tmp_path / "store")
-        assert reader.get_or_counts("a", lambda: {"v": -1}, parse) == 3
+        assert reader.get_or_counts("a", lambda: _Record(-1),
+                                    _Record) == _Record(3)
         assert reader.stats.counts_disk_hits == 1
+
+
+def _with_meta(**changes):
+    """Damage a run entry: rewrite fields of its JSON metadata."""
+    def damage(payload: bytes) -> bytes:
+        with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta.update(changes)
+        arrays["meta"] = np.asarray(json.dumps(meta))
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        return buffer.getvalue()
+    return damage
+
+
+def _same_run(a, b) -> bool:
+    return (np.array_equal(a.values, b.values)
+            and dataclasses.replace(a, values=None)
+            == dataclasses.replace(b, values=None))
+
+
+#: Per record kind: (store kind, lookup, damage to a stored payload,
+#: equality of two returned values).
+_MALFORMED = {
+    "run": (
+        "run",
+        lambda cache, graph: cache.get_or_run(PageRank(), graph),
+        _with_meta(iterations=None),
+        _same_run,
+    ),
+    "vertex-centric": (
+        "run",
+        lambda cache, graph: cache.get_or_run_vertex_centric(BFS(0), graph),
+        _with_meta(edges_examined="many"),
+        lambda a, b: (_same_run(a.run, b.run)
+                      and a.edges_examined == b.edges_examined
+                      and a.vertices_scanned == b.vertices_scanned),
+    ),
+    "scalar": (
+        "scalar",
+        lambda cache, graph: cache.get_or_scalar("stat", graph,
+                                                 lambda: 2.5),
+        lambda payload: b'{"value": null}',
+        operator.eq,
+    ),
+    "counts": (
+        "counts",
+        lambda cache, graph: cache.get_or_counts("a", lambda: _Record(3),
+                                                 _Record),
+        lambda payload: json.dumps({"counts": {"v": None}}).encode(),
+        operator.eq,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MALFORMED))
+def test_undecodable_record_is_recomputed(tmp_path, graph, kind):
+    """A checksum-clean entry that does not decode into its record kind
+    is counted as an error, recomputed and overwritten, for every kind
+    the cache stores."""
+    store_kind, lookup, damage, same = _MALFORMED[kind]
+    directory = tmp_path / "store"
+    writer = RunCache(directory=directory)
+    clean = lookup(writer, graph)
+    store = writer._disk()
+    [key] = store.keys(kind=store_kind)
+    store.put(key, damage(store.get(key)), kind=store_kind)
+
+    cache = RunCache(directory=directory)
+    assert same(lookup(cache, graph), clean)
+    assert cache.stats.errors == 1
+    assert cache.stats.misses + cache.stats.counts_misses == 1
+
+    reader = RunCache(directory=directory)
+    assert same(lookup(reader, graph), clean)
+    assert reader.stats.disk_hits + reader.stats.counts_disk_hits == 1
+    assert reader.stats.errors == 0
+
+
+class TestSeedRun:
+    """``seed_run`` is a lookup whose computation is the given run."""
+
+    @pytest.fixture
+    def runs(self, graph):
+        from repro.algorithms import run_vectorized
+
+        run = run_vectorized(PageRank(), graph)
+        # Distinguishable from the converged run: which one wins shows.
+        return run, dataclasses.replace(run, iterations=run.iterations + 1)
+
+    def test_memory_hit_returns_existing(self, cache, graph, runs):
+        existing = cache.get_or_run(PageRank(), graph)
+        assert cache.seed_run(PageRank(), graph, runs[1]) is existing
+        assert cache.stats.memory_hits == 1
+        assert cache.stats.stores == 1
+
+    def test_disk_hit_returns_existing(self, tmp_path, graph, runs):
+        RunCache(directory=tmp_path / "store").get_or_run(PageRank(), graph)
+        cache = RunCache(directory=tmp_path / "store")
+        seeded = cache.seed_run(PageRank(), graph, runs[1])
+        assert _same_run(seeded, runs[0])
+        assert cache.stats.disk_hits == 1
+        assert (cache.stats.misses, cache.stats.stores) == (0, 0)
+
+    def test_miss_stores_given_run(self, tmp_path, graph, runs):
+        cache = RunCache(directory=tmp_path / "store")
+        assert cache.seed_run(PageRank(), graph, runs[1]) is runs[1]
+        assert (cache.stats.misses, cache.stats.stores) == (1, 1)
+        assert cache.stats.hits == 0
+        reader = RunCache(directory=tmp_path / "store")
+        assert _same_run(reader.get_or_run(PageRank(), graph), runs[1])
+        assert reader.stats.disk_hits == 1
 
 
 class TestVertexCentricEntries:
