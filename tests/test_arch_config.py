@@ -10,7 +10,6 @@ from repro.arch.config import (
     choose_num_intervals,
 )
 from repro.errors import ConfigError
-from repro.graph import rmat
 from repro.units import MB
 
 

@@ -1,7 +1,6 @@
 """Tests for edge-centric BFS."""
 
 import networkx as nx
-import numpy as np
 import pytest
 
 from repro.algorithms import BFS, UNREACHED, run_vectorized

@@ -12,7 +12,7 @@ from repro.algorithms import (
     run_vectorized,
 )
 from repro.errors import GraphError
-from repro.graph import Graph, cycle, path, random_weights, rmat
+from repro.graph import Graph, cycle, path, random_weights
 
 
 class TestConnectedComponents:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.graph import Graph, IntervalBlockPartition
+from repro.graph import IntervalBlockPartition
 from repro.memory import (
     BLOCK_HEADER_WORDS,
     Extent,

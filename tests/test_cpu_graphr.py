@@ -12,7 +12,6 @@ from repro.arch.crossbar import (
 from repro.arch.graphr import GraphRConfig, GraphRMachine
 from repro.arch.machine import make_machine
 from repro.errors import ConfigError
-from repro.units import NJ
 
 
 class TestCPUMachine:

@@ -1,7 +1,5 @@
 """Section 6.6's four design rules must hold under the calibrated models."""
 
-import pytest
-
 from repro.model import (
     design_rules,
     rule_crossbar_parallelism,

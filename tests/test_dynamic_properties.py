@@ -2,7 +2,6 @@
 
 from collections import Counter
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,

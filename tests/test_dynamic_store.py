@@ -1,6 +1,5 @@
 """Tests for the dynamic graph store (Section 5)."""
 
-import numpy as np
 import pytest
 
 from repro.dynamic import (
@@ -9,7 +8,7 @@ from repro.dynamic import (
     INVALID_VALUE,
 )
 from repro.errors import DynamicGraphError
-from repro.graph import Graph, rmat
+from repro.graph import Graph
 
 
 @pytest.fixture

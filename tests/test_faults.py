@@ -14,7 +14,7 @@ import math
 import pytest
 
 from repro.arch.config import NAMED_CONFIGS
-from repro.arch.machine import AcceleratorMachine, make_machine
+from repro.arch.machine import make_machine
 from repro.arch.config import Workload
 from repro.dynamic.store import DynamicGraphStore
 from repro.dynamic.updates import apply_requests, generate_requests

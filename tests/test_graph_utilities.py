@@ -12,7 +12,6 @@ from repro.graph import (
     largest_component,
     merge,
     path,
-    rmat,
 )
 
 

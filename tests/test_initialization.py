@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms import BFS, PageRank
 from repro.arch import init_vs_execution, initialization_cost
-from repro.arch.config import HyVEConfig, MemoryTechnology, Workload
+from repro.arch.config import HyVEConfig, MemoryTechnology
 from repro.memory.powergate import PowerGatingPolicy
 
 

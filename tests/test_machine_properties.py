@@ -1,6 +1,5 @@
 """Property and monotonicity tests on the machine model."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import BFS, PageRank

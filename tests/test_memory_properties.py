@@ -7,7 +7,6 @@ from repro.memory import (
     AccessKind,
     AccessPattern,
     DDR4Chip,
-    DRAMConfig,
     NvSimLite,
     OnChipSRAM,
     OptimizationTarget,

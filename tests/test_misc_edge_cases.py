@@ -7,7 +7,7 @@ from repro.algorithms import PageRank, SpMV, run_vectorized
 from repro.arch.config import HyVEConfig, Workload
 from repro.arch.machine import AcceleratorMachine
 from repro.errors import ConfigError, GraphError
-from repro.graph import Graph, rmat
+from repro.graph import Graph
 from repro.graph.partition import IntervalBlockPartition
 
 

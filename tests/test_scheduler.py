@@ -5,7 +5,6 @@ import pytest
 from repro.algorithms import BFS, PageRank, run_cached
 from repro.arch.config import HyVEConfig, MemoryTechnology, Workload
 from repro.arch.scheduler import ScheduleCounts, estimate_imbalance
-from repro.memory.powergate import PowerGatingPolicy
 
 
 def counts_for(graph_or_workload, algorithm=None, **config_kwargs):

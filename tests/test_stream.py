@@ -10,7 +10,6 @@ rule, snapshot canonicalisation, and the time-sliced energy fold.
 
 from __future__ import annotations
 
-import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,8 +37,6 @@ from repro.errors import ConfigError, StreamError
 from repro.experiments import temporal
 from repro.graph import Graph, rmat
 from repro.perf.cache import temporary_run_cache
-
-from .conftest import seeded_rng
 
 
 class TestUpdateLog:
@@ -669,23 +666,14 @@ class TestFoldTimeSlices:
             fold_time_slices([(0, 2, r1), (2, 4, other)])
 
 
-def _mask_rates(cell):
-    """A temporal-driver cell with its wall-clock rates replaced."""
-    if not isinstance(cell, str):
-        return cell
-    cell = re.sub(r"[\d,]+ ev/s", "<rate> ev/s", cell)
-    return re.sub(r"[\d,]+ up/s, [\d.]+x", "<rate> up/s, <ratio>x", cell)
-
-
 class TestTemporalDriver:
     """The temporal driver's deterministic output at the reduced scale
-    the stream-smoke CI job runs: refresh counts, event/query counts,
-    slice energies and cache hits (wall-clock rates masked)."""
+    the stream-smoke CI job runs: refresh counts, slice energies and
+    cache hits."""
 
     EXPECTED = [
         ["stream ingest", "t0..t1000", 4502, 0.0,
-         "incremental==rebuild: True (83 rebuilds, 160 incremental, "
-         "<rate> ev/s)"],
+         "incremental==rebuild: True (83 rebuilds, 160 incremental)"],
         ["slice pr", "[t0,t333)", 4000, 3.349304547704001e-05,
          "cache-hit"],
         ["slice pr", "[t333,t667)", 4187, 3.430511852685e-05, "cache-hit"],
@@ -693,19 +681,14 @@ class TestTemporalDriver:
          "cache-hit"],
         ["folded total", "[t0,t1001)", "-", 0.03430107382129732,
          "repriced snapshots hit cache: 3/3"],
-        ["stream bench (update-heavy)", "5000 ev / 20 q", "-", 0.0,
-         "<rate> up/s, <ratio>x vs serial rebuild"],
-        ["stream bench (read-heavy)", "5000 ev / 400 q", "-", 0.0,
-         "<rate> up/s, <ratio>x vs serial rebuild"],
     ]
 
     def test_reduced_scale_output(self):
         result = temporal.run(num_vertices=500, num_edges=4000,
                               num_updates=1000, num_slices=3)
-        rows = [[_mask_rates(cell) for cell in row] for row in result.rows]
-        assert [row[:3] + row[4:] for row in rows] == \
+        assert [row[:3] + row[4:] for row in result.rows] == \
             [row[:3] + row[4:] for row in self.EXPECTED]
-        assert [row[3] for row in rows] == pytest.approx(
+        assert [row[3] for row in result.rows] == pytest.approx(
             [row[3] for row in self.EXPECTED], rel=1e-12)
 
     def test_slice_cell_is_per_slice(self, monkeypatch):

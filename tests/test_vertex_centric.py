@@ -14,7 +14,7 @@ from repro.algorithms import (
 )
 from repro.algorithms.vertex_centric import _changed, _csr, _expand_ranges
 from repro.errors import ConvergenceError
-from repro.graph import Graph, path, rmat, star
+from repro.graph import Graph, path, star
 
 
 ALGORITHMS = [PageRank, BFS, ConnectedComponents, SSSP, SpMV]
