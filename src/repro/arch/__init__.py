@@ -13,7 +13,6 @@ from .config import (
     config_reram_only,
     config_sram_dram,
 )
-from .area import MachineArea, machine_area
 from .crossbar import CrossbarModel
 from .cpu import CPU_DRAM, CPU_DRAM_OPT, CPUMachine, CPUModel
 from .graphr import GraphRConfig, GraphRMachine
@@ -23,8 +22,6 @@ from .initialization import (
     initialization_cost,
 )
 from .machine import AcceleratorMachine, SimulationResult, make_machine
-from .phases import Phase, PhaseKind, phase_profile, schedule_phases
-from .power import PowerProfile, PowerSample, power_profile
 from .processing_unit import ProcessingUnitModel
 from .validation import MeasuredSchedule, measure_schedule
 from .report import (
@@ -35,8 +32,7 @@ from .report import (
 )
 from .router import RouterModel
 from .scheduler import ScheduleCounts, estimate_imbalance
-from .sweep import (SweepPoint, best_point, pareto_front, points_to_csv,
-                    successful_points, sweep)
+from .sweep import SweepPoint, points_to_csv, sweep
 
 __all__ = [
     "params",
@@ -50,8 +46,6 @@ __all__ = [
     "config_hyve_opt",
     "config_reram_only",
     "config_sram_dram",
-    "MachineArea",
-    "machine_area",
     "CrossbarModel",
     "CPU_DRAM",
     "CPU_DRAM_OPT",
@@ -65,13 +59,6 @@ __all__ = [
     "AcceleratorMachine",
     "SimulationResult",
     "make_machine",
-    "Phase",
-    "PhaseKind",
-    "phase_profile",
-    "schedule_phases",
-    "PowerProfile",
-    "PowerSample",
-    "power_profile",
     "ProcessingUnitModel",
     "MeasuredSchedule",
     "measure_schedule",
@@ -83,9 +70,6 @@ __all__ = [
     "ScheduleCounts",
     "estimate_imbalance",
     "SweepPoint",
-    "best_point",
-    "pareto_front",
     "points_to_csv",
-    "successful_points",
     "sweep",
 ]

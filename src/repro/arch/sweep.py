@@ -235,34 +235,3 @@ def points_to_csv(points: list[SweepPoint]) -> str:
             ])
     return buffer.getvalue()
 
-
-def successful_points(points: list[SweepPoint]) -> list[SweepPoint]:
-    """The subset of points that evaluated cleanly."""
-    return [p for p in points if p.ok]
-
-
-def best_point(points: list[SweepPoint]) -> SweepPoint:
-    """The most energy-efficient successful point of a sweep."""
-    candidates = successful_points(points)
-    if not candidates:
-        raise ConfigError("empty sweep")
-    return max(candidates, key=lambda p: p.report.mteps_per_watt)
-
-
-def pareto_front(points: list[SweepPoint]) -> list[SweepPoint]:
-    """Points not dominated on (energy, time) — lower is better on both."""
-    candidates = successful_points(points)
-    front: list[SweepPoint] = []
-    for candidate in candidates:
-        dominated = any(
-            other.report.total_energy <= candidate.report.total_energy
-            and other.report.time <= candidate.report.time
-            and (
-                other.report.total_energy < candidate.report.total_energy
-                or other.report.time < candidate.report.time
-            )
-            for other in candidates
-        )
-        if not dominated:
-            front.append(candidate)
-    return front

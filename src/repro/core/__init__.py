@@ -20,7 +20,6 @@ from ..arch.config import (
     config_hyve_opt,
 )
 from ..arch.machine import AcceleratorMachine, SimulationResult
-from ..arch.phases import PhaseKind, schedule_phases
 from ..arch.report import EnergyReport
 from ..arch.router import RouterModel
 from ..arch.scheduler import ScheduleCounts
@@ -41,8 +40,6 @@ __all__ = [
     "config_hyve_opt",
     "AcceleratorMachine",
     "SimulationResult",
-    "PhaseKind",
-    "schedule_phases",
     "EnergyReport",
     "RouterModel",
     "ScheduleCounts",

@@ -47,13 +47,6 @@ from .stats import (
     nonempty_block_count,
     skew_gini,
 )
-from .utilities import (
-    compact,
-    filter_by_degree,
-    induced_subgraph,
-    largest_component,
-    merge,
-)
 from . import io
 
 __all__ = [
@@ -96,10 +89,5 @@ __all__ = [
     "block_occupancy_histogram",
     "nonempty_block_count",
     "skew_gini",
-    "compact",
-    "filter_by_degree",
-    "induced_subgraph",
-    "largest_component",
-    "merge",
     "io",
 ]

@@ -22,7 +22,8 @@ from ..errors import GraphError
 #: arithmetic while serialisation remains 32-bit.
 VERTEX_DTYPE = np.int64
 
-#: Width of one vertex id in the serialised layout (Section 3.4).
+#: Width of one vertex id in the paper's edge format (Section 3.4); the
+#: graph loaders in :mod:`repro.graph.io` reject larger ids and counts.
 VERTEX_ID_BITS = 32
 
 #: Width of one unweighted edge (source id + destination id).

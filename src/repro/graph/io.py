@@ -1,27 +1,29 @@
-"""Graph I/O: edge-list text files, compact binary files, and the
-in-memory serialised layout of Section 3.4.
+"""Graph I/O: edge-list text files and compact binary files.
 
-Section 3.4 lays graph data out as:
-
-* vertex data, divided into intervals — each interval is
-  ``[interval_index, vertex_count, value_0, ..., value_{k-1}]``;
-* edge data, divided into blocks — each block is
-  ``[src_interval, dst_interval, edge_count, s_0, d_0, s_1, d_1, ...]``.
-
-The same layout backs the dynamic-graph store (Section 5), which appends
-to a block's slack space, so it is implemented here once.
+Both loaders reject malformed input with a :class:`GraphError` naming
+the file (and, for text, the line), before any graph-sized allocation:
+vertex ids and vertex counts must fit the ``VERTEX_ID_BITS``-bit id of
+the paper's edge format.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import GraphError
-from .graph import Graph, VERTEX_DTYPE
-from .partition import IntervalBlockPartition
+from .graph import Graph, VERTEX_DTYPE, VERTEX_ID_BITS
+
+#: Vertex ids and counts must stay below this (the 32-bit id format).
+MAX_VERTICES = 2 ** VERTEX_ID_BITS
+
+#: What ``errors="surrogateescape"`` decodes a non-UTF-8 byte to.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 # --- edge-list text format ---------------------------------------------
 
@@ -51,16 +53,26 @@ def load_edge_list(
 
     Lines starting with ``#`` are comments; a ``# vertices: N`` comment
     fixes the vertex count, otherwise ``max id + 1`` is used (or the
-    explicit ``num_vertices`` argument, which wins over both).
+    explicit ``num_vertices`` argument, which wins over both).  The
+    file must be UTF-8, and ids and counts below ``MAX_VERTICES``.
     """
     path = Path(path)
+    if num_vertices is not None and num_vertices >= MAX_VERTICES:
+        raise GraphError(
+            f"{path}: num_vertices {num_vertices} exceeds the "
+            f"{VERTEX_ID_BITS}-bit vertex id limit"
+        )
     srcs: list[int] = []
     dsts: list[int] = []
     weights: list[float] = []
     header_vertices: int | None = None
     columns: int | None = None
-    with path.open() as fh:
+    # Undecodable bytes become lone surrogates, so the line holding one
+    # can be named.
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if _UNDECODED.search(line):
+                raise GraphError(f"{path}:{lineno}: not UTF-8 text")
             line = line.strip()
             if not line:
                 continue
@@ -79,6 +91,12 @@ def load_edge_list(
                         raise GraphError(
                             f"{path}:{lineno}: negative vertex count: "
                             f"{header_vertices}"
+                        )
+                    if header_vertices >= MAX_VERTICES:
+                        raise GraphError(
+                            f"{path}:{lineno}: vertex count "
+                            f"{header_vertices} exceeds the "
+                            f"{VERTEX_ID_BITS}-bit vertex id limit"
                         )
                 continue
             parts = line.split()
@@ -104,6 +122,11 @@ def load_edge_list(
             if s < 0 or d < 0:
                 raise GraphError(
                     f"{path}:{lineno}: negative vertex id in {line!r}"
+                )
+            if s >= MAX_VERTICES or d >= MAX_VERTICES:
+                raise GraphError(
+                    f"{path}:{lineno}: vertex id exceeds the "
+                    f"{VERTEX_ID_BITS}-bit limit in {line!r}"
                 )
             srcs.append(s)
             dsts.append(d)
@@ -137,6 +160,10 @@ def load_edge_list(
 # --- binary format ------------------------------------------------------
 
 
+#: The arrays :func:`save_binary` writes (``weights`` is optional).
+_BINARY_ARRAYS = ("num_vertices", "src", "dst", "name")
+
+
 def save_binary(graph: Graph, path: str | Path) -> None:
     """Write a graph to a compressed ``.npz`` file."""
     payload = {
@@ -151,118 +178,33 @@ def save_binary(graph: Graph, path: str | Path) -> None:
 
 
 def load_binary(path: str | Path) -> Graph:
-    """Read a graph written by :func:`save_binary`."""
-    with np.load(Path(path)) as data:
-        weights = data["weights"] if "weights" in data else None
-        return Graph(
-            int(data["num_vertices"]),
-            data["src"].astype(VERTEX_DTYPE),
-            data["dst"].astype(VERTEX_DTYPE),
-            weights,
-            name=bytes(data["name"]).decode(),
-        )
+    """Read a graph written by :func:`save_binary`.
 
-
-# --- Section 3.4 serialised layout ---------------------------------------
-
-
-def serialize_interval(
-    partition: IntervalBlockPartition, index: int, values: np.ndarray
-) -> np.ndarray:
-    """Serialise one interval: ``[index, count, value...]`` (int32 words).
-
-    ``values`` holds the 32-bit-encoded vertex values of the *whole*
-    graph; the interval's slice is copied out.
+    A missing file raises :class:`FileNotFoundError`; a file that is not
+    such an ``.npz`` archive (another format, truncated, or lacking one
+    of its arrays) raises :class:`GraphError` naming the file.
     """
-    values = np.asarray(values)
-    if values.shape[0] != partition.graph.num_vertices:
+    path = Path(path)
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise GraphError(f"{path}: not an .npz archive")
+        with data:
+            missing = [key for key in _BINARY_ARRAYS if key not in data]
+            if missing:
+                raise GraphError(
+                    f"{path}: not a graph file, missing arrays {missing}"
+                )
+            num_vertices = int(data["num_vertices"])
+            src = data["src"].astype(VERTEX_DTYPE)
+            dst = data["dst"].astype(VERTEX_DTYPE)
+            weights = data["weights"] if "weights" in data else None
+            name = bytes(data["name"]).decode()
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise GraphError(f"{path}: not a graph .npz file ({exc})") from None
+    if num_vertices >= MAX_VERTICES:
         raise GraphError(
-            f"expected {partition.graph.num_vertices} vertex values, "
-            f"got {values.shape[0]}"
+            f"{path}: vertex count {num_vertices} exceeds the "
+            f"{VERTEX_ID_BITS}-bit vertex id limit"
         )
-    lo, hi = partition.bounds[index], partition.bounds[index + 1]
-    body = values[lo:hi].astype(np.int32, copy=False)
-    header = np.array([index, hi - lo], dtype=np.int32)
-    return np.concatenate([header, body])
-
-
-def deserialize_interval(words: np.ndarray) -> tuple[int, np.ndarray]:
-    """Inverse of :func:`serialize_interval`: (interval index, values)."""
-    words = np.asarray(words, dtype=np.int32)
-    if words.size < 2:
-        raise GraphError("interval record too short")
-    index, count = int(words[0]), int(words[1])
-    if words.size != 2 + count:
-        raise GraphError(
-            f"interval record claims {count} values but carries "
-            f"{words.size - 2}"
-        )
-    return index, words[2:]
-
-
-def serialize_block(
-    partition: IntervalBlockPartition, i: int, j: int
-) -> np.ndarray:
-    """Serialise block (i, j): ``[i, j, count, s0, d0, s1, d1, ...]``."""
-    src, dst = partition.block_edges(i, j)
-    header = np.array([i, j, src.size], dtype=np.int32)
-    inter = np.empty(2 * src.size, dtype=np.int32)
-    inter[0::2] = src
-    inter[1::2] = dst
-    return np.concatenate([header, inter])
-
-
-def deserialize_block(
-    words: np.ndarray,
-) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Inverse of :func:`serialize_block`: (i, j, src, dst)."""
-    words = np.asarray(words, dtype=np.int32)
-    if words.size < 3:
-        raise GraphError("block record too short")
-    i, j, count = int(words[0]), int(words[1]), int(words[2])
-    if words.size != 3 + 2 * count:
-        raise GraphError(
-            f"block record claims {count} edges but carries "
-            f"{(words.size - 3) / 2}"
-        )
-    body = words[3:]
-    return i, j, body[0::2].astype(VERTEX_DTYPE), body[1::2].astype(VERTEX_DTYPE)
-
-
-def serialize_graph(partition: IntervalBlockPartition) -> np.ndarray:
-    """Serialise all blocks back-to-back, in block-major order.
-
-    This is exactly the image written into the ReRAM edge memory during
-    the one-shot preprocessing step.
-    """
-    p = partition.num_intervals
-    parts = [serialize_block(partition, i, j) for i in range(p) for j in range(p)]
-    if not parts:
-        return np.empty(0, dtype=np.int32)
-    return np.concatenate(parts)
-
-
-def deserialize_graph(
-    words: np.ndarray, num_vertices: int, name: str = "deserialized"
-) -> Graph:
-    """Rebuild a graph from a :func:`serialize_graph` image."""
-    words = np.asarray(words, dtype=np.int32)
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    pos = 0
-    while pos < words.size:
-        if words.size - pos < 3:
-            raise GraphError("trailing bytes do not form a block record")
-        count = int(words[pos + 2])
-        end = pos + 3 + 2 * count
-        if end > words.size:
-            raise GraphError("block record truncated")
-        _, _, src, dst = deserialize_block(words[pos:end])
-        srcs.append(src)
-        dsts.append(dst)
-        pos = end
-    if srcs:
-        return Graph(
-            num_vertices, np.concatenate(srcs), np.concatenate(dsts), name=name
-        )
-    return Graph.empty(num_vertices, name=name)
+    return Graph(num_vertices, src, dst, weights, name=name)

@@ -1,12 +1,5 @@
 """Memory device models: ReRAM, DRAM, SRAM, register files, power gating."""
 
-from .area import (
-    AreaEstimate,
-    FEATURE_SIZE_M,
-    POWER_GATE_BANK_OVERHEAD,
-    density_ratio,
-    memory_area,
-)
 from .base import (
     AccessCost,
     AccessKind,
@@ -50,11 +43,6 @@ from .controller import (
 )
 
 __all__ = [
-    "AreaEstimate",
-    "FEATURE_SIZE_M",
-    "POWER_GATE_BANK_OVERHEAD",
-    "density_ratio",
-    "memory_area",
     "AccessCost",
     "AccessKind",
     "AccessPattern",

@@ -9,7 +9,8 @@ them:
    bank-boundary crossing (the only wake event) is predictable and rare:
    one per ``bank_capacity`` bits streamed.
 3. *Power-gate area* — one gate per bank (not per mat) because sub-bank
-   interleaving keeps exactly one bank active.
+   interleaving keeps exactly one bank active.  The model prices the
+   gates' energy and time; it does not model silicon area.
 
 The controller also re-gates an active bank that receives no command for
 ``idle_timeout``; the model charges that window at full bank power.

@@ -83,3 +83,16 @@ def lj_workload() -> Workload:
 @pytest.fixture(scope="session")
 def yt_workload() -> Workload:
     return Workload.from_dataset("YT")
+
+
+@pytest.fixture(scope="session")
+def experiment_results():
+    """Every paper driver's table, regenerated once per session.
+
+    ``test_results_golden.py`` byte-compares these with ``results/``;
+    the claim tests in ``test_experiments.py`` read the same tables
+    rather than rerunning the drivers.
+    """
+    from repro.experiments import run_selected
+
+    return run_selected(save=False)

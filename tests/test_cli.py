@@ -1,11 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import MACHINE_NAMES, build_parser, main
 from repro.graph import io, rmat
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -133,6 +139,36 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert "bad.txt:2" in err
         assert err.startswith("error:")
+
+    def test_non_utf8_graph_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1\n\xff 2\n")
+        assert main(["run", "--graph", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "bad.txt:2" in err
+
+    def test_huge_vertex_id_exits_2_under_memory_cap(self, tmp_path):
+        # Run under an address-space cap: a loader that let the id
+        # through would fail the test, not exhaust the host's memory.
+        resource = pytest.importorskip("resource")
+        bad = tmp_path / "huge.txt"
+        bad.write_text("0 1\n1 99999999999\n")
+        cap = 2 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--graph", str(bad)],
+            capture_output=True, text=True, env=env, preexec_fn=limit,
+            timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert "huge.txt:2" in proc.stderr
 
 
 class TestExperiment:

@@ -24,12 +24,6 @@ def test_quickstart():
     assert "more energy-efficient" in out
 
 
-def test_phase_timeline():
-    out = run_example("phase_timeline.py")
-    assert "Processing" in out
-    assert "Loading" in out
-
-
 def test_social_network_analytics():
     out = run_example("social_network_analytics.py")
     assert "top influencers" in out

@@ -2,7 +2,9 @@
 
 These tests pin the *reproduced trends* of every figure/table —
 orderings, crossovers and approximate factors — not exact numbers.
-They run the real simulation pipeline end to end.
+They read the tables of the session's one ``run_selected`` pass (the
+``experiment_results`` fixture), which ``test_results_golden.py`` also
+byte-compares with ``results/``.
 """
 
 import pytest
@@ -10,15 +12,9 @@ import pytest
 from repro.experiments import (
     ALL_EXPERIMENTS,
     ExperimentResult,
-    fig14,
-    fig15,
     fig16,
     fig17,
-    fig18,
-    fig19,
     fig21,
-    table1,
-    table3,
     table4,
 )
 from repro.experiments.common import geomean
@@ -102,11 +98,9 @@ class TestRunAllIsolation:
 
 
 class TestResilienceExperiment:
-    @pytest.fixture(scope="class")
-    def result(self):
-        from repro.experiments import resilience
-
-        return resilience.run()
+    @pytest.fixture
+    def result(self, experiment_results):
+        return experiment_results["resilience"]
 
     def test_shape(self, result):
         from repro.experiments.resilience import MACHINE_ORDER, PROFILE_ORDER
@@ -128,16 +122,17 @@ class TestResilienceExperiment:
 
 
 class TestTable1:
-    def test_navg_close_to_paper(self):
-        result = table1.run()
+    def test_navg_close_to_paper(self, experiment_results):
+        result = experiment_results["table1"]
         for row in result.rows:
             _, measured, paper = row
             assert measured == pytest.approx(paper, rel=0.05)
 
 
 class TestTable3:
-    def test_energy_optimized_512_minimises_power_per_bit(self):
-        result = table3.run()
+    def test_energy_optimized_512_minimises_power_per_bit(
+            self, experiment_results):
+        result = experiment_results["table3"]
         powers = result.column("Power/bit (mW/bit)")
         targets = result.column("Target")
         bits = result.column("Output bits")
@@ -147,9 +142,9 @@ class TestTable3:
 
 
 class TestTable4:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return table4.run()
+    @pytest.fixture
+    def result(self, experiment_results):
+        return experiment_results["table4"]
 
     def test_full_sweep_shape(self, result):
         assert len(result.rows) == 15           # 3 algos x 5 datasets
@@ -168,35 +163,39 @@ class TestTable4:
 
 
 class TestFig14:
-    def test_sharing_always_helps(self):
-        result = fig14.run()
+    @pytest.fixture
+    def result(self, experiment_results):
+        return experiment_results["fig14"]
+
+    def test_sharing_always_helps(self, result):
         for row in result.rows:
             ratios = row[1:6]
             assert all(r > 1.0 for r in ratios)
 
-    def test_pr_gains_most(self):
-        result = fig14.run()
+    def test_pr_gains_most(self, result):
         means = {row[0]: row[6] for row in result.rows}
         assert means["PR"] > means["CC"]
         assert means["PR"] > means["BFS"]
 
 
 class TestFig15:
-    def test_average_gain_near_paper(self):
-        result = fig15.run()
+    @pytest.fixture
+    def result(self, experiment_results):
+        return experiment_results["fig15"]
+
+    def test_average_gain_near_paper(self, result):
         all_ratios = [r for row in result.rows for r in row[1:6]]
         assert geomean(all_ratios) == pytest.approx(1.53, rel=0.25)
 
-    def test_gating_never_hurts(self):
-        result = fig15.run()
+    def test_gating_never_hurts(self, result):
         for row in result.rows:
             assert all(r >= 1.0 for r in row[1:6])
 
 
 class TestFig16:
-    @pytest.fixture(scope="class")
-    def ratios(self):
-        return fig16.opt_ratios()
+    @pytest.fixture
+    def ratios(self, experiment_results):
+        return fig16.opt_ratios(experiment_results["fig16"])
 
     def test_opt_vs_dram_several_fold(self, ratios):
         # Paper: 5.90x.
@@ -227,8 +226,11 @@ class TestFig16:
 
 
 class TestFig17:
-    def test_memory_share_drops_with_each_optimisation(self):
-        result = fig17.run()
+    @pytest.fixture
+    def result(self, experiment_results):
+        return experiment_results["fig17"]
+
+    def test_memory_share_drops_with_each_optimisation(self, result):
         shares = {"SD": [], "HyVE": [], "opt": []}
         for row in result.rows:
             shares[row[0]].append(row[6])
@@ -237,8 +239,7 @@ class TestFig17:
         opt = sum(shares["opt"]) / len(shares["opt"])
         assert sd > hyve > opt
 
-    def test_sd_memory_share_near_paper(self):
-        result = fig17.run()
+    def test_sd_memory_share_near_paper(self, result):
         sd_shares = [row[6] for row in result.rows if row[0] == "SD"]
         mean = sum(sd_shares) / len(sd_shares)
         assert mean == pytest.approx(88.62, abs=8.0)  # percent
@@ -252,22 +253,25 @@ class TestFig17:
 
 
 class TestFig18:
-    def test_hyve_slightly_slower(self):
-        result = fig18.run()
+    @pytest.fixture
+    def result(self, experiment_results):
+        return experiment_results["fig18"]
+
+    def test_hyve_slightly_slower(self, result):
         for row in result.rows:
             ratios = row[1:6]
             assert all(0.7 < r <= 1.0 for r in ratios)
 
-    def test_slowdowns_in_paper_band(self):
+    def test_slowdowns_in_paper_band(self, result):
         # Paper: 1.9% (BFS) to 15.1% (PR) slowdown.
-        result = fig18.run()
         for row in result.rows:
             assert 0.0 < row[7] < 20.0
 
 
 class TestFig19:
-    def test_graphr_preprocessing_several_fold_slower(self):
-        result = fig19.run()
+    def test_graphr_preprocessing_several_fold_slower(
+            self, experiment_results):
+        result = experiment_results["fig19"]
         for row in result.rows:
             assert 2.5 < row[1] < 12.0
         values = result.column("GraphR/HyVE")
@@ -275,9 +279,13 @@ class TestFig19:
 
 
 class TestFig21:
-    @pytest.fixture(scope="class")
-    def averages(self):
-        return fig21.averages()
+    @pytest.fixture
+    def result(self, experiment_results):
+        return experiment_results["fig21"]
+
+    @pytest.fixture
+    def averages(self, result):
+        return fig21.averages(result)
 
     def test_hyve_faster(self, averages):
         assert averages["delay"] == pytest.approx(5.12, rel=0.5)
@@ -288,8 +296,7 @@ class TestFig21:
     def test_edp_order_of_magnitude(self, averages):
         assert averages["edp"] == pytest.approx(17.63, rel=0.6)
 
-    def test_hyve_wins_every_cell(self):
-        result = fig21.run()
+    def test_hyve_wins_every_cell(self, result):
         for row in result.rows:
             assert row[2] > 1.0  # delay
             assert row[3] > 1.0  # energy
@@ -338,8 +345,8 @@ class TestCheapDriverSchemas:
          "fig15", "fig18", "fig19", "ablation_interleaving",
          "ablation_bpg_timeout"],
     )
-    def test_driver(self, name):
-        result = ALL_EXPERIMENTS[name]()
+    def test_driver(self, experiment_results, name):
+        result = experiment_results[name]
         assert result.rows
         assert all(len(row) == len(result.headers) for row in result.rows)
         assert result.format()

@@ -1,10 +1,10 @@
-"""Tests for graph I/O and the Section 3.4 serialised layout."""
+"""Tests for graph I/O: edge-list text and binary files."""
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import Graph, IntervalBlockPartition, io
+from repro.graph import Graph, VERTEX_ID_BITS, io
 
 
 class TestEdgeListValidation:
@@ -54,6 +54,30 @@ class TestEdgeListValidation:
     def test_negative_vertex_header(self, tmp_path):
         with pytest.raises(GraphError, match=r"bad\.txt:1.*negative"):
             self._load(tmp_path, "# vertices: -4\n")
+
+    def test_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1\n1 \xff\xfe\n")
+        with pytest.raises(GraphError, match=r"bad\.txt:2.*UTF-8"):
+            io.load_edge_list(path)
+
+    def test_vertex_id_above_limit(self, tmp_path):
+        with pytest.raises(GraphError, match=r"bad\.txt:2.*32-bit"):
+            self._load(tmp_path, "0 1\n99999999999 0\n")
+
+    def test_vertex_id_at_limit(self, tmp_path):
+        with pytest.raises(GraphError, match=r"bad\.txt:1.*32-bit"):
+            self._load(tmp_path, f"0 {2 ** VERTEX_ID_BITS}\n")
+
+    def test_vertex_header_at_limit(self, tmp_path):
+        with pytest.raises(GraphError, match=r"bad\.txt:1.*32-bit"):
+            self._load(tmp_path, f"# vertices: {2 ** VERTEX_ID_BITS}\n0 1\n")
+
+    def test_num_vertices_argument_at_limit(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n")
+        with pytest.raises(GraphError, match=r"bad\.txt.*32-bit"):
+            io.load_edge_list(path, num_vertices=2 ** VERTEX_ID_BITS)
 
     def test_blank_lines_and_comments_ok(self, tmp_path):
         g = self._load(tmp_path, "# a comment\n\n0 1\n\n1 2\n")
@@ -138,65 +162,35 @@ class TestBinary:
         assert loaded.num_vertices == 7
         assert loaded.num_edges == 0
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            io.load_binary(tmp_path / "absent.npz")
 
-class TestSerializedLayout:
-    def test_interval_record_shape(self, tiny_graph):
-        p = IntervalBlockPartition.build(tiny_graph, 4)
-        values = np.arange(8)
-        record = io.serialize_interval(p, 1, values)
-        # [index, count, value, value]
-        assert record.tolist() == [1, 2, 2, 3]
+    def test_rejects_non_npz(self, tmp_path):
+        path = tmp_path / "text.npz"
+        path.write_text("0 1\n1 2\n")
+        with pytest.raises(GraphError, match=r"text\.npz"):
+            io.load_binary(path)
 
-    def test_interval_round_trip(self, tiny_graph):
-        p = IntervalBlockPartition.build(tiny_graph, 4)
-        values = np.arange(8) * 10
-        record = io.serialize_interval(p, 2, values)
-        index, out = io.deserialize_interval(record)
-        assert index == 2
-        assert out.tolist() == [40, 50]
+    def test_rejects_truncated(self, medium_rmat, tmp_path):
+        path = tmp_path / "cut.npz"
+        io.save_binary(medium_rmat, path)
+        image = path.read_bytes()
+        path.write_bytes(image[: len(image) // 2])
+        with pytest.raises(GraphError, match=r"cut\.npz"):
+            io.load_binary(path)
 
-    def test_interval_rejects_wrong_value_count(self, tiny_graph):
-        p = IntervalBlockPartition.build(tiny_graph, 4)
-        with pytest.raises(GraphError):
-            io.serialize_interval(p, 0, np.arange(5))
+    def test_rejects_missing_arrays(self, tmp_path):
+        path = tmp_path / "other.npz"
+        np.savez(path, x=np.arange(3))
+        with pytest.raises(GraphError, match=r"other\.npz.*num_vertices"):
+            io.load_binary(path)
 
-    def test_interval_rejects_truncated_record(self):
-        with pytest.raises(GraphError):
-            io.deserialize_interval(np.array([0, 5, 1], dtype=np.int32))
+    def test_rejects_vertex_count_at_limit(self, tmp_path):
+        path = tmp_path / "huge.npz"
+        np.savez(path, num_vertices=np.int64(2 ** VERTEX_ID_BITS),
+                 src=np.zeros(1, np.int32), dst=np.zeros(1, np.int32),
+                 name=np.bytes_(b"huge"))
+        with pytest.raises(GraphError, match=r"huge\.npz.*32-bit"):
+            io.load_binary(path)
 
-    def test_block_record_layout(self, tiny_graph):
-        p = IntervalBlockPartition.build(tiny_graph, 4)
-        record = io.serialize_block(p, 3, 0)
-        # Header: [src interval, dst interval, count], then pairs.
-        assert record[0] == 3 and record[1] == 0 and record[2] == 2
-
-    def test_block_round_trip(self, tiny_graph):
-        p = IntervalBlockPartition.build(tiny_graph, 4)
-        record = io.serialize_block(p, 1, 2)
-        i, j, src, dst = io.deserialize_block(record)
-        assert (i, j) == (1, 2)
-        assert set(zip(src.tolist(), dst.tolist())) == {(2, 4), (3, 4)}
-
-    def test_block_rejects_truncated(self):
-        with pytest.raises(GraphError):
-            io.deserialize_block(np.array([0, 0, 3, 1, 2], dtype=np.int32))
-
-    def test_graph_round_trip(self, medium_rmat):
-        p = IntervalBlockPartition.build(medium_rmat, 8)
-        image = io.serialize_graph(p)
-        rebuilt = io.deserialize_graph(image, medium_rmat.num_vertices)
-        assert rebuilt.num_edges == medium_rmat.num_edges
-        # Same multiset of edges (order differs: block-major).
-        orig = sorted(zip(medium_rmat.src.tolist(), medium_rmat.dst.tolist()))
-        new = sorted(zip(rebuilt.src.tolist(), rebuilt.dst.tolist()))
-        assert orig == new
-
-    def test_empty_graph_image(self):
-        p = IntervalBlockPartition.build(Graph.empty(4), 2)
-        image = io.serialize_graph(p)
-        rebuilt = io.deserialize_graph(image, 4)
-        assert rebuilt.num_edges == 0
-
-    def test_deserialize_rejects_garbage(self):
-        with pytest.raises(GraphError):
-            io.deserialize_graph(np.array([1, 2], dtype=np.int32), 4)

@@ -1,7 +1,8 @@
 """Every experiment driver's table, pinned byte for byte to ``results/``.
 
-One ``run_selected(save=False)`` regenerates every driver in
-``ALL_EXPERIMENTS``; each case compares ``result.to_csv()`` with the
+The session's one ``run_selected(save=False)`` (the
+``experiment_results`` fixture in ``conftest.py``) regenerates every
+driver in ``ALL_EXPERIMENTS``; each case compares ``result.to_csv()`` with the
 committed ``results/<name>.csv``.  Only fig20's three host-stopwatch
 columns are masked: they time the interpreter, not the modelled memory.
 
@@ -24,7 +25,7 @@ import os
 import pytest
 
 from repro.experiments import (ALL_EXPERIMENTS, RESULTS_DIR, fig16, fig17,
-                               fig21, run_selected, table4)
+                               fig21, table4)
 from repro.experiments.common import geomean
 from repro.model.edge_storage import read_pattern_conclusions
 
@@ -34,11 +35,6 @@ pytestmark = pytest.mark.golden
 STOPWATCH_COLUMNS = {
     "fig20": ("HyVE (M edges/s)", "GraphR (M edges/s)", "Measured ratio"),
 }
-
-
-@pytest.fixture(scope="module")
-def results():
-    return run_selected(save=False)
 
 
 def _masked(name: str, text: str) -> str:
@@ -56,8 +52,8 @@ def _masked(name: str, text: str) -> str:
 
 
 @pytest.mark.parametrize("name", list(ALL_EXPERIMENTS))
-def test_matches_committed_csv(results, name):
-    result = results[name]
+def test_matches_committed_csv(experiment_results, name):
+    result = experiment_results[name]
     path = RESULTS_DIR / f"{name}.csv"
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         result.save()
@@ -256,5 +252,5 @@ CLAIMS = {
 
 
 @pytest.mark.parametrize("name", list(CLAIMS))
-def test_paper_claim(results, name):
-    CLAIMS[name](results[name])
+def test_paper_claim(experiment_results, name):
+    CLAIMS[name](experiment_results[name])

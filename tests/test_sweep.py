@@ -8,12 +8,7 @@ import pytest
 from repro.algorithms import PageRank
 from repro.arch.config import HyVEConfig, Workload
 from repro.arch.machine import AcceleratorMachine
-from repro.arch.sweep import (
-    best_point,
-    pareto_front,
-    successful_points,
-    sweep,
-)
+from repro.arch.sweep import sweep
 from repro.errors import ConfigError, SweepPointError
 from repro.faults import make_profile
 from repro.graph import rmat
@@ -87,24 +82,19 @@ class TestRobustSweep:
         points = sweep("num_pus", [4, -1, 8], PageRank, workload,
                        isolate_errors=True)
         assert len(points) == 3
-        ok = successful_points(points)
-        assert [p.value for p in ok] == [4, 8]
+        assert [p.value for p in points if p.ok] == [4, 8]
         failed = points[1]
         assert not failed.ok
         assert failed.report is None
         assert "ConfigError" in failed.error
         with pytest.raises(SweepPointError):
             _ = failed.mteps_per_watt
-        # Selection helpers skip the failure.
-        assert best_point(points).ok
-        assert all(p.ok for p in pareto_front(points))
 
     def test_empty_selection_after_failures(self, workload):
         points = sweep("num_pus", [-1, -2], PageRank, workload,
                        isolate_errors=True)
-        assert not successful_points(points)
-        with pytest.raises(ConfigError):
-            best_point(points)
+        assert not any(p.ok for p in points)
+        assert all("ConfigError" in p.error for p in points)
 
 
 class TestConvergenceFailure:
@@ -123,7 +113,7 @@ class TestConvergenceFailure:
                        workload, isolate_errors=True)
         assert len(calls) == 1
         assert [p.error for p in points] == ["RuntimeError: diverged"] * 3
-        assert not successful_points(points)
+        assert not any(p.ok for p in points)
 
     def test_strict_names_first_value(self, workload):
         calls = []
@@ -205,24 +195,3 @@ class TestFaultedSweep:
             assert_reports_identical(direct, point.report,
                                      f"{profile} {point.config.label}")
 
-
-class TestSelection:
-    def test_best_point(self, workload):
-        points = sweep("sram_bits", [2 * MB, 16 * MB], PageRank, workload)
-        best = best_point(points)
-        assert best.mteps_per_watt == max(
-            p.mteps_per_watt for p in points
-        )
-
-    def test_best_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            best_point([])
-
-    def test_pareto_front_nonempty_subset(self, workload):
-        points = sweep("sram_bits", [2 * MB, 4 * MB, 8 * MB, 16 * MB],
-                       PageRank, workload)
-        front = pareto_front(points)
-        assert 1 <= len(front) <= len(points)
-        # Best-efficiency point is never dominated on energy.
-        best = min(points, key=lambda p: p.report.total_energy)
-        assert best in front
