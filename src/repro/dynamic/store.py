@@ -48,6 +48,8 @@ class DynamicStats:
     vertices_deleted: int = 0
     extensions_allocated: int = 0
     repartitions: int = 0
+    #: GraphR only: tile-directory entries created by edge additions.
+    tiles_allocated: int = 0
 
     @property
     def edges_changed(self) -> int:
@@ -598,6 +600,7 @@ class GraphRDynamicStore:
             self._ntiles += 1
             self._slot[key] = slot
             self._register_tile(key)
+            self.stats.tiles_allocated += 1
         tile = self._images[slot]
         count = int(tile[0, r, c]) + value
         # The dense images are what the four 4-bit crossbars load:
@@ -713,6 +716,7 @@ class GraphRDynamicStore:
                 self._register_tile(keys[i])
             slots[missing] = base + np.arange(missing.size)
             self._ntiles = base + missing.size
+            self.stats.tiles_allocated += int(missing.size)
         slot_per_cell = np.repeat(slots, tile_sizes)
         flat_images = self._images.reshape(
             len(self._images), self.PLANES, cells

@@ -39,6 +39,7 @@ item 3).  Three pieces:
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +54,12 @@ from ..graph.graph import VERTEX_DTYPE, Graph
 from ..obs.metrics import STALENESS_FLUSHES, UPDATES_APPLIED, get_metrics
 from ..obs.trace import get_tracer
 from .temporal import TemporalGraph
+
+#: What ``errors="surrogateescape"`` decodes a non-UTF-8 byte to.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+#: Range of the packed int64 event columns.
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 #: Schema tag carried by every serialised update log.
 UPDATES_SCHEMA = "hyve-updates-v1"
@@ -304,17 +311,27 @@ class UpdateLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "UpdateLog":
-        """Parse and validate one ``hyve-updates-v1`` JSONL file."""
+        """Parse and validate one ``hyve-updates-v1`` JSONL file; any
+        malformed content raises :class:`StreamError` naming the file
+        and, where one is at fault, the line."""
         path = Path(path)
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            # Undecodable bytes become lone surrogates, so the line
+            # holding one can be named.
+            text = path.read_text(encoding="utf-8",
+                                  errors="surrogateescape")
         except OSError as exc:
             raise StreamError(f"unreadable update log {path}: {exc}") from exc
+        lines = text.splitlines()
+        if _UNDECODED.search(text):
+            lineno = next(i for i, line in enumerate(lines, start=1)
+                          if _UNDECODED.search(line))
+            raise StreamError(f"{path}:{lineno}: not UTF-8 text")
         if not lines:
             raise StreamError(f"{path} is empty (missing header record)")
         try:
             header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise StreamError(f"{path}:1: bad JSON: {exc}") from exc
         if not isinstance(header, dict) \
                 or header.get("schema") != UPDATES_SCHEMA:
@@ -324,9 +341,11 @@ class UpdateLog:
             )
         try:
             num_vertices = int(header["num_vertices"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StreamError(
-                f"{path}:1: bad header num_vertices: {exc!r}") from exc
+            declared = header.get("events")
+            if declared is not None:
+                declared = int(declared)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise StreamError(f"{path}:1: bad header: {exc!r}") from exc
         log = cls(num_vertices, name=str(header.get("name", "stream")))
         rows = []
         for lineno, line in enumerate(lines[1:], start=2):
@@ -336,14 +355,16 @@ class UpdateLog:
                 record = json.loads(line)
                 if record["op"] not in _OPS:
                     raise ValueError(f"unknown op {record['op']!r}")
-                rows.append((int(record["t"]), _OPS.index(record["op"]),
-                             int(record["src"]), int(record["dst"])))
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError) as exc:
+                row = (int(record["t"]), _OPS.index(record["op"]),
+                       int(record["src"]), int(record["dst"]))
+                if not all(_INT64_MIN <= x <= _INT64_MAX for x in row):
+                    raise ValueError("value outside the int64 range")
+                rows.append(row)
+            except (KeyError, TypeError, ValueError, OverflowError,
+                    RecursionError) as exc:
                 raise StreamError(f"{path}:{lineno}: bad event: {exc}") from exc
         log.extend_arrays(np.array(rows, dtype=np.int64).reshape(-1, 4))
-        declared = header.get("events")
-        if declared is not None and int(declared) != len(log):
+        if declared is not None and declared != len(log):
             raise StreamError(
                 f"{path}: header declares {declared} events, found {len(log)}"
             )

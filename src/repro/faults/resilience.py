@@ -22,15 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, FaultError
-from ..units import PJ
 from .profile import FaultProfile
 
 #: Retry rounds the write-verify controller issues beyond which it
 #: gives up and remaps the word (bounded retry energy).
 WRITE_RETRY_BOUND = 5
-
-#: Energy of one remap-table indirection (a small CAM/SRAM lookup).
-REMAP_LOOKUP_ENERGY = 0.02 * PJ
 
 
 def expected_write_rounds(fail_rate: float, max_rounds: int) -> float:

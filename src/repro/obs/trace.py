@@ -29,6 +29,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import time
 from pathlib import Path
 
@@ -47,6 +48,10 @@ _REQUIRED_FIELDS = {
     "span": ("kind", "name", "id", "parent", "t_start", "t_end", "dur"),
     "event": ("kind", "name", "id", "parent", "t"),
 }
+
+
+#: What ``errors="surrogateescape"`` decodes a non-UTF-8 byte to.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 class TraceError(ReproError):
@@ -244,6 +249,9 @@ def validate_record(record: object, lineno: int = 0) -> dict:
             f"{where}unsupported trace schema {record['schema']!r} "
             f"(this reader understands {TRACE_SCHEMA!r})"
         )
+    if kind == "span" and not all(
+            isinstance(record[f], (int, float)) for f in ("t_start", "t_end")):
+        raise TraceError(f"{where}span times must be numbers")
     if kind == "span" and record["t_end"] < record["t_start"]:
         raise TraceError(f"{where}span {record.get('name')!r} ends "
                          "before it starts")
@@ -257,18 +265,25 @@ def read_trace(path: str | Path) -> list[dict]:
     """Parse and validate a JSONL trace; first record must be the header."""
     path = Path(path)
     records: list[dict] = []
-    with path.open("r", encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, so the line holding one
+    # can be named.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if _UNDECODED.search(line):
+                raise TraceError(f"{path}:{lineno}: not UTF-8 text")
             line = line.strip()
             if not line:
                 continue
             try:
                 parsed = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TraceError(
                     f"{path}:{lineno}: not valid JSON ({exc})"
                 ) from exc
-            records.append(validate_record(parsed, lineno))
+            try:
+                records.append(validate_record(parsed))
+            except TraceError as exc:
+                raise TraceError(f"{path}:{lineno}: {exc}") from None
     if not records:
         raise TraceError(f"{path}: empty trace")
     if records[0]["kind"] != "meta":

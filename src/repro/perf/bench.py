@@ -326,15 +326,14 @@ def _clear_hot_memos() -> None:
     """Drop every process-level memo the hot paths consult.
 
     A "cold" hot-path pass must pay CSR builds, transform caches,
-    device pricing, fig20 subsampling and partition construction — the
-    costs the memos normally amortise — so clearing them (plus a fresh
-    run-cache directory, which the caller swaps in) reproduces a fresh
-    process without the interpreter start-up noise.
+    device pricing and partition construction — the costs the memos
+    normally amortise — so clearing them (plus a fresh run-cache
+    directory, which the caller swaps in) reproduces a fresh process
+    without the interpreter start-up noise.
     """
     from ..algorithms import runner as runner_mod
     from ..algorithms import vertex_centric as vc_mod
     from ..arch import machine as machine_mod
-    from ..experiments import fig20 as fig20_mod
     # The package re-exports a ``hash_partition`` *function* that
     # shadows the submodule attribute, so import the module directly.
     from ..graph.hash_partition import (
@@ -347,7 +346,6 @@ def _clear_hot_memos() -> None:
     vc_mod._CSR_MEMO.clear()
     runner_mod._TRANSFORM_MEMO.clear()
     machine_mod.clear_device_memos()
-    fig20_mod._CAPPED_MEMO.clear()
     stats_mod._NONEMPTY_MEMO.clear()
     partition_mod._PARTITION_MEMO.clear()
     _HASH_PARTITION_MEMO.clear()

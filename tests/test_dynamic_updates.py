@@ -1,4 +1,4 @@
-"""Tests for request generation, replay and throughput measurement."""
+"""Tests for request generation, replay and the Fig. 20 update counts."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,10 @@ from repro.dynamic import (
     apply_requests_batched,
     compare_dynamic_throughput,
     generate_requests,
-    measure_store,
-    modeled_update_ratio,
 )
 from repro.errors import DynamicGraphError
+from repro.experiments import fig20
+from repro.experiments.common import workloads
 from repro.graph import rmat
 
 
@@ -121,40 +121,82 @@ class TestBatched:
             apply_requests_batched(store, [], chunk_size=0)
 
 
+def _replayed_counts(graph, requests, chunk_size=None):
+    """Both stores' ``DynamicStats`` after a replay of ``requests``:
+    per request, or in ``chunk_size`` chunks when one is given."""
+    hyve = DynamicGraphStore(graph, num_intervals=fig20.NUM_INTERVALS)
+    graphr = GraphRDynamicStore(graph)
+    for store in (hyve, graphr):
+        if chunk_size is None:
+            apply_requests(store, requests)
+        else:
+            apply_requests_batched(store, requests, chunk_size=chunk_size)
+    return hyve.stats, graphr.stats
+
+
+def _assert_counts_match(counts, hyve, graphr, order_dependent=True):
+    for stats in (hyve, graphr):
+        assert (counts.edges_added, counts.edges_deleted,
+                counts.vertices_added, counts.vertices_deleted) == (
+            stats.edges_added, stats.edges_deleted,
+            stats.vertices_added, stats.vertices_deleted)
+    if order_dependent:
+        assert counts.hyve_extensions == hyve.extensions_allocated
+    assert counts.graphr_tiles == graphr.tiles_allocated
+    assert counts.graphr_regrowths == graphr.repartitions
+
+
 class TestThroughput:
-    def test_measure_store(self, small_rmat):
-        store = DynamicGraphStore(small_rmat, num_intervals=8)
-        requests = generate_requests(small_rmat, 1000, seed=2)
-        result = measure_store("HyVE", store, "s", requests)
-        assert result.edges_changed > 0
-        assert result.million_edges_per_second > 0
-
     def test_compare_returns_both(self, small_rmat):
-        hyve, graphr = compare_dynamic_throughput(
-            small_rmat, num_requests=1500
-        )
-        assert hyve.store == "HyVE"
-        assert graphr.store == "GraphR"
-        assert hyve.edges_changed == graphr.edges_changed
+        counts = compare_dynamic_throughput(small_rmat, num_requests=1500)
+        assert counts.edges_changed > 0
+        assert counts.vertices_changed > 0
+        assert counts.graphr_tiles > 0
 
-    def test_hyve_faster_than_graphr(self):
-        # Wall-clock comparison: take the best of three runs per store
-        # to shrug off scheduler noise.
-        g = rmat(4096, 40000, seed=21)
-        best_ratio = 0.0
-        for attempt in range(3):
-            hyve, graphr = compare_dynamic_throughput(
-                g, num_requests=8000, seed=attempt
-            )
-            best_ratio = max(
-                best_ratio,
-                hyve.million_edges_per_second
-                / graphr.million_edges_per_second,
-            )
-            if best_ratio > 1.0:
-                break
-        assert best_ratio > 1.0
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_counts_match_per_request_replay(self, small_rmat, seed):
+        counts = compare_dynamic_throughput(
+            small_rmat, num_requests=1500,
+            num_intervals=fig20.NUM_INTERVALS, seed=seed)
+        requests = generate_requests(small_rmat, 1500, seed=seed)
+        _assert_counts_match(counts, *_replayed_counts(small_rmat, requests))
 
-    def test_modeled_ratio_near_paper(self):
-        # Paper measures 8.04x; the data-movement model gives 8.5x.
-        assert modeled_update_ratio() == pytest.approx(8.04, rel=0.2)
+    def test_counts_match_per_request_replay_across_repartitions(self):
+        # 64 vertices leave 20 ids of interval slack: the stream's ~75
+        # vertex additions make the HyVE store re-lay its blocks.
+        graph = rmat(64, 256, seed=3, name="tiny-rmat")
+        counts = compare_dynamic_throughput(
+            graph, num_requests=1500, num_intervals=fig20.NUM_INTERVALS)
+        hyve, graphr = _replayed_counts(
+            graph, generate_requests(graph, 1500, seed=0))
+        assert hyve.repartitions >= 2
+        _assert_counts_match(counts, hyve, graphr)
+
+    def test_counts_match_per_request_replay_on_capped_yt(self):
+        graph = fig20._capped(workloads()["YT"].graph)
+        requests = generate_requests(graph, 20_000, seed=fig20.SEED)
+        hyve, graphr = _replayed_counts(graph, requests)
+        _assert_counts_match(fig20.counts()["YT"], hyve, graphr)
+        assert hyve.repartitions == 0
+
+    def test_counts_do_not_depend_on_chunk_size(self, small_rmat, rng):
+        # Chunked replay reorders requests inside a chunk: HyVE's
+        # extension count moves with it, everything else must not.
+        counts = compare_dynamic_throughput(
+            small_rmat, num_requests=1500,
+            num_intervals=fig20.NUM_INTERVALS)
+        requests = generate_requests(small_rmat, 1500, seed=0)
+        for chunk in [1, 7, 500, 4096, *rng.integers(2, 1500, 3).tolist()]:
+            hyve, graphr = _replayed_counts(small_rmat, requests, chunk)
+            _assert_counts_match(counts, hyve, graphr,
+                                 order_dependent=chunk == 1)
+
+    def test_hyve_moves_fewer_bytes(self, medium_rmat):
+        counts = compare_dynamic_throughput(medium_rmat, num_requests=4000)
+        assert counts.hyve_bytes() < counts.graphr_bytes()
+        assert counts.hyve_bytes() >= 16 * counts.edges_changed
+
+    def test_counted_ratio_near_paper(self):
+        # Paper measures 8.04x; every dataset's counted ratio is near.
+        ratios = [c.modeled_ratio() for c in fig20.counts().values()]
+        assert all(r == pytest.approx(8.04, rel=0.05) for r in ratios)

@@ -7,6 +7,12 @@ They read the tables of the session's one ``run_selected`` pass (the
 byte-compares with ``results/``.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -14,10 +20,43 @@ from repro.experiments import (
     ExperimentResult,
     fig16,
     fig17,
+    fig20,
     fig21,
     table4,
 )
 from repro.experiments.common import geomean
+from repro.perf.cache import temporary_run_cache
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Regenerates fig20 against ``$REPRO_CACHE_DIR`` in a fresh process and
+#: reports the CSV, the counts lookups and the store reads it took.
+FIG20_CHILD = """
+import json
+
+from repro.experiments import fig20
+from repro.perf.cache import get_run_cache
+from repro.perf.store import SQLiteStore
+
+reads = []
+get_many = SQLiteStore.get_many
+
+
+def counted(self, keys):
+    keys = list(keys)
+    reads.append(len(keys))
+    return get_many(self, keys)
+
+
+SQLiteStore.get_many = counted
+# A warm pass neither counts nor subsamples.
+fig20.compare_dynamic_throughput = fig20._capped = None
+csv = fig20.run().to_csv()
+stats = get_run_cache().stats
+print(json.dumps({"csv": csv, "reads": reads,
+                  "hits": stats.counts_disk_hits,
+                  "misses": stats.counts_misses}))
+"""
 
 
 class TestExperimentResult:
@@ -276,6 +315,33 @@ class TestFig19:
             assert 2.5 < row[1] < 12.0
         values = result.column("GraphR/HyVE")
         assert sum(values) / len(values) == pytest.approx(6.73, rel=0.35)
+
+
+class TestFig20:
+    def test_same_bytes_from_empty_and_filled_store(self, tmp_path):
+        with temporary_run_cache(tmp_path):
+            cold = fig20.run().to_csv()
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                          else []))
+        proc = subprocess.run([sys.executable, "-c", FIG20_CHILD],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        warm = json.loads(proc.stdout.splitlines()[-1])
+        assert warm["csv"] == cold
+        # All five records come from one batched store read.
+        assert warm["reads"] == [5]
+        assert (warm["hits"], warm["misses"]) == (5, 0)
+
+    def test_a_hit_never_subsamples(self, monkeypatch):
+        with temporary_run_cache() as cache:
+            first = fig20.counts(num_requests=200)
+            monkeypatch.setattr(fig20, "_capped", None)
+            assert fig20.counts(num_requests=200) == first
+        assert (cache.stats.counts_misses,
+                cache.stats.counts_memory_hits) == (5, 5)
 
 
 class TestFig21:

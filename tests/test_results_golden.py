@@ -3,8 +3,7 @@
 The session's one ``run_selected(save=False)`` (the
 ``experiment_results`` fixture in ``conftest.py``) regenerates every
 driver in ``ALL_EXPERIMENTS``; each case compares ``result.to_csv()`` with the
-committed ``results/<name>.csv``.  Only fig20's three host-stopwatch
-columns are masked: they time the interpreter, not the modelled memory.
+committed ``results/<name>.csv``, every cell byte for byte.
 
 ``CLAIMS`` checks the paper's qualitative conclusions on the same
 regeneration, one claim per experiment (e.g. Fig. 14 "every mean > 1
@@ -18,8 +17,6 @@ To regenerate after an intentional model change::
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 
 import pytest
@@ -30,25 +27,6 @@ from repro.experiments.common import geomean
 from repro.model.edge_storage import read_pattern_conclusions
 
 pytestmark = pytest.mark.golden
-
-#: Columns that carry host wall-clock, blanked on both sides.
-STOPWATCH_COLUMNS = {
-    "fig20": ("HyVE (M edges/s)", "GraphR (M edges/s)", "Measured ratio"),
-}
-
-
-def _masked(name: str, text: str) -> str:
-    """``text`` with experiment ``name``'s stopwatch cells replaced."""
-    columns = STOPWATCH_COLUMNS.get(name)
-    if not columns:
-        return text
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    blank = {rows[0].index(column) for column in columns}
-    out = io.StringIO(newline="")
-    csv.writer(out).writerows(
-        [rows[0]] + [["#" if i in blank else cell for i, cell in enumerate(row)]
-                     for row in rows[1:]])
-    return out.getvalue()
 
 
 @pytest.mark.parametrize("name", list(ALL_EXPERIMENTS))
@@ -61,7 +39,7 @@ def test_matches_committed_csv(experiment_results, name):
     assert path.exists(), (
         f"missing {path}; run with REPRO_UPDATE_GOLDEN=1 to create it")
     committed = path.read_bytes().decode()
-    assert _masked(name, result.to_csv()) == _masked(name, committed), (
+    assert result.to_csv() == committed, (
         f"{name} no longer reproduces {path}; if the change is "
         "intentional, regenerate with REPRO_UPDATE_GOLDEN=1")
 
