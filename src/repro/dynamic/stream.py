@@ -24,12 +24,15 @@ item 3).  Three pieces:
   component labels, after searches sized to the pieces that deletions
   split off (re-seeding the touched components and relaxing to the
   fixpoint only when those searches cannot settle it).
-  PR and first-time initialisation rebuild the canonical snapshot from
-  scratch through the run cache, which is bit-identical by
-  construction.  Either way, every published value is bit-identical
-  (exact ints for BFS/CC, 1e-12 for PR) to a full rebuild of
-  ``snapshot_at(t)`` — the ``stream-rebuild-identity`` oracle enforces
-  this over generated logs.
+  First-time initialisation rebuilds the canonical snapshot from
+  scratch.  PR has no incremental rule, so it is converged only when a
+  query reads it: a contract flush drops its value, and the query
+  rebuilds it from the snapshot at its own instant through the run
+  cache, which is bit-identical by construction.  Either way, every
+  value a query returns is bit-identical (exact ints for BFS/CC, the
+  same run for PR) to a full rebuild of ``snapshot_at(t)`` — the
+  ``stream-rebuild-identity`` oracle enforces this over generated
+  logs.
 * :func:`measure_stream` — a :class:`StreamThroughputResult` bench:
   sustained updates/second under concurrent pricing queries, compared
   against a serial-replay baseline that rebuilds the graph from the
@@ -865,7 +868,9 @@ class StreamEngine:
     published algorithm values whenever ``k`` updates are pending or a
     query arrives — so published values lag the log by at most
     ``k - 1`` updates, and a query is always answered at the current
-    logical time.
+    logical time.  BFS and CC are published at every flush; PR is
+    published only by the query that reads it (see :meth:`flush`), so
+    PR is never converged on a stream whose queries do not ask for it.
     """
 
     def __init__(self, num_vertices: int,
@@ -998,21 +1003,31 @@ class StreamEngine:
         """Ingest every event of an existing log, timestamps preserved."""
         return self.ingest(log)
 
-    def flush(self, use_cache: bool = False) -> None:
+    def flush(self, query: str | None = None) -> None:
         """Refresh published values to the current logical time.
 
-        No-op when nothing is pending.  BFS and CC always refresh
+        A *contract* flush (``query=None``, run by :meth:`ingest` when
+        ``k`` updates are pending) refreshes BFS and CC and is a no-op
+        when nothing is pending.  BFS and CC always refresh
         incrementally (and exactly) once initialised: support-growing
         deltas merge the previous CC labels and relax BFS from the
         previous fixpoint, CC deletions label the pieces they split
         off before merging, and BFS deletions invalidate just the
-        orphaned region before relaxing.  PR — a sum-based fixpoint with no monotone
-        incremental rule — and first-time initialisation rebuild the
-        canonical snapshot from scratch.
-        ``use_cache=True`` routes rebuilds through the run cache
-        (query-time flushes do this, so time-sliced pricing at the
-        same instant reuses the run); contract flushes between queries
-        skip the cache store.
+        orphaned region before relaxing.  First-time initialisation
+        rebuilds the canonical snapshot from scratch.  PR — a
+        sum-based fixpoint with no monotone incremental rule — is not
+        converged here: the flush drops its value, since no query has
+        asked for it yet.
+
+        A *query* flush (``query`` names the algorithm :meth:`query`
+        is about to read, which it runs even with nothing pending)
+        does the same refresh, then rebuilds the queried value if it
+        is missing — a PR dropped by a contract flush, or any value
+        before the first event — from the snapshot at the query's own
+        instant, through the run cache, so time-sliced pricing at the
+        same instant reuses the run.  Every rebuild happens here and
+        counts in ``stats.rebuilds``; ``stats.flushes`` counts only
+        flushes that retired pending updates.
 
         Cost: the support delta is the log's own per-key report for
         the pending chunks, with no probe of the support.  An
@@ -1032,9 +1047,15 @@ class StreamEngine:
         searches the next few deletion flushes fall back without one
         (:data:`SPLIT_BACKOFF_CAP`).
         """
-        if self._pending == 0:
-            return
         t = self.logical_time
+        if self._pending == 0:
+            if query is not None and query not in self._values:
+                with get_tracer().span("stream.flush", t=t, pending=0,
+                                       log=self.log.name):
+                    self._values[query] = run_cached(
+                        self._algs[query], self.snapshot(t)).values
+                self.stats.rebuilds += 1
+            return
         with get_tracer().span("stream.flush", t=t, pending=self._pending,
                                log=self.log.name):
             live = self.log.support
@@ -1059,6 +1080,10 @@ class StreamEngine:
             # materialised lazily, only when some algorithm rebuilds.
             snapshot: Graph | None = None
             for name in self.algorithms:
+                if name == "pr" and name != query:
+                    # Converged only by the query that reads it.
+                    self._values.pop(name, None)
+                    continue
                 previous = self._values.get(name)
                 values = None
                 if previous is not None and name == "cc":
@@ -1086,7 +1111,7 @@ class StreamEngine:
                 else:
                     if snapshot is None:
                         snapshot = self.snapshot(t)
-                    runner = run_cached if use_cache else run_vectorized
+                    runner = run_vectorized if query is None else run_cached
                     values = runner(self._algs[name], snapshot).values
                     self.stats.rebuilds += 1
                 self._values[name] = values
@@ -1170,14 +1195,8 @@ class StreamEngine:
                 f"engine does not maintain {algorithm!r} "
                 f"(maintaining {list(self.algorithms)})"
             )
-        self.flush(use_cache=True)
+        self.flush(query=algorithm)
         self.stats.queries += 1
-        if algorithm not in self._values:
-            # Queried before any event: values of the empty graph.
-            empty = self.snapshot(self.logical_time)
-            self._values[algorithm] = run_cached(
-                self._algs[algorithm], empty).values
-            self._values_time = self.logical_time
         return self._values[algorithm]
 
 

@@ -71,8 +71,10 @@ def run() -> ExperimentResult:
         roundtrip_ok = baseline.fingerprint() == store.fingerprint
         result.add("stream+shard", "-", f"fingerprint={roundtrip_ok}")
 
+        references = {}
         for label, factory in CORE_ALGORITHM_FACTORIES.items():
-            reference = run_vectorized(factory(), baseline)
+            reference = references[label] = run_vectorized(factory(),
+                                                           baseline)
             with temporary_run_cache():
                 streamed = run_sharded(factory(), store)
             exact = (streamed.iterations == reference.iterations
@@ -86,7 +88,7 @@ def run() -> ExperimentResult:
             result.add(f"{label} sharded", streamed.iterations, tag)
 
         config = NAMED_CONFIGS["acc+HyVE"]()
-        run_pr = run_vectorized(CORE_ALGORITHM_FACTORIES["PR"](), baseline)
+        run_pr = references["PR"]
         with temporary_run_cache():
             clear_imbalance_cache()
             whole = scheduled_counts(run_pr, Workload(graph=baseline), config)

@@ -10,8 +10,8 @@ sharing shifts the sweet spot to smaller SRAM.
 from __future__ import annotations
 
 from ..arch.config import HyVEConfig
-from ..arch.machine import AcceleratorMachine
 from ..memory.powergate import PowerGatingPolicy
+from ..perf.batch import run_grid
 from ..units import MB
 from .common import CORE_ALGORITHM_FACTORIES, ExperimentResult, workloads
 
@@ -27,24 +27,14 @@ GROUPS = (
 )
 
 
-def efficiency(
-    algorithm_name: str,
-    dataset: str,
-    sram_mb: int,
-    power_gating: bool,
-    sharing: bool,
-) -> float:
-    """MTEPS/W of one Table 4 cell."""
-    config = HyVEConfig(
+def config(sram_mb: int, power_gating: bool, sharing: bool) -> HyVEConfig:
+    """The HyVE configuration of one Table 4 column."""
+    return HyVEConfig(
         label=f"hyve-{sram_mb}MB",
         sram_bits=sram_mb * MB,
         data_sharing=sharing,
         power_gating=PowerGatingPolicy(enabled=power_gating),
     )
-    machine = AcceleratorMachine(config)
-    algorithm = CORE_ALGORITHM_FACTORIES[algorithm_name]()
-    workload = workloads()[dataset]
-    return machine.run(algorithm, workload).report.mteps_per_watt
 
 
 def run(sram_mb: tuple[int, ...] = SRAM_MB) -> ExperimentResult:
@@ -57,13 +47,14 @@ def run(sram_mb: tuple[int, ...] = SRAM_MB) -> ExperimentResult:
         title="Energy efficiency varying SRAM sizes (MTEPS/W)",
         headers=headers,
     )
-    for algo in CORE_ALGORITHM_FACTORIES:
-        for dataset in workloads():
-            row: list = [algo, dataset]
-            for _, pg, sharing in GROUPS:
-                for size in sram_mb:
-                    row.append(efficiency(algo, dataset, size, pg, sharing))
-            result.rows.append(row)
+    configs = [config(size, pg, sharing)
+               for _, pg, sharing in GROUPS for size in sram_mb]
+    for algo, factory in CORE_ALGORITHM_FACTORIES.items():
+        for dataset, workload in workloads().items():
+            # One grid per row: converge once, price every column.
+            grid = run_grid(factory(), workload, configs)
+            result.rows.append([algo, dataset] + [
+                cell.report.mteps_per_watt for cell in grid])
     return result
 
 

@@ -21,9 +21,10 @@ TW        41.7 M        1,470 M       27,800 / 980,000
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
-from .generators import rmat
+from .generators import GENERATOR_VERSION, rmat
 from .graph import Graph
 
 
@@ -56,18 +57,22 @@ class DatasetSpec:
         """How much smaller the synthetic graph is than the original."""
         return self.paper_edges / self.num_edges
 
+    def _rmat_args(self) -> dict:
+        rest = (1.0 - self.rmat_a) / 3.0
+        return {"num_vertices": self.num_vertices,
+                "num_edges": self.num_edges, "a": self.rmat_a,
+                "b": rest, "c": rest, "seed": self.seed, "name": self.key}
+
     def generate(self) -> Graph:
         """Generate (deterministically) the synthetic graph."""
-        rest = (1.0 - self.rmat_a) / 3.0
-        return rmat(
-            self.num_vertices,
-            self.num_edges,
-            a=self.rmat_a,
-            b=rest,
-            c=rest,
-            seed=self.seed,
-            name=self.key,
-        )
+        return rmat(**self._rmat_args())
+
+    def record_key(self) -> str:
+        """What the generated graph is a pure function of: the
+        generator's version and its arguments (floats written
+        exactly).  The run cache keys this dataset's record on it."""
+        return json.dumps([GENERATOR_VERSION, self._rmat_args()],
+                          sort_keys=True)
 
 
 #: Registry of the five evaluation datasets, in the paper's order.
@@ -105,8 +110,19 @@ def load(key: str) -> Graph:
 
 
 def load_all() -> dict[str, Graph]:
-    """Load every evaluation dataset, keyed by tag, in paper order."""
-    return {key: load(key) for key in DATASET_ORDER}
+    """Load every evaluation dataset, keyed by tag, in paper order.
+
+    The datasets this process has not loaded yet are read from the run
+    cache's dataset records in one batched store read; only those the
+    store does not hold are generated, and stored for the next process.
+    """
+    from ..perf.cache import get_run_cache
+
+    missing = [DATASETS[key] for key in DATASET_ORDER if key not in _CACHE]
+    if missing:
+        _CACHE.update(get_run_cache().get_or_datasets(
+            missing, lambda key: DATASETS[key].generate()))
+    return {key: _CACHE[key] for key in DATASET_ORDER}
 
 
 def clear_cache() -> None:

@@ -18,6 +18,12 @@ import numpy as np
 from ..errors import GraphError
 from .graph import Graph, VERTEX_DTYPE
 
+#: Names what :func:`rmat` generates for given arguments.  The run
+#: cache keys its dataset records on it, so a change that alters any
+#: generated graph must bump it; tests/test_generators.py pins the
+#: evaluation datasets' fingerprints to catch one that does not.
+GENERATOR_VERSION = "rmat-v1"
+
 
 def _rng(seed: int | None) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -89,20 +95,34 @@ def _rmat_batch(
     c: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` R-MAT edges over a 2**scale vertex id space."""
+    """Draw ``count`` R-MAT edges over a 2**scale vertex id space.
+
+    One uniform draw per edge and level picks the quadrant: ``[0, a)``
+    is (0,0), ``[a, a+b)`` (0,1), ``[a+b, a+b+c)`` (1,0) and the rest
+    (1,1).  The source bit is ``r >= a+b`` and the destination bit is
+    set in the second and fourth ranges, an XOR of the three
+    thresholds.  The levels are shifted in from the most significant
+    bit, so the ids are those of adding ``2**(scale-1-level)`` per set
+    bit, and :data:`GENERATOR_VERSION` names this output.
+    """
     src = np.zeros(count, dtype=VERTEX_DTYPE)
     dst = np.zeros(count, dtype=VERTEX_DTYPE)
+    r = np.empty(count)
+    bit = np.empty(count, dtype=bool)
+    low = np.empty(count, dtype=bool)
     ab = a + b
     abc = a + b + c
-    for level in range(scale):
-        r = rng.random(count)
-        # Quadrant: 0 -> (0,0), 1 -> (0,1), 2 -> (1,0), 3 -> (1,1).
-        right = (r >= a) & (r < ab)          # (0, 1)
-        down = (r >= ab) & (r < abc)         # (1, 0)
-        diag = r >= abc                      # (1, 1)
-        bit = VERTEX_DTYPE(1) << (scale - 1 - level)
-        src += bit * (down | diag)
-        dst += bit * (right | diag)
+    for _ in range(scale):
+        rng.random(count, out=r)
+        src <<= 1
+        dst <<= 1
+        np.greater_equal(r, ab, out=bit)
+        src += bit
+        np.greater_equal(r, a, out=low)
+        low ^= bit
+        np.greater_equal(r, abc, out=bit)
+        low ^= bit
+        dst += low
     return src, dst
 
 

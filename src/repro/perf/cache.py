@@ -13,17 +13,18 @@ cached at two levels:
   across processes.
 
 The disk level is one WAL-mode ``store.sqlite`` per cache directory:
-entries are checksummed payloads (npz bytes for runs, JSON for scalars
-and schedule counts) with provenance columns, verified on every read —
-a corrupt entry is quarantined and recomputed, never served.  The
-store is the only disk level: files of the pre-store file-per-entry
-layout are ignored.  Every record kind (runs, vertex-centric runs,
-scalars, schedule counts) goes through one lookup: memory hits first,
-one batched store read for the rest, and a miss computes, stores and
-remembers.  A checksum-clean entry that does not decode into its kind
-is counted as an error, recomputed and overwritten.  Concurrent misses
-on one key each write the same content-addressed entry.  The
-durability model is documented in docs/robustness.md.
+entries are checksummed payloads (npz bytes for runs and datasets,
+JSON for scalars and schedule counts) with provenance columns,
+verified on every read — a corrupt entry is quarantined and
+recomputed, never served.  The store is the only disk level: files of
+the pre-store file-per-entry layout are ignored.  Every record kind
+(runs, vertex-centric runs, scalars, schedule counts, evaluation
+datasets) goes through one lookup: memory hits first, one batched
+store read for the rest, and a miss computes, stores and remembers.
+A checksum-clean entry that does not decode into its kind is counted
+as an error, recomputed and overwritten.  Concurrent misses on one
+key each write the same content-addressed entry.  The durability
+model is documented in docs/robustness.md.
 
 The key embeds :data:`CACHE_SALT`; bump it whenever an executor change
 alters results, which invalidates every stale entry at once.  The
@@ -51,7 +52,7 @@ import numpy as np
 
 from ..algorithms.base import EdgeCentricAlgorithm
 from ..algorithms.runner import AlgorithmRun, run_vectorized
-from ..errors import StoreError
+from ..errors import GraphError, StoreError
 from ..graph.graph import Graph
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
@@ -65,7 +66,7 @@ _STORE_ERRORS = (OSError, sqlite3.Error, StoreError)
 #: kind" (truncated npz, malformed JSON, a missing or mistyped field);
 #: the entry is recomputed and overwritten.
 _DECODE_ERRORS = (KeyError, ValueError, TypeError, OSError,
-                  zipfile.BadZipFile)
+                  zipfile.BadZipFile, GraphError)
 
 #: Code-version salt baked into every cache key.  Bump when the
 #: executor or an algorithm changes in a result-affecting way.
@@ -469,6 +470,30 @@ class RunCache:
             lambda payload: rebuild(json.loads(payload)["counts"]),
             compute_entry)
 
+    def get_or_datasets(self, specs: Iterable, compute) -> dict[str, Graph]:
+        """Cached evaluation graphs, keyed by dataset tag.
+
+        ``specs`` are :class:`~repro.graph.datasets.DatasetSpec`; each
+        record is keyed on :meth:`~repro.graph.datasets.DatasetSpec
+        .record_key` (the generator version, its arguments and seed)
+        and the salt, and ``compute(tag)`` generates a missing graph.
+        The entry is an npz of the edge ids as uint32, with the name,
+        vertex count and fingerprint as JSON metadata; a decoded graph
+        is int64 like a generated one, and one whose fingerprint
+        differs from the stored one is rejected (recomputed and
+        overwritten).  The specs go through one
+        lookup: memory hits first, every other one from one batched
+        store read, the rest generated and stored.
+        """
+        keys = {"dataset-" + _digest(spec.record_key(), self.salt): spec.key
+                for spec in specs}
+
+        def compute_entry(tag: str):
+            graph = compute(tag)
+            return graph, _encode_graph(graph, self.salt)
+
+        return self._lookup(keys, "dataset", _decode_graph, compute_entry)
+
     # --- run entries -----------------------------------------------------
 
     def _encode_run(self, run: AlgorithmRun, **extra) -> bytes:
@@ -583,6 +608,33 @@ def _decode_run(payload: bytes) -> tuple[AlgorithmRun, dict]:
         edge_bits=int(meta["edge_bits"]),
         active_sources=tuple(int(a) for a in active),
     ), meta
+
+
+def _encode_graph(graph: Graph, salt: str) -> bytes:
+    """A dataset entry: an npz of the (unweighted) graph's edge ids as
+    uint32, half the int64 payload, with the name, vertex count and
+    fingerprint as JSON metadata."""
+    meta = {"name": graph.name, "num_vertices": graph.num_vertices,
+            "fingerprint": graph.fingerprint(), "salt": salt}
+    buffer = io.BytesIO()
+    np.savez(buffer, meta=np.asarray(json.dumps(meta)),
+             src=graph.src.astype(np.uint32),
+             dst=graph.dst.astype(np.uint32))
+    return buffer.getvalue()
+
+
+def _decode_graph(payload: bytes) -> Graph:
+    """The graph of an :func:`_encode_graph` entry; ``ValueError`` when
+    it does not hash to the stored fingerprint, so an id that did not
+    fit in 32 bits is never served."""
+    with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
+        meta = json.loads(str(npz["meta"]))
+        graph = Graph(int(meta["num_vertices"]), npz["src"], npz["dst"],
+                      name=meta["name"])
+    if graph.fingerprint() != meta["fingerprint"]:
+        raise ValueError(f"dataset entry for {graph.name!r} does not "
+                         "match its fingerprint")
+    return graph
 
 
 # --- process-wide default ----------------------------------------------------

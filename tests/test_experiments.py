@@ -331,8 +331,9 @@ class TestFig20:
         assert proc.returncode == 0, proc.stderr[-3000:]
         warm = json.loads(proc.stdout.splitlines()[-1])
         assert warm["csv"] == cold
-        # All five records come from one batched store read.
-        assert warm["reads"] == [5]
+        # One batched store read for the five dataset records, then one
+        # for the five counts records.
+        assert warm["reads"] == [5, 5]
         assert (warm["hits"], warm["misses"]) == (5, 0)
 
     def test_a_hit_never_subsamples(self, monkeypatch):

@@ -14,6 +14,8 @@ from repro.graph import (
     rmat,
     star,
 )
+from repro.graph.datasets import DATASETS as DATASETS_BY_KEY
+from repro.graph.generators import GENERATOR_VERSION
 from repro.graph.stats import skew_gini
 
 
@@ -68,6 +70,45 @@ class TestRmat:
     def test_rejects_bad_probabilities(self):
         with pytest.raises(GraphError):
             rmat(10, 10, a=0.6, b=0.3, c=0.3)
+
+
+class TestGeneratorOutputPinned:
+    """The R-MAT output behind every evaluation graph, pinned by
+    fingerprint.  The run cache keys dataset records on the generator
+    parameters and ``GENERATOR_VERSION``, not on the edges, so a
+    generator change that moves any edge must fail here (and bump the
+    version) instead of silently serving stale records."""
+
+    DATASETS = {
+        "YT": "518976daec8793744c3c101b5c9cef58",
+        "WK": "cb69e5d1cb13b157f758f1efd090e92b",
+        "AS": "520becf4281ca0eec9aca89ecdab01a3",
+        "LJ": "2a739d1a82fb2d2f35effc8b38fc13fd",
+        "TW": "e77fc97d8a950ebd13a5a35b6cd92d1a",
+    }
+
+    @pytest.mark.parametrize("key", sorted(DATASETS))
+    def test_dataset(self, key):
+        # A new fingerprint here comes with a new version.
+        assert (GENERATOR_VERSION,
+                DATASETS_BY_KEY[key].generate().fingerprint()) \
+            == ("rmat-v1", self.DATASETS[key])
+
+    def test_temporal_base(self):
+        from repro.experiments import temporal
+
+        graph = rmat(temporal.NUM_VERTICES, temporal.NUM_EDGES, seed=10,
+                     name="temporal-base")
+        assert graph.fingerprint() == "c423f9f7b599a40162e5fa2b430469c5"
+
+    def test_outofcore_base(self, tmp_path):
+        from repro.experiments import outofcore
+        from repro.graph.shards import write_rmat_shards
+
+        store = write_rmat_shards(
+            tmp_path / "store", outofcore.NUM_VERTICES, outofcore.NUM_EDGES,
+            seed=8, shard_edges=outofcore.SHARD_EDGES)
+        assert store.fingerprint == "807d284393ced4406abc84f9f1ce67b4"
 
 
 class TestErdosRenyi:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import BFS, PageRank, SpMV
-from repro.graph import rmat
+from repro.graph import DatasetSpec, rmat
 from repro.perf.cache import RunCache, default_cache_dir
 
 
@@ -28,6 +28,10 @@ class _Record:
 @dataclasses.dataclass(frozen=True)
 class _OtherRecord:
     w: int
+
+
+#: A small dataset spec for the dataset record kind.
+_SPEC = DatasetSpec("ZZ", "tiny", 100, 400, 100, 400, rmat_a=0.6, seed=21)
 
 
 @pytest.fixture
@@ -293,6 +297,21 @@ _MALFORMED = {
                                                  lambda: 2.5),
         lambda payload: b'{"value": null}',
         operator.eq,
+    ),
+    "dataset": (
+        "dataset",
+        lambda cache, graph: cache.get_or_datasets(
+            [_SPEC], lambda _: _SPEC.generate())[_SPEC.key],
+        _with_meta(fingerprint="0" * 32),
+        lambda a, b: (a.fingerprint() == b.fingerprint()
+                      and a.src.dtype == b.src.dtype),
+    ),
+    "dataset-ids": (
+        "dataset",
+        lambda cache, graph: cache.get_or_datasets(
+            [_SPEC], lambda _: _SPEC.generate())[_SPEC.key],
+        _with_meta(num_vertices=1),
+        lambda a, b: a.fingerprint() == b.fingerprint(),
     ),
     "counts": (
         "counts",

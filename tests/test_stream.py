@@ -304,6 +304,77 @@ class TestStreamEngine:
         assert live.fingerprint() == replayed.fingerprint()
 
 
+class TestQueryTimePageRank:
+    """PR has no incremental rule: contract flushes drop it and the
+    query that reads it converges it, at the query's own instant."""
+
+    @pytest.fixture
+    def converged(self, monkeypatch):
+        """The algorithm name of every run the engine converges."""
+        names = []
+
+        def counted(runner):
+            def wrapper(algorithm, graph):
+                names.append(algorithm.name)
+                return runner(algorithm, graph)
+            return wrapper
+
+        monkeypatch.setattr(stream, "run_vectorized",
+                            counted(stream.run_vectorized))
+        monkeypatch.setattr(stream, "run_cached",
+                            counted(stream.run_cached))
+        return names
+
+    def test_contract_flush_converges_no_pr(self, converged):
+        base = rmat(32, 128, seed=14, name="lazy")
+        log = generate_update_log(base, 300, seed=14, delete_fraction=0.3)
+        with temporary_run_cache(""):
+            engine = StreamEngine(32, k=16, name=log.name)
+            engine.replay(log)
+            assert engine.stats.flushes > 20
+            assert "PR" not in converged
+            assert engine.stats.rebuilds == 2  # CC and BFS, once each
+            engine.query("cc")
+            assert "PR" not in converged
+            engine.query("pr")
+        assert converged.count("PR") == 1
+        assert engine.stats.rebuilds == 3
+
+    def test_pr_query_is_the_rebuild_at_every_point(self):
+        base = rmat(40, 160, seed=15, name="points")
+        log = generate_update_log(base, 200, seed=15, delete_fraction=0.3)
+        events = log.to_arrays()
+        pr = make_algorithm("pr")
+        with temporary_run_cache(""):
+            engine = StreamEngine(40, k=8, name=log.name)
+            # Before any event: the values of the empty graph.
+            assert np.array_equal(
+                engine.query("pr"),
+                run_vectorized(pr, engine.snapshot()).values)
+            # The first four points come right after a contract flush,
+            # with nothing pending; the last two leave updates for the
+            # query's flush.
+            for lo, hi, pending in [(0, 160, 0), (160, 168, 0),
+                                    (168, 200, 0), (200, 208, 0),
+                                    (208, 213, 5), (213, 360, 3)]:
+                engine.ingest(events[lo:hi])
+                assert engine.pending == pending
+                expected = run_vectorized(pr, engine.snapshot()).values
+                assert np.array_equal(engine.query("pr"), expected), hi
+                assert engine.pending == 0
+                assert engine.values_time == engine.logical_time
+
+    def test_queries_without_updates_rebuild_once(self):
+        base = rmat(24, 96, seed=16, name="idle")
+        with temporary_run_cache(""):
+            engine = StreamEngine.from_graph(base, k=96)
+            assert engine.pending == 0 and engine.stats.rebuilds == 2
+            first = engine.query("pr")
+            assert engine.query("pr") is first
+        assert engine.stats.rebuilds == 3
+        assert engine.stats.flushes == 1
+
+
 def _path(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)]
 
@@ -673,7 +744,7 @@ class TestTemporalDriver:
 
     EXPECTED = [
         ["stream ingest", "t0..t1000", 4502, 0.0,
-         "incremental==rebuild: True (83 rebuilds, 160 incremental)"],
+         "incremental==rebuild: True (5 rebuilds, 160 incremental)"],
         ["slice pr", "[t0,t333)", 4000, 3.349304547704001e-05,
          "cache-hit"],
         ["slice pr", "[t333,t667)", 4187, 3.430511852685e-05, "cache-hit"],
