@@ -23,7 +23,6 @@ from ..arch.machine import AcceleratorMachine, SimulationResult
 from ..arch.report import EnergyReport
 from ..arch.router import RouterModel
 from ..arch.scheduler import ScheduleCounts
-from ..memory.controller import HybridMemoryController, MemoryMap
 from ..memory.powergate import BankPowerGating, PowerGatingPolicy
 from ..memory.reram import ReRAMChip, ReRAMConfig
 
@@ -43,8 +42,6 @@ __all__ = [
     "EnergyReport",
     "RouterModel",
     "ScheduleCounts",
-    "HybridMemoryController",
-    "MemoryMap",
     "BankPowerGating",
     "PowerGatingPolicy",
     "ReRAMChip",

@@ -164,9 +164,6 @@ class DynamicGraphStore:
     def _interval_of(self, v: int) -> int:
         return min(v // self._interval_stride, self.num_intervals - 1)
 
-    def _block_of(self, s: int, d: int) -> tuple[int, int]:
-        return self._interval_of(s), self._interval_of(d)
-
     def _block_id(self, s: int, d: int) -> int:
         return (
             self._interval_of(s) * self.num_intervals + self._interval_of(d)
@@ -181,10 +178,9 @@ class DynamicGraphStore:
     # --- mutations ----------------------------------------------------------
 
     def _grow_block(self, block: int) -> None:
-        """Allocate extensions until the block's occupancy fits — the
-        exact count serial appends would have triggered (Section 5:
-        reserved space exhausted means an extension region is allocated
-        and linked at the end of the block)."""
+        """Allocate extensions until the block's occupancy fits (Section
+        5: reserved space exhausted means an extension region is
+        allocated and linked at the end of the block)."""
         used = int(self._block_used[block])
         cap = int(self._block_cap[block])
         while cap < used:
@@ -240,95 +236,6 @@ class DynamicGraphStore:
         self._num_edges -= 1
         self.stats.edges_deleted += 1
 
-    def add_edges(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> None:
-        """Bulk :meth:`add_edge`: the batch is validated vectorially,
-        counted into the multiset, and block occupancies are updated in
-        one scatter; extension accounting matches what the same appends
-        would have allocated serially."""
-        src = np.asarray(src, dtype=VERTEX_DTYPE)
-        dst = np.asarray(dst, dtype=VERTEX_DTYPE)
-        n = int(src.size)
-        if n == 0:
-            return
-        if self._weighted and weights is None:
-            raise DynamicGraphError(
-                "this store holds weighted edges; pass weights="
-            )
-        if not self._weighted and weights is not None:
-            raise DynamicGraphError(
-                "this store holds unweighted edges; omit weights="
-            )
-        lo = min(int(src.min()), int(dst.min()))
-        hi = max(int(src.max()), int(dst.max()))
-        if lo < 0 or hi >= self._num_vertices:
-            raise DynamicGraphError(
-                f"edge endpoint out of range [0, {self._num_vertices})"
-            )
-        if not bool((self._valid[src] & self._valid[dst]).all()):
-            raise DynamicGraphError("edge batch touches a deleted vertex")
-        counts = self._counts
-        get = counts.get
-        for key in _encode_edges(src, dst).tolist():
-            counts[key] = get(key, 0) + 1
-        if self._weights_map is not None:
-            wmap = self._weights_map
-            for key, w in zip(
-                _encode_edges(src, dst).tolist(), weights.tolist()
-            ):
-                wmap.setdefault(key, []).append(w)
-        added = np.bincount(
-            self._block_ids(src, dst),
-            minlength=self._block_used.size,
-        )
-        self._block_used += added
-        for block in np.nonzero(
-            self._block_used > self._block_cap
-        )[0].tolist():
-            self._grow_block(block)
-        self._num_edges += n
-        self.stats.edges_added += n
-
-    def delete_edges(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Bulk :meth:`delete_edge`.  Availability is checked before
-        any mutation, so a rejected batch leaves the store untouched."""
-        src = np.asarray(src, dtype=VERTEX_DTYPE)
-        dst = np.asarray(dst, dtype=VERTEX_DTYPE)
-        n = int(src.size)
-        if n == 0:
-            return
-        records = _encode_edges(src, dst)
-        uniq, mult = np.unique(records, return_counts=True)
-        counts = self._counts
-        get = counts.get
-        for key, m in zip(uniq.tolist(), mult.tolist()):
-            if get(key, 0) < m:
-                raise DynamicGraphError(
-                    f"edge ({key >> 32}, {key & 0xFFFFFFFF}) not present"
-                )
-        for key, m in zip(uniq.tolist(), mult.tolist()):
-            remaining = counts[key] - m
-            if remaining:
-                counts[key] = remaining
-            else:
-                del counts[key]
-            if self._weights_map is not None:
-                weights = self._weights_map[key]
-                del weights[len(weights) - m:]
-                if not weights:
-                    del self._weights_map[key]
-        removed = np.bincount(
-            self._block_ids(src, dst),
-            minlength=self._block_used.size,
-        )
-        self._block_used -= removed
-        self._num_edges -= n
-        self.stats.edges_deleted += n
-
     def add_vertex(self, value: float = 0.0) -> int:
         """O(1) while interval slack lasts; repartitions on overflow."""
         if self._num_vertices == self._capacity:
@@ -339,41 +246,6 @@ class DynamicGraphStore:
         self._values[v] = value
         self.stats.vertices_added += 1
         return v
-
-    def add_vertices(self, count: int) -> int:
-        """Bulk :meth:`add_vertex` (default value); returns the first new
-        id.  Repartitions exactly where the serial loop would: whenever
-        the interval slack runs out."""
-        if count <= 0:
-            raise DynamicGraphError(f"count must be positive: {count}")
-        first = self._num_vertices
-        remaining = count
-        while remaining:
-            if self._num_vertices == self._capacity:
-                self._repartition()
-            take = min(self._capacity - self._num_vertices, remaining)
-            v0 = self._num_vertices
-            self._valid[v0:v0 + take] = True
-            self._values[v0:v0 + take] = 0.0
-            self._num_vertices += take
-            self.stats.vertices_added += take
-            remaining -= take
-        return first
-
-    def delete_vertices(self, vs: np.ndarray) -> None:
-        """Bulk :meth:`delete_vertex` (invalidation only)."""
-        vs = np.asarray(vs, dtype=VERTEX_DTYPE)
-        if vs.size == 0:
-            return
-        if int(vs.min()) < 0 or int(vs.max()) >= self._num_vertices:
-            raise DynamicGraphError(
-                f"vertex out of range [0, {self._num_vertices})"
-            )
-        if not bool(self._valid[vs].all()):
-            raise DynamicGraphError("vertex batch targets a deleted vertex")
-        self._valid[vs] = False
-        self._values[vs] = INVALID_VALUE
-        self.stats.vertices_deleted += int(vs.size)
 
     def delete_vertex(self, v: int, purge_edges: bool = False) -> int:
         """Delete vertex ``v``.
@@ -472,9 +344,7 @@ class GraphRDynamicStore:
     tiles to manage than HyVE has blocks.
 
     All tile images live in one growable ``(tiles, planes, 8, 8)``
-    array with a key -> slot directory, so a batched update gathers and
-    scatters the touched cells of *every* touched tile in a handful of
-    NumPy calls — no per-tile Python iteration on the hot path.
+    array with a key -> slot directory.
     """
 
     TILE = 8
@@ -501,14 +371,6 @@ class GraphRDynamicStore:
         self._num_edges = 0
         if graph.num_edges:
             self._bulk_load(graph)
-
-    @property
-    def _tiles(self) -> dict[tuple[int, int], np.ndarray]:
-        """Key -> dense image (views into the slot array), for
-        inspection; the hot paths go through the slot directory."""
-        return {
-            key: self._images[slot] for key, slot in self._slot.items()
-        }
 
     def _indexes(
         self,
@@ -639,99 +501,6 @@ class GraphRDynamicStore:
         self._num_edges -= 1
         self.stats.edges_deleted += 1
 
-    def add_edges(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Bulk :meth:`add_edge`: one gather/scatter over the slot
-        array re-encodes every touched cell across all planes."""
-        src = np.asarray(src, dtype=VERTEX_DTYPE)
-        dst = np.asarray(dst, dtype=VERTEX_DTYPE)
-        n = int(src.size)
-        if n == 0:
-            return
-        lo = min(int(src.min()), int(dst.min()))
-        hi = max(int(src.max()), int(dst.max()))
-        if lo < 0 or hi >= self._num_vertices:
-            raise DynamicGraphError("edge batch out of range")
-        self._apply_cell_deltas(src, dst, +1)
-        self._num_edges += n
-        self.stats.edges_added += n
-
-    def delete_edges(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Bulk :meth:`delete_edge` over the dense tile images."""
-        src = np.asarray(src, dtype=VERTEX_DTYPE)
-        dst = np.asarray(dst, dtype=VERTEX_DTYPE)
-        n = int(src.size)
-        if n == 0:
-            return
-        self._apply_cell_deltas(src, dst, -1)
-        self._num_edges -= n
-        self.stats.edges_deleted += n
-
-    def _apply_cell_deltas(
-        self, src: np.ndarray, dst: np.ndarray, sign: int
-    ) -> None:
-        """Add ``sign`` per (src, dst) occurrence to the tile cells.
-
-        Deltas are grouped per (tile, cell), missing tiles get slots
-        allocated, and then one fancy-indexed gather/scatter per plane
-        re-encodes every mutated cell — exactly what :meth:`_tile_set`
-        does per edge, across all touched tiles at once.  Validation
-        (deleting from an absent tile or below zero) happens before any
-        write, so a rejected batch leaves the store untouched.
-        """
-        t = self.TILE
-        cells = t * t
-        stride = (self._num_vertices // t) + 1
-        flat_tile = (src // t) * stride + dst // t
-        combined = flat_tile * cells + (src % t) * t + dst % t
-        ordered = np.sort(combined)
-        boundaries = np.nonzero(np.diff(ordered))[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [ordered.size]])
-        uniq = ordered[starts]
-        deltas = (ends - starts) * sign
-        tile_of = uniq // cells
-        cell_of = uniq % cells
-        tile_bounds = np.nonzero(np.diff(tile_of))[0] + 1
-        tile_starts = np.concatenate([[0], tile_bounds])
-        tile_sizes = np.diff(
-            np.concatenate([tile_starts, [tile_of.size]])
-        )
-        keys = [
-            divmod(k, stride) for k in tile_of[tile_starts].tolist()
-        ]
-        get = self._slot.get
-        slots = np.fromiter(
-            (get(k, -1) for k in keys), dtype=np.int64, count=len(keys)
-        )
-        missing = np.nonzero(slots < 0)[0]
-        if missing.size:
-            if sign < 0:
-                raise DynamicGraphError(
-                    "edge batch deletes from an empty tile"
-                )
-            self._ensure_capacity(missing.size)
-            base = self._ntiles
-            for j, i in enumerate(missing.tolist()):
-                self._slot[keys[i]] = base + j
-                self._register_tile(keys[i])
-            slots[missing] = base + np.arange(missing.size)
-            self._ntiles = base + missing.size
-            self.stats.tiles_allocated += int(missing.size)
-        slot_per_cell = np.repeat(slots, tile_sizes)
-        flat_images = self._images.reshape(
-            len(self._images), self.PLANES, cells
-        )
-        counts = flat_images[slot_per_cell, 0, cell_of] + deltas
-        if sign < 0 and bool((counts < 0).any()):
-            raise DynamicGraphError("edge batch deletes absent edges")
-        # Re-encode the mutated cells across all planes and rewrite
-        # the dense images (what the four 4-bit crossbars reload).
-        flat_images[slot_per_cell, 0, cell_of] = counts
-        for plane in range(1, self.PLANES):
-            flat_images[slot_per_cell, plane, cell_of] = (
-                counts >> (4 * plane)
-            ) & 0xF
-
     def add_vertex(self, value: float = 0.0) -> int:
         del value
         # The tile grid is sized by vertex count: growing it shifts the
@@ -744,34 +513,6 @@ class GraphRDynamicStore:
             self.stats.repartitions += 1
         self.stats.vertices_added += 1
         return v
-
-    def add_vertices(self, count: int) -> int:
-        """Bulk :meth:`add_vertex`; returns the first new id."""
-        if count <= 0:
-            raise DynamicGraphError(f"count must be positive: {count}")
-        first = self._num_vertices
-        self._num_vertices += count
-        self._valid = np.append(
-            self._valid, np.ones(count, dtype=bool)
-        )
-        # One repartition per tile-grid growth, as the serial loop counts.
-        self.stats.repartitions += len(
-            range(first + (-first) % self.TILE, first + count, self.TILE)
-        )
-        self.stats.vertices_added += count
-        return first
-
-    def delete_vertices(self, vs: np.ndarray) -> None:
-        """Bulk :meth:`delete_vertex` (invalidation only)."""
-        vs = np.asarray(vs, dtype=VERTEX_DTYPE)
-        if vs.size == 0:
-            return
-        if int(vs.min()) < 0 or int(vs.max()) >= self._num_vertices:
-            raise DynamicGraphError("vertex batch out of range")
-        if not bool(self._valid[vs].all()):
-            raise DynamicGraphError("vertex batch targets a deleted vertex")
-        self._valid[vs] = False
-        self.stats.vertices_deleted += int(vs.size)
 
     def delete_vertex(self, v: int, purge_edges: bool = False) -> int:
         """Same invalidation strategy as HyVE ("we apply the same

@@ -113,101 +113,6 @@ def generate_requests(
     return requests
 
 
-#: Requests folded into one vectorized store call per kind.
-DEFAULT_CHUNK = 4096
-
-
-def _assert_same_store_state(batched, serial) -> None:
-    """Raise :class:`DynamicGraphError` unless two stores hold the same
-    logical state (vertex count, validity, edge multiset)."""
-    if batched.num_vertices != serial.num_vertices:
-        raise DynamicGraphError(
-            f"batched/serial divergence: {batched.num_vertices} vs "
-            f"{serial.num_vertices} vertices"
-        )
-    if batched.invalid_vertices() != serial.invalid_vertices():
-        raise DynamicGraphError(
-            "batched/serial divergence in vertex validity"
-        )
-    gb = batched.to_graph(name="batched")
-    gs = serial.to_graph(name="serial")
-    kb = np.sort((gb.src.astype(np.int64) << 32) | gb.dst)
-    ks = np.sort((gs.src.astype(np.int64) << 32) | gs.dst)
-    if not np.array_equal(kb, ks):
-        raise DynamicGraphError(
-            f"batched/serial divergence in edge multiset "
-            f"({kb.size} vs {ks.size} edges)"
-        )
-
-
-def apply_requests_batched(
-    store, requests: list[Request], chunk_size: int = DEFAULT_CHUNK,
-    verify: bool = False,
-) -> int:
-    """Replay a request stream in vectorized chunks; returns changed
-    edges.
-
-    Within each chunk the 45/45/5/5 mix is applied as four bulk store
-    calls, ordered ``add_vertices -> add_edges -> delete_edges ->
-    delete_vertices``.  That order is safe for any stream the generator
-    emits: a deletion targets an edge/vertex that existed at its serial
-    position, so it exists a fortiori once every addition in the chunk
-    has been applied, and additions never reference a vertex the chunk
-    deletes earlier (the generator only draws live vertices).  The final
-    store state — edge multiset, vertex validity, counts — is identical
-    to :func:`apply_requests`; only per-block extension bookkeeping may
-    differ (interleaving determines when slack runs out).
-
-    Strict like the serial path: a request the store rejects raises.
-
-    ``verify=True`` is a debug flag closing the latent batch/stream
-    divergence risk: the same stream is also replayed serially against
-    a deep copy of the starting store, and the final logical states
-    (vertex count, validity, edge multiset) are asserted identical —
-    raising :class:`DynamicGraphError` on any divergence instead of
-    relying on test-only spot checks.
-    """
-    if chunk_size <= 0:
-        raise DynamicGraphError(f"chunk size must be positive: {chunk_size}")
-    shadow = None
-    if verify:
-        import copy
-
-        shadow = copy.deepcopy(store)
-    before = store.stats.edges_changed
-    for base in range(0, len(requests), chunk_size):
-        chunk = requests[base:base + chunk_size]
-        add_src: list[int] = []
-        add_dst: list[int] = []
-        del_src: list[int] = []
-        del_dst: list[int] = []
-        del_vs: list[int] = []
-        new_vertices = 0
-        for req in chunk:
-            if req.kind is RequestKind.ADD_EDGE:
-                add_src.append(req.src)
-                add_dst.append(req.dst)
-            elif req.kind is RequestKind.DELETE_EDGE:
-                del_src.append(req.src)
-                del_dst.append(req.dst)
-            elif req.kind is RequestKind.ADD_VERTEX:
-                new_vertices += 1
-            else:
-                del_vs.append(req.src)
-        if new_vertices:
-            store.add_vertices(new_vertices)
-        if add_src:
-            store.add_edges(np.asarray(add_src), np.asarray(add_dst))
-        if del_src:
-            store.delete_edges(np.asarray(del_src), np.asarray(del_dst))
-        if del_vs:
-            store.delete_vertices(np.asarray(del_vs))
-    if shadow is not None:
-        apply_requests(shadow, requests)
-        _assert_same_store_state(store, shadow)
-    return store.stats.edges_changed - before
-
-
 def apply_requests(store, requests: list[Request], injector=None) -> int:
     """Replay a request stream against a store; returns changed edges.
 

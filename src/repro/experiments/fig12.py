@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-from ..model.preprocessing import (
-    INTERVAL_SWEEP,
-    measured_speed_sweep,
-    preprocessing_speed_sweep,
-)
+from ..model.preprocessing import INTERVAL_SWEEP, preprocessing_speed_sweep
 from .common import ExperimentResult, workloads
 
 
-def run(include_measured: bool = False) -> ExperimentResult:
+def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig12",
         title="Normalized preprocessing speed vs number of blocks",
@@ -27,11 +23,4 @@ def run(include_measured: bool = False) -> ExperimentResult:
         result.rows.append(
             [key, "model"] + [row.normalized_speed for row in modeled]
         )
-        if include_measured:
-            measured = measured_speed_sweep(
-                workload.graph, intervals=INTERVAL_SWEEP
-            )
-            speeds: list = [row.normalized_speed for row in measured]
-            speeds += ["-"] * (len(INTERVAL_SWEEP) - len(speeds))
-            result.rows.append([key, "measured"] + speeds)
     return result

@@ -14,8 +14,8 @@ paper-scale path relies on:
   bit-identical to the whole-graph computation.
 
 Every cell is an iteration count or an identity verdict, so the table is
-deterministic.  Host throughput of the sharded path (edges/second per
-stage) is measured by ``tools/bench.py --scenario outofcore``, not here.
+deterministic; it reports no host throughput.  docs/scaling.md shows the
+same calls at paper scale.
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ end at CI-friendly scale:
 
 Every cell is a count, an energy or a check verdict, so the table is
 deterministic.  Host throughput (updates/second under the update- and
-read-heavy mixes) is measured by ``repro stream`` and ``tools/bench.py
---scenario stream``, not here.
+read-heavy mixes) is measured by ``repro stream``, not here.
 """
 
 from __future__ import annotations

@@ -32,15 +32,6 @@ from .dram import DDR4Chip, DDR4Currents, DDR4Timings, DRAMConfig
 from .sram import OnChipSRAM
 from .regfile import RegisterFile
 from .powergate import BankPowerGating, GatingReport, PowerGatingPolicy
-from .controller import (
-    BLOCK_HEADER_WORDS,
-    DEFAULT_BLOCK_SLACK,
-    DEFAULT_INTERVAL_SLACK,
-    Extent,
-    HybridMemoryController,
-    INTERVAL_HEADER_WORDS,
-    MemoryMap,
-)
 
 __all__ = [
     "AccessCost",
@@ -76,11 +67,4 @@ __all__ = [
     "BankPowerGating",
     "GatingReport",
     "PowerGatingPolicy",
-    "BLOCK_HEADER_WORDS",
-    "DEFAULT_BLOCK_SLACK",
-    "DEFAULT_INTERVAL_SLACK",
-    "Extent",
-    "HybridMemoryController",
-    "INTERVAL_HEADER_WORDS",
-    "MemoryMap",
 ]

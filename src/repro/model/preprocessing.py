@@ -13,20 +13,14 @@ flat; past ~32x32 blocks the per-block term takes over and speed drops
 sharply — the Fig. 12 shape.  GraphR's fixed 8x8 tiling yields
 ``E / N_avg`` non-empty blocks (millions), which is why its
 preprocessing is ~6.7x slower than HyVE's (Fig. 19).
-
-The module also provides a wall-clock measurement of *this library's*
-real partitioner for cross-checking the model's shape.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..graph.graph import Graph
-from ..graph.partition import IntervalBlockPartition
 
 #: Model coefficients (seconds), calibrated to the Fig. 12 shape: speed
 #: ~flat through 32x32 blocks, dropping steeply at >= 64x64 (the bucket
@@ -149,40 +143,3 @@ def preprocessing_ratio(
     return graphr_preprocessing_time(num_vertices, num_edges, navg) / (
         hyve_preprocessing_time(num_edges, hyve_intervals)
     )
-
-
-# --- measured preprocessing (this library's real partitioner) --------------
-
-def measure_partitioning(
-    graph: Graph, num_intervals: int, repeats: int = 3
-) -> float:
-    """Best-of-N wall-clock seconds to interval-block partition ``graph``."""
-    if repeats < 1:
-        raise ConfigError(f"need at least one repeat, got {repeats}")
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        IntervalBlockPartition.build(graph, num_intervals)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def measured_speed_sweep(
-    graph: Graph, intervals: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
-) -> list[Fig12Row]:
-    """Fig. 12 with this library's real partitioner (cross-check)."""
-    base = measure_partitioning(graph, intervals[0])
-    rows = []
-    for p in intervals:
-        if p > graph.num_vertices:
-            break
-        t = measure_partitioning(graph, p)
-        rows.append(
-            Fig12Row(
-                dataset=graph.name,
-                num_intervals=p,
-                num_blocks=p * p,
-                normalized_speed=base / t,
-            )
-        )
-    return rows

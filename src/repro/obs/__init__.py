@@ -26,7 +26,6 @@ from .metrics import (
     CONVERGENCE_ITERATIONS,
     EDGES_STREAMED,
     EXECUTOR_EDGES,
-    INTERVAL_FETCHES,
     ROUTER_ROTATIONS,
     VERIFY_FAILURES,
     VERIFY_ORACLE_RUNS,
@@ -80,7 +79,6 @@ __all__ = [
     "EXECUTOR_EDGES",
     "Gauge",
     "Histogram",
-    "INTERVAL_FETCHES",
     "MetricsError",
     "MetricsRegistry",
     "NULL_SPAN",

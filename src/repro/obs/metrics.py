@@ -59,8 +59,6 @@ TUNE_CONFIGS_PRICED = "tune_configs_priced"
 TUNE_FRONTIER_SIZE = "tune_frontier_size"
 #: Current number of entries in the scheduler's imbalance memo.
 IMBALANCE_CACHE_SIZE = "imbalance_cache_size"
-#: Vertex intervals fetched by the hybrid memory controller.
-INTERVAL_FETCHES = "interval_fetches"
 #: Algorithm convergence sweeps executed (iterations histogram source).
 CONVERGENCE_ITERATIONS = "convergence_iterations"
 #: Result-store entries that failed their checksum on read and were

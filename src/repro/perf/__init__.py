@@ -1,4 +1,4 @@
-"""Performance engine: persistent run caching and timing harnesses.
+"""Performance engine: persistent run caching and batched pricing.
 
 This package holds the pieces that make the reproduction *fast* without
 changing any reproduced number:
@@ -10,9 +10,10 @@ changing any reproduced number:
 * :mod:`repro.perf.store` — the disk level itself: one WAL-mode SQLite
   database per cache directory with checksummed entries, provenance
   columns, LRU size budgeting and quarantine-on-corruption.
-* :mod:`repro.perf.bench` — a wall-clock harness that times experiment
-  drivers and records a ``BENCH_*.json`` perf trajectory for future
-  changes to regress against.
+* :mod:`repro.perf.batch` — grid pricing: one schedule-counts expansion
+  per counts key, every config folded in one vectorized pass.
+
+Wall-clock benchmarks live outside the package, in ``bench/run.py``.
 
 The disk store's location is controlled by ``$REPRO_CACHE_DIR`` (then
 ``$XDG_CACHE_HOME/hyve-repro``, then ``~/.cache/hyve-repro``) and its
@@ -33,7 +34,6 @@ from .cache import (
     set_run_cache,
     temporary_run_cache,
 )
-from .bench import bench_experiments, write_bench
 from .store import (
     SQLiteStore,
     VerifyReport,
@@ -45,11 +45,9 @@ __all__ = [
     "RunCache",
     "SQLiteStore",
     "VerifyReport",
-    "bench_experiments",
     "default_cache_dir",
     "get_run_cache",
     "payload_checksum",
     "set_run_cache",
     "temporary_run_cache",
-    "write_bench",
 ]

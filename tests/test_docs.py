@@ -68,7 +68,6 @@ class TestObservabilityPage:
         constants = [
             m.EDGES_STREAMED, m.EXECUTOR_EDGES, m.BPG_BANK_WAKES,
             m.ROUTER_ROTATIONS, m.CACHE_HITS, m.CACHE_MISSES,
-            m.INTERVAL_FETCHES,
             m.CONVERGENCE_ITERATIONS,
         ]
         for name in constants:

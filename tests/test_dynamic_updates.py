@@ -1,6 +1,5 @@
 """Tests for request generation, replay and the Fig. 20 update counts."""
 
-import numpy as np
 import pytest
 
 from repro.dynamic import (
@@ -10,7 +9,6 @@ from repro.dynamic import (
     Request,
     RequestKind,
     apply_requests,
-    apply_requests_batched,
     compare_dynamic_throughput,
     generate_requests,
 )
@@ -79,69 +77,23 @@ class TestApply:
         assert changed == 3  # vertex add changes no edges
 
 
-class TestBatched:
-    def test_verify_flag_checks_batched_against_serial(self, small_rmat):
-        # Seeded randomized equivalence: many chunk sizes over the same
-        # generated stream, each run self-verified against a serial
-        # shadow replay (verify=True raises on any state divergence).
-        rng = np.random.default_rng(2026)
-        for trial in range(4):
-            requests = generate_requests(
-                small_rmat, 1200, seed=int(rng.integers(1 << 30))
-            )
-            chunk = int(rng.integers(1, 400))
-            store = DynamicGraphStore(small_rmat, num_intervals=8)
-            changed = apply_requests_batched(
-                store, requests, chunk_size=chunk, verify=True
-            )
-            assert changed > 0, f"trial {trial} chunk={chunk}"
-
-    def test_delete_then_reinsert_same_packed_key(self, small_rmat):
-        # The regression shape from the stream-rebuild corpus repro: an
-        # edge deleted and re-added (same (src, dst) packed key) inside
-        # one chunk must survive the add->delete chunk reordering, which
-        # collapses it to net "still present exactly once".
-        requests = [
-            Request(RequestKind.ADD_EDGE, 3, 4),
-            Request(RequestKind.DELETE_EDGE, 3, 4),
-            Request(RequestKind.ADD_EDGE, 3, 4),
-            Request(RequestKind.DELETE_EDGE, 3, 4),
-            Request(RequestKind.ADD_EDGE, 3, 4),
-        ]
-        store = DynamicGraphStore(small_rmat, num_intervals=8)
-        apply_requests_batched(store, requests, chunk_size=len(requests),
-                               verify=True)
-        serial = DynamicGraphStore(small_rmat, num_intervals=8)
-        apply_requests(serial, requests)
-        assert store.num_edges == serial.num_edges
-
-    def test_rejects_nonpositive_chunk(self, small_rmat):
-        store = DynamicGraphStore(small_rmat, num_intervals=8)
-        with pytest.raises(DynamicGraphError):
-            apply_requests_batched(store, [], chunk_size=0)
-
-
-def _replayed_counts(graph, requests, chunk_size=None):
-    """Both stores' ``DynamicStats`` after a replay of ``requests``:
-    per request, or in ``chunk_size`` chunks when one is given."""
+def _replayed_counts(graph, requests):
+    """Both stores' ``DynamicStats`` after a per-request replay of
+    ``requests``."""
     hyve = DynamicGraphStore(graph, num_intervals=fig20.NUM_INTERVALS)
     graphr = GraphRDynamicStore(graph)
     for store in (hyve, graphr):
-        if chunk_size is None:
-            apply_requests(store, requests)
-        else:
-            apply_requests_batched(store, requests, chunk_size=chunk_size)
+        apply_requests(store, requests)
     return hyve.stats, graphr.stats
 
 
-def _assert_counts_match(counts, hyve, graphr, order_dependent=True):
+def _assert_counts_match(counts, hyve, graphr):
     for stats in (hyve, graphr):
         assert (counts.edges_added, counts.edges_deleted,
                 counts.vertices_added, counts.vertices_deleted) == (
             stats.edges_added, stats.edges_deleted,
             stats.vertices_added, stats.vertices_deleted)
-    if order_dependent:
-        assert counts.hyve_extensions == hyve.extensions_allocated
+    assert counts.hyve_extensions == hyve.extensions_allocated
     assert counts.graphr_tiles == graphr.tiles_allocated
     assert counts.graphr_regrowths == graphr.repartitions
 
@@ -178,18 +130,6 @@ class TestThroughput:
         hyve, graphr = _replayed_counts(graph, requests)
         _assert_counts_match(fig20.counts()["YT"], hyve, graphr)
         assert hyve.repartitions == 0
-
-    def test_counts_do_not_depend_on_chunk_size(self, small_rmat, rng):
-        # Chunked replay reorders requests inside a chunk: HyVE's
-        # extension count moves with it, everything else must not.
-        counts = compare_dynamic_throughput(
-            small_rmat, num_requests=1500,
-            num_intervals=fig20.NUM_INTERVALS)
-        requests = generate_requests(small_rmat, 1500, seed=0)
-        for chunk in [1, 7, 500, 4096, *rng.integers(2, 1500, 3).tolist()]:
-            hyve, graphr = _replayed_counts(small_rmat, requests, chunk)
-            _assert_counts_match(counts, hyve, graphr,
-                                 order_dependent=chunk == 1)
 
     def test_hyve_moves_fewer_bytes(self, medium_rmat):
         counts = compare_dynamic_throughput(medium_rmat, num_requests=4000)

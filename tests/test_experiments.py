@@ -136,6 +136,41 @@ class TestRunAllIsolation:
             experiments.run_all(save=False)
 
 
+class TestWarmPass:
+    #: Drivers that price under a scratch ``temporary_run_cache`` by
+    #: design, so they miss on every pass.
+    SCRATCH_CACHE_DRIVERS = {"outofcore", "temporal"}
+
+    def test_filled_store_recomputes_nothing(self, experiment_results):
+        # A second pass through a fresh RunCache on the session's store:
+        # same tables, and no run or counts lookup misses outside the
+        # drivers' own scratch caches.
+        from repro.experiments import run_selected
+        from repro.obs.metrics import (CACHE_MISSES, COUNTS_CACHE_MISSES,
+                                       MetricsRegistry, get_metrics,
+                                       set_metrics)
+        from repro.perf.cache import RunCache, get_run_cache, set_run_cache
+
+        previous_cache, previous_metrics = get_run_cache(), get_metrics()
+        warm = RunCache()
+        set_run_cache(warm)
+        missed = {}
+        try:
+            for name in ALL_EXPERIMENTS:
+                registry = MetricsRegistry()
+                set_metrics(registry)
+                table = run_selected([name], save=False)[name]
+                assert table.to_csv() == experiment_results[name].to_csv()
+                missed[name] = (registry.counter(CACHE_MISSES).value,
+                                registry.counter(COUNTS_CACHE_MISSES).value)
+        finally:
+            set_run_cache(previous_cache)
+            set_metrics(previous_metrics)
+        assert {name for name, counts in missed.items() if any(counts)} \
+            <= self.SCRATCH_CACHE_DRIVERS, missed
+        assert (warm.stats.misses, warm.stats.counts_misses) == (0, 0)
+
+
 class TestResilienceExperiment:
     @pytest.fixture
     def result(self, experiment_results):
@@ -368,15 +403,6 @@ class TestFig21:
             assert row[2] > 1.0  # delay
             assert row[3] > 1.0  # energy
             assert row[4] > 1.0  # EDP
-
-
-class TestFig12Measured:
-    def test_measured_series_included_on_request(self):
-        from repro.experiments import fig12
-
-        result = fig12.run(include_measured=True)
-        sources = result.column("Source")
-        assert "model" in sources and "measured" in sources
 
 
 class TestResultExports:

@@ -12,7 +12,6 @@ from repro.model.preprocessing import (
     expected_nonempty_blocks,
     graphr_preprocessing_time,
     hyve_preprocessing_time,
-    measure_partitioning,
     preprocessing_ratio,
     preprocessing_speed_sweep,
     preprocessing_time,
@@ -136,13 +135,6 @@ class TestPreprocessing:
 
     def test_hyve_time_positive(self):
         assert hyve_preprocessing_time(1e6, 32) > 0
-
-    def test_measure_partitioning_runs(self, small_rmat):
-        assert measure_partitioning(small_rmat, 8, repeats=1) > 0
-
-    def test_measure_rejects_zero_repeats(self, small_rmat):
-        with pytest.raises(ConfigError):
-            measure_partitioning(small_rmat, 8, repeats=0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -694,6 +694,19 @@ class TestMeasureStream:
             assert result.engine_seconds > 0
             assert result.serial_seconds > 0
 
+    @pytest.mark.parametrize("delete_fraction", [0.0, 0.2])
+    def test_update_heavy_refreshes_incrementally_at_scale(
+            self, delete_fraction):
+        # 20,000 updates on a 2,000-vertex base: every query but the
+        # first of each algorithm is answered by an incremental refresh,
+        # so an engine that rebuilds per query fails on the counts.
+        base = rmat(2000, 16000, seed=11, name="stream-scale")
+        log = generate_update_log(base, 20_000, seed=11,
+                                  delete_fraction=delete_fraction)
+        result = measure_stream(log, UPDATE_HEAVY)
+        assert (result.num_queries, result.incremental_refreshes,
+                result.rebuilds) == (144, 142, 2)
+
 
 class TestFoldTimeSlices:
     @pytest.fixture
