@@ -23,9 +23,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..algorithms.runner import AlgorithmRun
 from ..errors import ConfigError
-from ..graph.hash_partition import hash_partition, imbalance
+from ..graph.hash_partition import HashPlacement, imbalance_from_block_counts
+from ..graph.partition import _even_interval_of
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
 from .config import HyVEConfig, Workload, choose_num_intervals
@@ -135,19 +138,25 @@ def estimate_imbalance(run: AlgorithmRun, workload: Workload,
 
 
 def _compute_imbalance(graph, num_pus: int, hash_placement: bool) -> float:
-    p = imbalance_reference_intervals(graph.num_vertices, num_pus)
-    if p > graph.num_vertices:
-        return 1.0
-    if hash_placement:
-        part, _ = hash_partition(graph, p)
-        return imbalance(part, num_pus)
-    from ..graph.partition import IntervalBlockPartition
+    """:func:`~repro.graph.hash_partition.imbalance` of the reference
+    partition, computed from its P x P block histogram alone.
 
-    # Routed through the process-wide partition memo: the blocked
-    # executor or another experiment asking for the same
-    # (fingerprint, P) reuses this build.
-    part = IntervalBlockPartition.cached(graph, p)
-    return imbalance(part, num_pus)
+    A per-vertex interval table (hashed ids first, under hash
+    placement) bins every edge in one gather; no relabelled graph,
+    permutation or partition is built, so nothing O(E) outlives the
+    call.  Bit-identical to ``imbalance(hash_partition(graph, p)[0], n)``
+    and ``imbalance(IntervalBlockPartition.build(graph, p), n)``.
+    """
+    nv = graph.num_vertices
+    p = imbalance_reference_intervals(nv, num_pus)
+    if p > nv:
+        return 1.0
+    ids = (HashPlacement.for_graph(graph).forward() if hash_placement
+           else np.arange(nv, dtype=np.int64))
+    iv = _even_interval_of(ids, nv, p)
+    flat = iv[graph.src] * p + iv[graph.dst]
+    counts = np.bincount(flat, minlength=p * p).reshape(p, p)
+    return imbalance_from_block_counts(counts, num_pus)
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,6 @@ class DynamicGraphStore:
             4,
             np.ceil(self._block_used * (1.0 + self.slack)).astype(np.int64),
         )
-        self._block_ext = np.zeros(nblocks, dtype=np.int64)
         self._num_edges = graph.num_edges
         self._weighted = graph.is_weighted
 
@@ -178,16 +177,14 @@ class DynamicGraphStore:
     # --- mutations ----------------------------------------------------------
 
     def _grow_block(self, block: int) -> None:
-        """Allocate extensions until the block's occupancy fits (Section
-        5: reserved space exhausted means an extension region is
-        allocated and linked at the end of the block)."""
-        used = int(self._block_used[block])
+        """Allocate one extension for a block whose occupancy just
+        outgrew its capacity (Section 5: reserved space exhausted means
+        an extension region is allocated and linked at the end of the
+        block).  Occupancy grows one record at a time and an extension
+        adds at least four, so one always suffices."""
         cap = int(self._block_cap[block])
-        while cap < used:
-            cap += max(4, cap // 2)
-            self._block_ext[block] += 1
-            self.stats.extensions_allocated += 1
-        self._block_cap[block] = cap
+        self._block_cap[block] = cap + max(4, cap // 2)
+        self.stats.extensions_allocated += 1
 
     def add_edge(self, s: int, d: int, weight: float | None = None) -> None:
         """O(1): append a record into the owning block's slack space."""

@@ -9,7 +9,7 @@ edges* per second (vertex operations also change edges).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ class RequestKind(enum.Enum):
     DELETE_VERTEX = "delete_vertex"
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One dynamic-graph update request."""
 
     kind: RequestKind
@@ -61,10 +60,12 @@ def generate_requests(
     probs = np.array([mix[k.value] for k in kinds]) / total
 
     rng = np.random.default_rng(seed)
-    # Evolving state mirrors.
-    edges: list[tuple[int, int]] = list(
-        zip(graph.src.tolist(), graph.dst.tolist())
-    )
+    # Evolving state mirrors.  Deletable edges are packed records
+    # ``src << 32 | dst`` (vertex ids fit in 32 bits), one int each.
+    edges: list[int] = (
+        (graph.src.astype(np.uint64) << np.uint64(32))
+        | graph.dst.astype(np.uint64)
+    ).tolist()
     excluded = set(exclude_vertices)
     live = [v for v in range(graph.num_vertices) if v not in excluded]
     next_vertex = graph.num_vertices
@@ -84,17 +85,19 @@ def generate_requests(
             s = live[int(uniform[ui] * len(live))]
             d = live[int(uniform[ui + 1] * len(live))]
             ui += 2
-            edges.append((s, d))
+            edges.append(s << 32 | d)
             requests.append(Request(RequestKind.ADD_EDGE, s, d))
         elif kind is RequestKind.DELETE_EDGE:
             if not edges:
                 continue
             idx = int(uniform[ui] * len(edges))
             ui += 1
-            s, d = edges[idx]
+            rec = edges[idx]
             edges[idx] = edges[-1]
             edges.pop()
-            requests.append(Request(RequestKind.DELETE_EDGE, s, d))
+            requests.append(
+                Request(RequestKind.DELETE_EDGE, rec >> 32, rec & 0xFFFFFFFF)
+            )
         elif kind is RequestKind.ADD_VERTEX:
             live.append(next_vertex)
             next_vertex += 1

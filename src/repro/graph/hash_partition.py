@@ -14,7 +14,6 @@ a multiplier coprime to it, which is a bijection.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,24 +82,6 @@ class HashPlacement:
         return values[self.forward()]
 
 
-#: Memoised (partition, placement) pairs keyed on the *source* graph's
-#: fingerprint, so repeated hash partitions skip the O(E) relabel gather
-#: and the relabelled graph's fingerprint pass entirely.
-_HASH_PARTITION_MEMO: OrderedDict[
-    tuple[str, int, int], tuple[IntervalBlockPartition, HashPlacement]
-] = OrderedDict()
-_HASH_PARTITION_MEMO_CAPACITY = 64
-
-#: Relabelled graphs keyed on (source fingerprint, multiplier).  The
-#: placement is independent of P, so a P sweep (the PU-count ablation
-#: partitions one graph at six reference widths) relabels and
-#: re-fingerprints once instead of per P.
-_HASHED_GRAPH_MEMO: OrderedDict[
-    tuple[str, int], tuple[Graph, HashPlacement]
-] = OrderedDict()
-_HASHED_GRAPH_MEMO_CAPACITY = 16
-
-
 def hash_partition(
     graph: Graph,
     num_intervals: int,
@@ -109,32 +90,13 @@ def hash_partition(
     """Relabel with a hash placement, then interval-block partition.
 
     Returns the partition of the *relabelled* graph together with the
-    placement needed to map per-vertex results back.  Memoised on
-    ``(graph content, P, multiplier)``: repeated calls (five algorithms
-    sweeping one workload) return the same objects without re-running
-    the relabel or the partition argsort.
+    placement needed to map per-vertex results back.  Builds afresh on
+    every call; the scheduler's imbalance estimate needs no partition
+    and tests use this as its reference.
     """
-    key = (graph.fingerprint(), int(num_intervals), int(multiplier))
-    hit = _HASH_PARTITION_MEMO.get(key)
-    if hit is not None:
-        _HASH_PARTITION_MEMO.move_to_end(key)
-        return hit
-    graph_key = (key[0], int(multiplier))
-    hashed_hit = _HASHED_GRAPH_MEMO.get(graph_key)
-    if hashed_hit is not None:
-        _HASHED_GRAPH_MEMO.move_to_end(graph_key)
-        hashed, placement = hashed_hit
-    else:
-        placement = HashPlacement.for_graph(graph, multiplier)
-        hashed = placement.apply(graph)
-        _HASHED_GRAPH_MEMO[graph_key] = (hashed, placement)
-        while len(_HASHED_GRAPH_MEMO) > _HASHED_GRAPH_MEMO_CAPACITY:
-            _HASHED_GRAPH_MEMO.popitem(last=False)
-    result = (IntervalBlockPartition.cached(hashed, num_intervals), placement)
-    _HASH_PARTITION_MEMO[key] = result
-    while len(_HASH_PARTITION_MEMO) > _HASH_PARTITION_MEMO_CAPACITY:
-        _HASH_PARTITION_MEMO.popitem(last=False)
-    return result
+    placement = HashPlacement.for_graph(graph, multiplier)
+    hashed = placement.apply(graph)
+    return IntervalBlockPartition.build(hashed, num_intervals), placement
 
 
 def imbalance(partition: IntervalBlockPartition, num_pus: int) -> float:

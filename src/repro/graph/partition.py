@@ -23,9 +23,9 @@ from ..errors import PartitionError
 from .graph import Graph
 
 #: Memoised partitions, keyed on ``(graph.fingerprint(), P)``.  Building
-#: a partition costs an O(E log E) argsort; every consumer (the blocked
-#: executor, the scheduler's imbalance estimate, the serialisation
-#: helpers) wants the same object, so builds are shared process-wide.
+#: a partition costs an O(E log E) argsort; its consumers (the blocked
+#: executor and the schedule validator) want the same object, so builds
+#: are shared process-wide.
 _PARTITION_MEMO: OrderedDict[tuple[str, int], "IntervalBlockPartition"] = (
     OrderedDict()
 )

@@ -4,7 +4,15 @@ import pytest
 
 from repro.algorithms import BFS, PageRank, run_cached
 from repro.arch.config import HyVEConfig, MemoryTechnology, Workload
-from repro.arch.scheduler import ScheduleCounts, estimate_imbalance
+from repro.arch.scheduler import (
+    ScheduleCounts,
+    clear_imbalance_cache,
+    estimate_imbalance,
+    imbalance_reference_intervals,
+)
+from repro.graph import Graph, hash_partition, imbalance, rmat
+from repro.graph.partition import IntervalBlockPartition, partition_cache_len
+from repro.perf.cache import temporary_run_cache
 
 
 def counts_for(graph_or_workload, algorithm=None, **config_kwargs):
@@ -136,6 +144,51 @@ class TestImbalance:
     def test_counts_carry_imbalance(self, lj_workload):
         counts, _ = counts_for(lj_workload)
         assert counts.imbalance >= 1.0
+
+
+class TestImbalanceReference:
+    """The histogram estimate equals :func:`imbalance` of the reference
+    partition it no longer builds, float for float."""
+
+    @staticmethod
+    def fresh_estimate(graph, num_pus, hash_placement):
+        clear_imbalance_cache()
+        with temporary_run_cache():
+            # The estimate reads only the workload's graph, not the run.
+            return estimate_imbalance(None, Workload(graph), num_pus,
+                                      hash_placement=hash_placement)
+
+    @pytest.mark.parametrize("num_pus", [1, 2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("hash_placement", [True, False])
+    def test_matches_reference_partition(self, num_pus, seed,
+                                         hash_placement):
+        g = rmat(1001, 6000, seed=seed)
+        p = imbalance_reference_intervals(g.num_vertices, num_pus)
+        assert g.num_vertices % p != 0
+        part = (hash_partition(g, p)[0] if hash_placement
+                else IntervalBlockPartition.build(g, p))
+        expected = imbalance(part, num_pus)
+        assert self.fresh_estimate(g, num_pus, hash_placement) == expected
+
+    @pytest.mark.parametrize("hash_placement", [True, False])
+    def test_more_intervals_than_vertices_is_balanced(self, hash_placement):
+        g = rmat(5, 20, seed=0)
+        assert imbalance_reference_intervals(g.num_vertices, 8) > 5
+        assert self.fresh_estimate(g, 8, hash_placement) == 1.0
+
+    @pytest.mark.parametrize("num_vertices", [0, 100])
+    @pytest.mark.parametrize("hash_placement", [True, False])
+    def test_empty_graph_is_balanced(self, num_vertices, hash_placement):
+        g = Graph.empty(num_vertices)
+        assert self.fresh_estimate(g, 4, hash_placement) == 1.0
+
+    @pytest.mark.parametrize("hash_placement", [True, False])
+    def test_builds_no_partition(self, hash_placement):
+        g = rmat(1001, 6000, seed=2)
+        before = partition_cache_len()
+        self.fresh_estimate(g, 8, hash_placement)
+        assert partition_cache_len() == before
 
 
 class TestPlacement:
