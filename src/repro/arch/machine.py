@@ -18,9 +18,9 @@ power); the configs index those rows, and every term — dynamic energy,
 busy time, bank power gating, background power, per-component energies
 — is a NumPy pass over the grid.  :func:`fold_many` prices a grid
 against one schedule; :meth:`AcceleratorMachine.run` prices its single
-config through the same kernel.  A fault profile is a per-config
-overlay inside the kernel (SECDED cost rows, write-verify rounds, bank
-sparing), not a separate path.
+config through the same kernel.  SECDED protection is one switch of
+that kernel (SECDED-wrapped cost rows for the off-chip levels, an ECC
+overhead on the scratchpad), not a separate path.
 """
 
 from __future__ import annotations
@@ -36,15 +36,6 @@ import numpy as np
 from ..algorithms.base import EdgeCentricAlgorithm
 from ..algorithms.runner import AlgorithmRun, run_cached
 from ..errors import ConfigError
-from ..faults.injector import FaultInjector
-from ..faults.profile import FaultProfile
-from ..faults.resilience import (
-    BankSparingPlan,
-    FaultReport,
-    WRITE_RETRY_BOUND,
-    expected_write_rounds,
-    write_give_up_probability,
-)
 from ..graph.graph import Graph
 from ..memory.base import (
     AccessKind,
@@ -81,16 +72,10 @@ MIN_VERTEX_CHIPS = 1
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Report plus the algorithm's actual output values.
-
-    ``faults`` carries the injected-fault tally when the machine was
-    built with a non-zero :class:`FaultProfile`; it is ``None`` on the
-    (bit-identical) ideal-device path.
-    """
+    """Report plus the algorithm's actual output values."""
 
     report: EnergyReport
     run: AlgorithmRun
-    faults: FaultReport | None = None
 
     @property
     def values(self):
@@ -100,19 +85,21 @@ class SimulationResult:
 class AcceleratorMachine:
     """A graph-processing accelerator with a configurable hierarchy.
 
-    ``faults`` selects a fault profile (see :mod:`repro.faults`); with
-    ``None`` or an all-zero profile the machine is exactly the paper's
-    ideal-device model — every report is bit-identical to a machine
-    built without the argument.
+    By default the devices are ideal, as in the paper.  ``secded=True``
+    protects every memory level with a (72, 64) SECDED code (see
+    :mod:`repro.memory.ecc`): the off-chip levels price through
+    :class:`~repro.memory.ecc.SECDEDDevice`-wrapped devices, and the
+    scratchpad pays the same check-bit traffic, standby power and
+    encode/decode energy.
     """
 
     def __init__(
         self,
         config: HyVEConfig | None = None,
-        faults: FaultProfile | None = None,
+        secded: bool = False,
     ) -> None:
         self.config = config or HyVEConfig()
-        self.faults = faults
+        self.secded = secded
 
     @property
     def label(self) -> str:
@@ -145,10 +132,9 @@ class AcceleratorMachine:
                 counts = scheduled_counts(run, workload, self.config)
             with tracer.span("fold"):
                 fold = _fold_kernel(
-                    run, [counts], workload, [self.config], self.faults
+                    run, [counts], workload, [self.config], self.secded
                 )
-        return SimulationResult(report=fold.reports[0], run=run,
-                                faults=fold.faults[0])
+        return SimulationResult(report=fold.reports[0], run=run)
 
     def run_counts(
         self,
@@ -276,142 +262,20 @@ def _distinct(objects: list) -> tuple[list, np.ndarray]:
             np.fromiter(map(rows.__getitem__, keys), np.intp, len(keys)))
 
 
-def _level(configs: list[HyVEConfig], tech: str, footprint, min_chips: int
-           ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+def _level(configs: list[HyVEConfig], tech: str, footprint, min_chips: int,
+           secded: bool) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """One memory level of a grid: (its distinct device configs, each
-    config's row among them, and per config the unit-cost table and the
-    chip count holding ``footprint``, a scalar or a per-config column)."""
+    config's row among them, and per config the unit-cost table, from
+    the SECDED-wrapped device when ``secded``, and the chip count
+    holding ``footprint``, a scalar or a per-config column)."""
     devices, rows = _distinct(
         [_device_config(c, getattr(c, tech)) for c in configs]
     )
-    costs = [_shared_device(device)[1] for device in devices]
+    costs = [_shared_device(device, secded)[1] for device in devices]
     density = np.array([d.density_bits for d in devices], np.float64)[rows]
     chips = np.maximum(min_chips, np.ceil(footprint / density))  # _chips
     return (devices, rows, np.array(costs, dtype=np.float64)[rows],
             chips.astype(np.int64))
-
-
-def _secded_costs(devices: list, rows: np.ndarray, costs: np.ndarray,
-                  ecc: np.ndarray) -> np.ndarray:
-    """``costs`` with each ECC row's unit costs taken from its
-    SECDED-wrapped device (wrapping only the devices those rows use)."""
-    table = np.zeros((len(devices), costs.shape[1]))
-    for row in np.unique(rows[ecc]).tolist():
-        table[row] = _shared_device(devices[row], secded=True)[1]
-    return np.where(ecc[:, None], table[rows], costs)
-
-
-# --- fault overlay ----------------------------------------------------------
-
-@dataclass
-class _FaultOverlay:
-    """One config's injected faults, as edits to the kernel's columns.
-
-    SECDED-protected levels gather their unit costs and background power
-    from the wrapped device, write-verify rounds scale the vertex
-    writes, and bank sparing grows the edge chip count and feeds BPG
-    planning.  :meth:`settle` closes the fault report with what these
-    cost over the ideal devices.
-    """
-
-    injector: FaultInjector
-    report: FaultReport
-    sparing: BankSparingPlan | None = None
-    edge_ecc: bool = False
-    vertex_ecc: bool = False
-    sram_ecc: float = 1.0
-    #: Expected program rounds per vertex write (1.0 unless the vertex
-    #: memory is ReRAM).
-    write_rounds: float = 1.0
-
-    @classmethod
-    def build(
-        cls,
-        profile: FaultProfile,
-        cfg: HyVEConfig,
-        tag: str,
-        edge_footprint: float,
-        edge_chips: int,
-    ) -> tuple["_FaultOverlay", int]:
-        """Draw the config's boot-time faults; returns the overlay and the
-        (possibly spared-up) edge chip count."""
-        injector = FaultInjector(profile, tag=tag)
-        report = FaultReport(profile)
-        word_stats = injector.stuck_word_stats()
-        report.corrected_word_fraction = word_stats.correctable_fraction
-        report.remapped_word_fraction = word_stats.uncorrectable_fraction
-        overlay = cls(injector, report)
-        if cfg.edge_memory == MemoryTechnology.RERAM:
-            failed = injector.sample_failed_banks(
-                edge_chips * cfg.reram.num_banks
-            )
-            overlay.sparing, edge_chips = BankSparingPlan.build(
-                footprint_bits=edge_footprint,
-                chips=edge_chips,
-                banks_per_chip=cfg.reram.num_banks,
-                bank_capacity_bits=cfg.reram.bank_capacity_bits,
-                density_bits=cfg.reram.density_bits,
-                failed_banks=failed,
-                bad_word_fraction=word_stats.uncorrectable_fraction,
-            )
-            report.failed_banks = failed
-            report.spare_chips = overlay.sparing.spare_chips
-            report.capacity_loss_fraction = (
-                overlay.sparing.capacity_loss_fraction
-            )
-            report.stuck_cells = injector.sample_stuck_cells(
-                edge_chips * cfg.reram.density_bits
-            )
-        ecc = {
-            MemoryTechnology.RERAM: (profile.effective_stuck_rate > 0
-                                     or profile.bank_failure_rate > 0),
-            MemoryTechnology.DRAM: profile.dram_upset_rate > 0,
-        }
-        overlay.edge_ecc = ecc.get(cfg.edge_memory, False)
-        overlay.vertex_ecc = ecc.get(cfg.offchip_vertex, False)
-        if cfg.has_onchip and profile.sram_upset_rate > 0:
-            overlay.sram_ecc = secded_factor()
-        if profile.reram_write_fail_rate > 0:
-            rounds = expected_write_rounds(
-                profile.reram_write_fail_rate, WRITE_RETRY_BOUND
-            )
-            report.expected_write_rounds = rounds
-            report.write_give_up_probability = write_give_up_probability(
-                profile.reram_write_fail_rate, WRITE_RETRY_BOUND
-            )
-            if cfg.offchip_vertex == MemoryTechnology.RERAM:
-                overlay.write_rounds = rounds
-        return overlay, edge_chips
-
-    def settle(
-        self, cfg: HyVEConfig, counts: ScheduleCounts, resil_energy: float
-    ) -> FaultReport:
-        """Draw the run's transient upsets and close the fault report
-        with the config's resilience energy."""
-        injector, upset = self.injector, self.injector.profile
-        dram_bits = 0.0
-        if cfg.offchip_vertex == MemoryTechnology.DRAM:
-            dram_bits += counts.offchip_bits
-        if cfg.edge_memory == MemoryTechnology.DRAM:
-            dram_bits += counts.edge_stream_bits
-        flips = injector.sample_transient_flips(
-            dram_bits, upset.dram_upset_rate
-        )
-        uncorrectable = injector.uncorrectable_flip_count(
-            dram_bits, upset.dram_upset_rate
-        )
-        if cfg.has_onchip:
-            sram_bits = counts.onchip_read_bits + counts.onchip_write_bits
-            flips += injector.sample_transient_flips(
-                sram_bits, upset.sram_upset_rate
-            )
-            uncorrectable += injector.uncorrectable_flip_count(
-                sram_bits, upset.sram_upset_rate
-            )
-        self.report.transient_flips_corrected = flips
-        self.report.transient_flips_uncorrectable = uncorrectable
-        self.report.add_energy(resil_energy)
-        return self.report
 
 
 # --- the pricing kernel -----------------------------------------------------
@@ -461,8 +325,7 @@ def _check_grid_config(
 @dataclass(eq=False)
 class GridFold:
     """A priced grid in configs order: each config's time and total
-    energy as columns, its fault report (``None`` without a profile),
-    and the columns its report is built from.
+    energy as columns, and the columns its report is built from.
 
     Reports are assembled on demand: :meth:`report` builds one config's,
     and :attr:`reports` builds the whole list in one pass on first
@@ -483,7 +346,6 @@ class GridFold:
     joules: np.ndarray
     time: np.ndarray
     total_energy: np.ndarray
-    faults: list[FaultReport | None]
 
     def __post_init__(self) -> None:
         # A config without a scratchpad reports no on-chip components.
@@ -496,7 +358,7 @@ class GridFold:
     @classmethod
     def empty(cls) -> "GridFold":
         return cls([], [], "", "", [], [], np.zeros((0, 0)), np.zeros(0),
-                   np.zeros(0), [])
+                   np.zeros(0))
 
     def _build(self, cfg: HyVEConfig, counts: ScheduleCounts, has: bool,
                time: float, row: list[float]) -> EnergyReport:
@@ -574,19 +436,12 @@ def _traffic(
     edge: np.ndarray,
     vertex: np.ndarray,
     hit: np.ndarray,
-    write_rounds: np.ndarray | None = None,
 ) -> _Traffic:
     """Price the edge stream and the off-chip vertex traffic from the
-    edge and vertex cost matrices (one row per config).
-
-    ``write_rounds`` multiplies the vertex writes after their transfer
-    and narrow-burst terms (write-verify retries).
-    """
+    edge and vertex cost matrices (one row per config)."""
     e_acc = counts.edge_stream_bits / edge[:, _ABITS]
     load_acc = counts.offchip_load_bits / vertex[:, _ABITS]
     store_acc = counts.offchip_store_bits / vertex[:, _ABITS]
-    store_en = vertex[:, _SW_EN] * store_acc
-    store_lat = vertex[:, _SW_LAT] * store_acc
 
     # Machines without a scratchpad follow the same interval schedule,
     # so their "random" vertex accesses land inside the active interval
@@ -603,26 +458,21 @@ def _traffic(
     miss_en_w = hit_en_w + np.maximum(
         0.0, vertex[:, _RW_EN] - vertex[:, _SW_EN]
     )
-    rnd_w_lat = hit * vertex[:, _SW_LAT] + (1.0 - hit) * vertex[:, _RW_LAT]
-    rnd_w_en = hit * hit_en_w + (1.0 - hit) * miss_en_w
-    if write_rounds is not None:
-        store_lat = store_lat * write_rounds
-        store_en = store_en * write_rounds
-        rnd_w_lat = rnd_w_lat * write_rounds
-        rnd_w_en = rnd_w_en * write_rounds
     return _Traffic(
         stream_en=edge[:, _SR_EN] * e_acc,
         stream_lat=edge[:, _SR_LAT] * e_acc,
         load_en=vertex[:, _SR_EN] * load_acc,
         load_lat=vertex[:, _SR_LAT] * load_acc,
-        store_en=store_en,
-        store_lat=store_lat,
+        store_en=vertex[:, _SW_EN] * store_acc,
+        store_lat=vertex[:, _SW_LAT] * store_acc,
         rnd_r_en=hit * hit_en_r + (1.0 - hit) * miss_en_r,
         rnd_r_lat=(
             hit * vertex[:, _SR_LAT] + (1.0 - hit) * vertex[:, _RR_LAT]
         ),
-        rnd_w_en=rnd_w_en,
-        rnd_w_lat=rnd_w_lat,
+        rnd_w_en=hit * hit_en_w + (1.0 - hit) * miss_en_w,
+        rnd_w_lat=(
+            hit * vertex[:, _SW_LAT] + (1.0 - hit) * vertex[:, _RW_LAT]
+        ),
     )
 
 
@@ -633,7 +483,6 @@ def _gating(
     edge_chips: np.ndarray,
     streamed_bits: float,
     duration: np.ndarray,
-    sparing: list[BankSparingPlan | None],
 ) -> GatingColumns:
     """Bank power gating of every ReRAM edge memory whose policy enables
     it (Section 4.1); every other row is all-zeros."""
@@ -645,7 +494,6 @@ def _gating(
     if not gated:
         return out
     policies, rows = _distinct([configs[i].power_gating for i in gated])
-    spared = [sparing[i] if sparing else None for i in gated]
     gated = np.array(gated)
     policy = np.array([(True, p.idle_timeout, p.wake_latency, p.wake_energy)
                        for p in policies])[rows].T
@@ -659,8 +507,6 @@ def _gating(
         tuple(policy), edge_chips[gated] * banks[0], banks[1],
         np.full(duration.shape, streamed_bits)[gated],
         banks[2], duration[gated],
-        [p.failed_banks if p else 0 for p in spared],
-        [p.transition_factor if p else 1.0 for p in spared],
     )
     for column, values in zip(out, planned):
         column[gated] = values
@@ -672,7 +518,7 @@ def _fold_kernel(
     table: list[ScheduleCounts],
     workload: Workload,
     configs: list[HyVEConfig],
-    faults: FaultProfile | None = None,
+    secded: bool = False,
     group: np.ndarray | None = None,
 ) -> GridFold:
     """The one HyVE pricing kernel (Equations (1)-(2), Fig. 8).
@@ -687,8 +533,8 @@ def _fold_kernel(
     :class:`ScheduleCounts` per counts group and ``group`` each config's
     row in it (default: all ``table[0]``); the counts become per-config
     columns, so configs of any schedule, with or without a scratchpad,
-    share one pass.  A non-zero ``faults`` profile draws one overlay per
-    config and edits rows of the same columns.
+    share one pass.  ``secded`` prices every config of the grid with
+    SECDED protection (see :class:`AcceleratorMachine`).
     """
     n = len(configs)
     group = np.zeros(n, np.intp) if group is None else group
@@ -706,32 +552,13 @@ def _fold_kernel(
     vertex_footprint = counts.vertices * counts.vertex_bits * FOOTPRINT_SLACK
 
     # --- gather: device tables indexed per config -----------------------
-    edge_devices, edge_rows, raw_edge, edge_chips = _level(
-        configs, "edge_memory", edge_footprint, MIN_EDGE_CHIPS_PER_RANK)
-    vertex_devices, vertex_rows, raw_vertex, vertex_chips = _level(
-        configs, "offchip_vertex", vertex_footprint, MIN_VERTEX_CHIPS)
-    edge_costs, vertex_costs = raw_edge, raw_vertex
+    edge_devices, edge_rows, edge_costs, edge_chips = _level(
+        configs, "edge_memory", edge_footprint, MIN_EDGE_CHIPS_PER_RANK,
+        secded)
+    _, _, vertex_costs, vertex_chips = _level(
+        configs, "offchip_vertex", vertex_footprint, MIN_VERTEX_CHIPS, secded)
     hit = np.array([c.region_hit_rate for c in configs], dtype=np.float64)
     mlp = np.array([c.random_access_mlp for c in configs])
-    overlays: tuple[_FaultOverlay, ...] = ()
-    write_rounds = None
-    if faults is not None and not faults.is_zero:
-        overlays, spared = zip(*(
-            _FaultOverlay.build(
-                faults, cfg, f"{cfg.label}|{run.algorithm}|{workload.name}",
-                footprint, chips,
-            ) for cfg, footprint, chips in zip(configs, np.broadcast_to(
-                edge_footprint, n).tolist(), edge_chips.tolist())
-        ))
-        edge_chips = np.array(spared, dtype=np.int64)
-        edge_ecc, vertex_ecc, sram_ecc, write_rounds = map(np.array, zip(*(
-            (o.edge_ecc, o.vertex_ecc, o.sram_ecc, o.write_rounds)
-            for o in overlays)))
-        # SECDED-protected rows price through the wrapped devices.
-        edge_costs = _secded_costs(edge_devices, edge_rows, raw_edge,
-                                   edge_ecc)
-        vertex_costs = _secded_costs(vertex_devices, vertex_rows, raw_vertex,
-                                     vertex_ecc)
     # Without a scratchpad the PUs are bound by main-memory requests and
     # the on-chip terms price a zero-cost SRAM row, an exact 0.0.
     sram_cycle = edge_costs[:, _RR_LAT] / mlp
@@ -746,7 +573,7 @@ def _fold_kernel(
     mlp = np.minimum(mlp, counts.num_pus).astype(np.float64)
 
     # --- dynamic energy and busy time -----------------------------------
-    t = _traffic(counts, edge_costs, vertex_costs, hit, write_rounds)
+    t = _traffic(counts, edge_costs, vertex_costs, hit)
     seek_extra = counts.block_seeks * np.maximum(
         0.0, edge_costs[:, _RR_LAT] - edge_costs[:, _SR_LAT]
     )
@@ -775,8 +602,7 @@ def _fold_kernel(
 
     # --- BPG, background integration and the component columns ---------
     gating = _gating(configs, edge_devices, edge_rows, edge_chips,
-                     counts.edge_stream_bits, duration,
-                     [o.sparing for o in overlays])
+                     counts.edge_stream_bits, duration)
     duration = duration + gating.overhead_time
     edge_bg = background_energy(*edge_costs[:, _STANDBY:].T, duration,
                                 gating.gated_fraction, rpt.EDGE_MEMORY_BG)
@@ -792,10 +618,16 @@ def _fold_kernel(
         ),
     }
     if any_onchip:
-        energy[rpt.ONCHIP_VERTEX] = (
+        onchip_en = (
             (counts.onchip_read_bits / s_abits) * s_r_en
             + (counts.onchip_write_bits / s_abits) * s_w_en
         )
+        if secded:  # check bits widen every access, plus the codec
+            onchip_en = np.where(onchip, onchip_en + (
+                onchip_en * (secded_factor() - 1.0) + secded_logic_energy(
+                    counts.onchip_read_bits + counts.onchip_write_bits)
+            ), onchip_en)
+        energy[rpt.ONCHIP_VERTEX] = onchip_en
     energy[rpt.PROCESSING] = counts.pu_ops * (
         pu.op_energy(run.algorithm) + params.PIPELINE_ENERGY_PER_EDGE
     )
@@ -806,56 +638,18 @@ def _fold_kernel(
     energy[rpt.EDGE_MEMORY_BG] = edge_chips * edge_bg
     energy[rpt.OFFCHIP_VERTEX_BG] = vertex_chips * vertex_bg
     if any_onchip:
-        energy[rpt.ONCHIP_VERTEX_BG] = counts.num_pus * background_energy(
+        sram_bg = counts.num_pus * background_energy(
             *sram_power, duration, part=rpt.ONCHIP_VERTEX_BG
         )
+        energy[rpt.ONCHIP_VERTEX_BG] = (
+            np.where(onchip, sram_bg * secded_factor(), sram_bg) if secded
+            else sram_bg)
     energy[rpt.LOGIC_BG] = (
         counts.num_pus * params.PU_LEAKAGE
         + router.leakage_power
         + params.CONTROLLER_POWER
     ) * duration
 
-    if overlays:
-        # Resilience energy: what each overlay costs over the ideal
-        # devices, as (rows, term) pairs accumulated in the scalar
-        # model's order.  SRAM ECC also edits the on-chip columns.
-        base = _traffic(counts, raw_edge, raw_vertex, hit)
-        raw_edge_bg = background_energy(*raw_edge[:, _STANDBY:].T, duration,
-                                        gating.gated_fraction)
-        terms = [
-            (edge_ecc, t.stream_en - base.stream_en),
-            (vertex_ecc | (write_rounds != 1.0),
-             (t.load_en - base.load_en)
-             + (t.store_en - base.store_en)
-             + counts.random_read_ops * (t.rnd_r_en - base.rnd_r_en)
-             + counts.random_write_ops * (t.rnd_w_en - base.rnd_w_en)),
-        ]
-        if any_onchip:
-            rows = sram_ecc != 1.0
-            onchip_en = energy[rpt.ONCHIP_VERTEX]
-            onchip_extra = onchip_en * (sram_ecc - 1.0) + secded_logic_energy(
-                counts.onchip_read_bits + counts.onchip_write_bits
-            )
-            sram_bg = energy[rpt.ONCHIP_VERTEX_BG]
-            terms += [(rows, onchip_extra), (rows, sram_bg * (sram_ecc - 1.0))]
-            energy[rpt.ONCHIP_VERTEX] = np.where(
-                rows, onchip_en + onchip_extra, onchip_en
-            )
-            energy[rpt.ONCHIP_VERTEX_BG] = np.where(
-                rows, sram_bg * sram_ecc, sram_bg
-            )
-        spare = np.array([o.sparing.spare_chips if o.sparing else 0
-                          for o in overlays], dtype=np.int64)
-        raw_vertex_bg = background_energy(*raw_vertex[:, _STANDBY:].T,
-                                          duration)
-        terms += [
-            (edge_ecc, edge_chips * (edge_bg - raw_edge_bg)),
-            (vertex_ecc, vertex_chips * (vertex_bg - raw_vertex_bg)),
-            (spare > 0, spare * raw_edge_bg),
-        ]
-        resil = np.zeros(n)
-        for rows, term in terms:
-            resil = np.where(rows, resil + term, resil)
     # One (component x config) matrix, in the reports' insertion order.
     components = list(energy)
     joules = np.empty((len(components), n))
@@ -867,15 +661,10 @@ def _fold_kernel(
         raise ConfigError(f"negative energy for {components[k]}: "
                           f"{joules[k][negative[k]][0]}")
     joules[0] += gating.overhead_energy  # rpt.EDGE_MEMORY comes first
-    fault_reports: list[FaultReport | None] = [
-        overlay.settle(cfg, cfg_counts, spent)
-        for overlay, cfg, cfg_counts, spent in zip(
-            overlays, configs, row_counts, resil.tolist())
-    ] if overlays else [None] * n
     # EnergyReport.total_energy sums the same values in the same order.
     fold = GridFold(configs, row_counts, run.algorithm, workload.name,
                     onchip.tolist(), components, joules, duration,
-                    sum(joules), fault_reports)
+                    sum(joules))
     metrics = obs_metrics.get_metrics()
     for group_counts, times in zip(table, np.bincount(group).tolist()):
         metrics.counter(obs_metrics.EDGES_STREAMED).add(
@@ -919,16 +708,14 @@ def _fold_kernel(
     return fold
 
 
-def make_machine(
-    name: str, faults: FaultProfile | None = None
-) -> AcceleratorMachine:
+def make_machine(name: str) -> AcceleratorMachine:
     """Instantiate an accelerator machine by its Fig. 16 label."""
     from .config import NAMED_CONFIGS
 
     if name not in NAMED_CONFIGS:
         known = ", ".join(NAMED_CONFIGS)
         raise ConfigError(f"unknown machine {name!r}; known: {known}")
-    return AcceleratorMachine(NAMED_CONFIGS[name](), faults=faults)
+    return AcceleratorMachine(NAMED_CONFIGS[name]())
 
 
 def fold_time_slices(slices) -> EnergyReport:

@@ -72,7 +72,6 @@ def _price(
     configs: list[HyVEConfig],
     algorithm_factory: Callable[[], EdgeCentricAlgorithm],
     workload: Workload,
-    faults,
     isolate_errors: bool,
 ) -> list[tuple[EnergyReport | None, str | None]]:
     """``(report, error)`` per config, in order."""
@@ -86,14 +85,14 @@ def _price(
         # point's failure; it is not re-run once per point.
         return [_failure(config, exc, isolate_errors) for config in configs]
     try:
-        results = run_grid(algorithm, workload, configs, faults=faults)
+        results = run_grid(algorithm, workload, configs)
     except Exception:
         # Some point cannot be priced: price each one on its own so the
         # failure is pinned to the points that cause it.
         outcomes = []
         for config in configs:
             try:
-                report = AcceleratorMachine(config, faults=faults).run(
+                report = AcceleratorMachine(config).run(
                     algorithm, workload
                 ).report
             except Exception as exc:
@@ -110,7 +109,6 @@ def sweep(
     algorithm_factory: Callable[[], EdgeCentricAlgorithm],
     workload: Workload | Graph,
     base_config: HyVEConfig | None = None,
-    faults=None,
     isolate_errors: bool = False,
 ) -> list[SweepPoint]:
     """Evaluate one config field across ``values``.
@@ -122,13 +120,12 @@ def sweep(
 
     ``algorithm_factory`` is called once.  Every valid point is priced
     by one :func:`repro.perf.batch.run_grid` call, bit-identical to a
-    loop of ``AcceleratorMachine(config, faults=faults).run(...)``; if
-    that call raises, the points are priced one by one in value order.
+    loop of ``AcceleratorMachine(config).run(...)``; if that call
+    raises, the points are priced one by one in value order.
     By default the first failing point raises :class:`SweepPointError`
     (the cause chained); with ``isolate_errors=True`` each failure
     becomes a :class:`SweepPoint` with ``report=None`` and the sweep
-    continues.  ``faults`` optionally threads a
-    :class:`repro.faults.FaultProfile` into every evaluated machine.
+    continues.
     """
     base_config = base_config or HyVEConfig()
     valid = {f.name for f in fields(HyVEConfig)}
@@ -160,7 +157,7 @@ def sweep(
             errors.append(f"{type(exc).__name__}: {exc}")
 
     pending = [config for config in configs if config is not None]
-    outcomes = iter(_price(pending, algorithm_factory, workload, faults,
+    outcomes = iter(_price(pending, algorithm_factory, workload,
                            isolate_errors) if pending else [])
     points = []
     for value, config, error in zip(values, configs, errors):
@@ -176,7 +173,6 @@ def sweep_axis(
     make_config: Callable[[Any], HyVEConfig],
     algorithm_factory: Callable[[], EdgeCentricAlgorithm],
     workload: Workload | Graph,
-    faults=None,
 ):
     """Price one axis of prepared configurations simulate-once.
 
@@ -199,7 +195,6 @@ def sweep_axis(
         algorithm_factory(),
         workload,
         [make_config(value) for value in values],
-        faults=faults,
     )
 
 

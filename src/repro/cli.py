@@ -33,7 +33,6 @@ Examples::
     python -m repro info
     python -m repro run --machine acc+HyVE-opt --algorithm pr --dataset LJ
     python -m repro run --algorithm bfs --graph edges.txt --json
-    python -m repro run --faults harsh --seed 7 --dataset YT --verbose
     python -m repro compare --algorithm pr --dataset YT
     python -m repro experiment fig16 fig21
     python -m repro experiment --jobs 4
@@ -66,7 +65,6 @@ from .arch.cpu import CPU_DRAM, CPU_DRAM_OPT, CPUMachine
 from .arch.graphr import GraphRMachine
 from .arch.machine import make_machine
 from .errors import ReproError
-from .faults import FAULT_PROFILES, make_profile
 from .graph.datasets import DATASET_ORDER, DATASETS
 from .graph import io as graph_io
 
@@ -76,22 +74,15 @@ MACHINE_NAMES = tuple(NAMED_CONFIGS) + ("CPU+DRAM", "CPU+DRAM-opt", "GraphR")
 ALGORITHM_NAMES = ("pr", "bfs", "cc", "sssp", "spmv")
 
 
-def build_machine(name: str, faults=None):
-    """Build a named machine; ``faults`` applies to accelerators only
-    (the CPU and GraphR models have no fault instrumentation)."""
+def build_machine(name: str):
+    """Build a machine by its CLI name."""
     if name == "CPU+DRAM":
         return CPUMachine(CPU_DRAM)
     if name == "CPU+DRAM-opt":
         return CPUMachine(CPU_DRAM_OPT)
     if name == "GraphR":
         return GraphRMachine()
-    return make_machine(name, faults=faults)
-
-
-def load_faults(args: argparse.Namespace):
-    if not getattr(args, "faults", None):
-        return None
-    return make_profile(args.faults, seed=getattr(args, "seed", None))
+    return make_machine(name)
 
 
 def load_workload(args: argparse.Namespace) -> Workload:
@@ -153,23 +144,17 @@ def _tracing(path: str | None):
 
 def cmd_run(args: argparse.Namespace) -> int:
     workload = load_workload(args)
-    faults = load_faults(args)
-    machine = build_machine(args.machine, faults=faults)
+    machine = build_machine(args.machine)
     algorithm = make_algorithm(args.algorithm)
     with _tracing(args.trace_out):
         result = machine.run(algorithm, workload)
     if args.json:
-        payload = result.report.to_dict()
-        if result.faults is not None:
-            payload["faults"] = result.faults.to_dict()
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(result.report.to_dict(), indent=2))
     else:
         print(result.report.summary())
         print("breakdown:")
         for bucket, share in result.report.breakdown().items():
             print(f"  {bucket:18s} {100 * share:5.1f}%")
-        if result.faults is not None:
-            print(result.faults.summary())
     if args.verbose:
         _print_cache_stats()
     return 0
@@ -179,7 +164,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .perf.batch import run_grid
 
     workload = load_workload(args)
-    faults = load_faults(args)
     rows = []
     with _tracing(args.trace_out):
         # The named accelerators share one convergence and (per counts
@@ -187,13 +171,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # GraphR models keep their own run paths.
         acc_names = list(NAMED_CONFIGS)
         grid = run_grid(make_algorithm(args.algorithm), workload,
-                        [NAMED_CONFIGS[n]() for n in acc_names],
-                        faults=faults)
+                        [NAMED_CONFIGS[n]() for n in acc_names])
         batched = {n: r.report for n, r in zip(acc_names, grid)}
         for name in MACHINE_NAMES:
             report = batched.get(name)
             if report is None:
-                machine = build_machine(name, faults=faults)
+                machine = build_machine(name)
                 report = machine.run(make_algorithm(args.algorithm),
                                      workload).report
             rows.append((name, report.mteps_per_watt, report.total_energy,
@@ -268,8 +251,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from .obs import get_metrics
 
     workload = load_workload(args)
-    faults = load_faults(args)
-    machine = build_machine(args.machine, faults=faults)
+    machine = build_machine(args.machine)
     algorithm = make_algorithm(args.algorithm)
     registry = get_metrics()
     registry.reset()
@@ -546,12 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", metavar="FILE",
                        help="edge-list file instead of a dataset")
         p.add_argument("--algorithm", choices=ALGORITHM_NAMES, default="pr")
-        p.add_argument("--faults", choices=tuple(FAULT_PROFILES),
-                       help="inject faults per the named profile "
-                            "(accelerator machines only)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="fault-injection seed (same seed + profile "
-                            "=> identical injected faults)")
 
     def add_trace_arg(p: argparse.ArgumentParser,
                       default: str | None = None) -> None:

@@ -116,32 +116,19 @@ def generate_requests(
     return requests
 
 
-def apply_requests(store, requests: list[Request], injector=None) -> int:
+def apply_requests(store, requests: list[Request]) -> int:
     """Replay a request stream against a store; returns changed edges.
 
-    ``injector`` (a :class:`repro.faults.FaultInjector`) optionally
-    perturbs the stream in flight — dropping and duplicating requests
-    per its profile.  A perturbed stream loses the generator's replay
-    guarantee (a duplicated deletion targets an edge that is already
-    gone), so replay errors are absorbed and tallied as conflicts in
-    ``injector.update_counts`` instead of raising.  Without an injector
-    the strict (raising) semantics are unchanged.
+    A request the store rejects raises its :class:`DynamicGraphError`.
     """
-    if injector is not None:
-        requests = injector.perturb_requests(requests)
     before = store.stats.edges_changed
     for req in requests:
-        try:
-            if req.kind is RequestKind.ADD_EDGE:
-                store.add_edge(req.src, req.dst)
-            elif req.kind is RequestKind.DELETE_EDGE:
-                store.delete_edge(req.src, req.dst)
-            elif req.kind is RequestKind.ADD_VERTEX:
-                store.add_vertex()
-            else:
-                store.delete_vertex(req.src)
-        except DynamicGraphError:
-            if injector is None:
-                raise
-            injector.update_counts.conflicts += 1
+        if req.kind is RequestKind.ADD_EDGE:
+            store.add_edge(req.src, req.dst)
+        elif req.kind is RequestKind.DELETE_EDGE:
+            store.delete_edge(req.src, req.dst)
+        elif req.kind is RequestKind.ADD_VERTEX:
+            store.add_vertex()
+        else:
+            store.delete_vertex(req.src)
     return store.stats.edges_changed - before

@@ -31,11 +31,6 @@ class ConvergenceError(ReproError):
     """An iterative algorithm failed to converge within its iteration cap."""
 
 
-class FaultError(ReproError):
-    """An injected fault could not be absorbed by the resilience
-    mechanisms (e.g. every edge-memory bank failed)."""
-
-
 class SweepPointError(ReproError):
     """One design-space point failed to evaluate (timeout, device-model
     error...); carries the underlying cause as ``__cause__``."""

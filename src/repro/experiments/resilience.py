@@ -1,68 +1,41 @@
-"""Resilience ablation: energy efficiency versus fault severity.
+"""Resilience ablation: what SECDED protection costs in efficiency.
 
-Runs PageRank on the YT workload for each named fault profile
-(``none`` → ``worn``) across three accelerator configurations
-(acc+DRAM, acc+HyVE, acc+HyVE-opt) and reports the efficiency retained
-relative to the ideal-device run, alongside what the resilience
-machinery had to absorb (failed banks, capacity loss, extra energy).
-
-This is the experiment behind the zero-fault invariant: the ``none``
-row is produced through the *instrumented* path and must match the
-uninstrumented baseline bit for bit.
+The paper assumes ideal devices.  This driver prices PageRank on the YT
+workload on three accelerator configurations (acc+DRAM, acc+HyVE,
+acc+HyVE-opt) twice: with ideal devices, and with a (72, 64) SECDED
+code on every memory level (``AcceleratorMachine(config,
+secded=True)``).  ``Retained`` is the protected machine's MTEPS/W
+relative to its ideal run.
 """
 
 from __future__ import annotations
 
-from ..arch.machine import make_machine
-from ..faults import make_profile
+from ..arch.config import NAMED_CONFIGS
+from ..arch.machine import AcceleratorMachine
 from .common import CORE_ALGORITHM_FACTORIES, ExperimentResult, workloads
 
 #: Accelerator configurations compared (the paper's Fig. 16 subset that
 #: exercises DRAM-only, hybrid, and optimised-hybrid edge paths).
 MACHINE_ORDER = ("acc+DRAM", "acc+HyVE", "acc+HyVE-opt")
 
-#: Severity ladder, mildest first.
-PROFILE_ORDER = ("none", "mild", "harsh", "worn")
-
-#: Injector seed fixed so the table is reproducible run to run.
-SEED = 2026
-
 
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment="resilience",
-        title="Energy efficiency under injected faults "
-              "(PageRank / YT, seed fixed)",
-        headers=["Profile", "Machine", "MTEPS/W", "Retained",
-                 "Failed banks", "Capacity lost", "Resilience mJ",
-                 "Injected"],
+        title="Energy efficiency with and without SECDED protection "
+              "(PageRank / YT)",
+        headers=["Protection", "Machine", "MTEPS/W", "Retained"],
         notes="Retained = MTEPS/W relative to the same machine with "
-              "ideal devices; the 'none' row uses the instrumented "
-              "path and must match it exactly.",
+              "ideal devices.",
     )
     factory = CORE_ALGORITHM_FACTORIES["PR"]
     workload = workloads()["YT"]
-
-    ideal = {
-        name: make_machine(name).run(factory(), workload).report
-        for name in MACHINE_ORDER
-    }
-    for profile_name in PROFILE_ORDER:
-        profile = make_profile(profile_name, seed=SEED)
-        for machine_name in MACHINE_ORDER:
-            machine = make_machine(machine_name, faults=profile)
-            sim = machine.run(factory(), workload)
-            report = sim.report
-            faults = sim.faults
-            result.add(
-                profile_name,
-                machine_name,
-                report.mteps_per_watt,
-                f"{report.mteps_per_watt / ideal[machine_name].mteps_per_watt * 100:.1f}%",
-                faults.failed_banks if faults else 0,
-                f"{faults.capacity_loss_fraction * 100:.2f}%"
-                if faults else "0.00%",
-                faults.resilience_energy * 1e3 if faults else 0.0,
-                faults.total_injected if faults else 0,
-            )
+    ideal = {}
+    for protection, secded in (("none", False), ("secded", True)):
+        for name in MACHINE_ORDER:
+            machine = AcceleratorMachine(NAMED_CONFIGS[name](), secded=secded)
+            efficiency = machine.run(factory(), workload).report.mteps_per_watt
+            ideal.setdefault(name, efficiency)
+            result.add(protection, name, efficiency,
+                       f"{efficiency / ideal[name] * 100:.1f}%")
     return result

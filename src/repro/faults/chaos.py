@@ -1,10 +1,7 @@
 """Infrastructure-fault injection: chaos for the *host-side* machinery.
 
-The :mod:`repro.faults` package perturbs the **simulated** memory
-hierarchy (stuck ReRAM cells, DRAM upsets) and PR 1 proved the machine
-model absorbs them.  This module applies the same discipline to the
-infrastructure the reproduction itself runs on — the SQLite result
-store (:mod:`repro.perf.store`):
+This module injects faults into the infrastructure the reproduction
+itself runs on — the SQLite result store (:mod:`repro.perf.store`):
 
 * **torn writes** — a stored payload is truncated while its checksum
   describes the full write (the classic crash-mid-write shape);
@@ -14,10 +11,9 @@ store (:mod:`repro.perf.store`):
   (saturated disk, network filesystem).
 
 Everything is seeded and deterministic per installed injector, rates
-follow :class:`ChaosProfile`, and — mirroring PR 1's central invariant
-— an all-zero profile is an **exact pass-through**: no entropy is
-drawn, no hook fires, results are bit-identical to running without the
-injector installed.  The verify harness enforces both directions with
+follow :class:`ChaosProfile`, and an all-zero profile is an **exact
+pass-through**: no entropy is drawn, no hook fires, results are
+bit-identical to running without the injector installed.  The verify harness enforces both directions with
 the ``chaos-recovery`` and ``zero-chaos`` oracles (docs/robustness.md
 has the taxonomy and recovery contract).
 

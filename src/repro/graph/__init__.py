@@ -43,7 +43,6 @@ from .stats import (
     CROSSBAR_DIM,
     GraphShape,
     average_edges_per_nonempty_block,
-    block_occupancy_histogram,
     nonempty_block_count,
     skew_gini,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "CROSSBAR_DIM",
     "GraphShape",
     "average_edges_per_nonempty_block",
-    "block_occupancy_histogram",
     "nonempty_block_count",
     "skew_gini",
     "io",

@@ -130,21 +130,6 @@ class GraphShape:
         )
 
 
-def block_occupancy_histogram(
-    graph: Graph, block_size: int = CROSSBAR_DIM
-) -> np.ndarray:
-    """Histogram of edges-per-non-empty-tile.
-
-    Index k of the returned array counts tiles holding exactly k edges
-    (index 0 is always zero: empty tiles are excluded).
-    """
-    if graph.num_edges == 0:
-        return np.zeros(1, dtype=np.int64)
-    keys = fixed_block_keys(graph, block_size)
-    _, per_block = np.unique(keys, return_counts=True)
-    return np.bincount(per_block)
-
-
 def skew_gini(degrees: np.ndarray) -> float:
     """Gini coefficient of a degree distribution (0 = uniform, 1 = star).
 

@@ -86,8 +86,6 @@ def plan_columns(
     streamed_bits,
     bank_capacity_bits,
     duration,
-    failed_banks=0,
-    transition_factor=1.0,
 ) -> GatingColumns:
     """Plan BPG for many runs at once (see :meth:`BankPowerGating.plan`).
 
@@ -97,10 +95,10 @@ def plan_columns(
     to planning run ``i`` on its own.
     """
     enabled, idle_timeout, wake_latency, wake_energy = policy
-    (num_banks, active_banks, streamed_bits, bank_capacity_bits, duration,
-     failed_banks, transition_factor) = map(np.asarray, (
+    (num_banks, active_banks, streamed_bits, bank_capacity_bits,
+     duration) = map(np.asarray, (
         num_banks, active_banks, streamed_bits, bank_capacity_bits,
-        duration, failed_banks, transition_factor))
+        duration))
 
     def first(values, mask):
         return np.broadcast_to(values, mask.shape)[mask][0]
@@ -113,38 +111,24 @@ def plan_columns(
                           f"{first(num_banks, over)} total")
     if np.count_nonzero((streamed_bits < 0) | (duration < 0)):
         raise ConfigError("streamed bits and duration must be >= 0")
-    outside = ~((0 <= failed_banks) & (failed_banks < num_banks))
-    if np.count_nonzero(outside):
-        raise ConfigError(
-            f"failed banks must lie in [0, {first(num_banks, outside)}): "
-            f"{first(failed_banks, outside)}"
-        )
-    low = transition_factor < 1.0
-    if np.count_nonzero(low):
-        raise ConfigError("transition factor must be >= 1: "
-                          f"{first(transition_factor, low)}")
-    healthy_banks = num_banks - failed_banks
     # With gating disabled (or all banks active) a run's row is all-zeros.
-    on = (enabled != 0) & (active_banks < healthy_banks)
+    on = (enabled != 0) & (active_banks < num_banks)
     if np.count_nonzero(on & (bank_capacity_bits <= 0)):
         raise ConfigError("bank capacity must be positive")
 
-    # One wake per bank-boundary crossing of the sequential stream;
-    # remap detours (spared banks) add crossings.
+    # One wake per bank-boundary crossing of the sequential stream.
     crossings = np.ceil(streamed_bits / np.where(on, bank_capacity_bits, 1))
     crossings = np.where(streamed_bits > 0, np.maximum(crossings, 1.0), 0.0)
-    transitions = np.where(
-        on, np.ceil(crossings * transition_factor), 0.0
-    ).astype(np.int64)
+    transitions = np.where(on, crossings, 0.0).astype(np.int64)
 
     # Idle-timeout keeps the previous bank powered a little longer
     # after each crossing; express that as extra average-active banks.
     timed = duration > 0
     timeout_share = np.where(timed, np.minimum(
-        (healthy_banks - active_banks).astype(np.float64),
+        (num_banks - active_banks).astype(np.float64),
         transitions * idle_timeout / np.where(timed, duration, 1.0),
     ), 0.0)
-    avg_active = np.minimum(healthy_banks.astype(np.float64),
+    avg_active = np.minimum(num_banks.astype(np.float64),
                             active_banks + timeout_share)
     gated_fraction = np.where(on, (num_banks - avg_active) / num_banks, 0.0)
     # The controller pre-wakes the next bank while the current one still
@@ -171,8 +155,6 @@ class BankPowerGating:
         streamed_bits: float,
         bank_capacity_bits: float,
         duration: float,
-        failed_banks: int = 0,
-        transition_factor: float = 1.0,
     ) -> GatingReport:
         """Plan gating for a run that streams ``streamed_bits`` overall.
 
@@ -184,12 +166,6 @@ class BankPowerGating:
             streamed_bits: total bits read over the whole execution.
             bank_capacity_bits: capacity of one bank.
             duration: modelled execution time (s).
-            failed_banks: banks spared out by the fault-remap layer;
-                they are electrically isolated (counted as gated) but
-                shrink the pool the stream rotates through.
-            transition_factor: multiplier on wake transitions from
-                remap detours (see ``faults.resilience``); 1.0 when no
-                sparing is active.
 
         Returns:
             A :class:`GatingReport`; with gating disabled (or all banks
@@ -199,7 +175,7 @@ class BankPowerGating:
         row = plan_columns(
             (p.enabled, p.idle_timeout, p.wake_latency, p.wake_energy),
             num_banks, active_banks, streamed_bits, bank_capacity_bits,
-            duration, failed_banks, transition_factor,
+            duration,
         )
         return GatingReport(
             gated_fraction=row.gated_fraction.item(),

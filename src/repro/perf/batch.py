@@ -22,7 +22,7 @@ Entry points:
 * :func:`scheduled_counts` — drop-in memoized
   :meth:`~repro.arch.scheduler.ScheduleCounts.compute`.
 * :func:`run_grid` — evaluate one algorithm x workload against many
-  configurations (under an optional fault profile), grouping them by
+  configurations, grouping them by
   counts key and pricing the whole grid, every group's counts as
   per-config columns, with one pass of the pricing kernel;
   bit-identical to a loop of :meth:`AcceleratorMachine.run` calls.
@@ -165,40 +165,35 @@ def run_grid(
     algorithm: EdgeCentricAlgorithm,
     workload: Workload | Graph,
     configs: Iterable[HyVEConfig],
-    faults=None,
 ) -> list[SimulationResult]:
     """Evaluate ``algorithm`` on ``workload`` under many configurations.
 
-    Bit-identical to ``[AcceleratorMachine(c, faults=faults).run(...)
-    for c in configs]`` but structured simulate-once / price-many: the
-    algorithm converges once (run cache), each distinct counts key is
-    expanded once (counts cache), and one columnar pass of the pricing
-    kernel prices every configuration against its group's counts —
-    fault profiles included (each config's injector seeds on its
-    label, so the draws match the per-config runs).
+    Bit-identical to ``[AcceleratorMachine(c).run(...) for c in
+    configs]`` but structured simulate-once / price-many: the algorithm
+    converges once (run cache), each distinct counts key is expanded
+    once (counts cache), and one columnar pass of the pricing kernel
+    prices every configuration against its group's counts.
     """
-    run, fold = _price_groups(algorithm, workload, list(configs), faults)
-    return [SimulationResult(report=report, run=run, faults=fault_report)
-            for report, fault_report in zip(fold.reports, fold.faults)]
+    run, fold = _price_groups(algorithm, workload, list(configs))
+    return [SimulationResult(report=report, run=run)
+            for report in fold.reports]
 
 
 def price_grid(
     algorithm: EdgeCentricAlgorithm,
     workload: Workload | Graph,
     configs: Sequence[HyVEConfig],
-    faults=None,
 ) -> GridFold:
     """:func:`run_grid` as one :class:`~repro.arch.machine.GridFold` in
     ``configs`` order: the reports plus their time and total-energy
     columns, so a caller ranking the grid never sums a report."""
-    return _price_groups(algorithm, workload, list(configs), faults)[1]
+    return _price_groups(algorithm, workload, list(configs))[1]
 
 
 def _price_groups(
     algorithm: EdgeCentricAlgorithm,
     workload: Workload | Graph,
     configs: list[HyVEConfig],
-    faults,
 ) -> tuple[AlgorithmRun | None, GridFold]:
     """(the converged run, or ``None`` for an empty grid; the grid's
     pricing in ``configs`` order)."""
@@ -237,5 +232,5 @@ def _price_groups(
             obs_metrics.FOLD_MANY_CONFIGS).add(len(configs))
         with tracer.span("fold_many", algorithm=run.algorithm,
                          graph=workload.name, configs=len(configs)):
-            fold = _fold_kernel(run, table, workload, configs, faults, group)
+            fold = _fold_kernel(run, table, workload, configs, group=group)
     return run, fold

@@ -10,8 +10,7 @@ This package is the machinery that holds them to it:
   (graph x machine x algorithm x scale);
 * :mod:`repro.verify.oracles` — the oracle registry: cross-engine
   report identity, executor output equivalence, and metamorphic
-  invariants (permutation, interval count, scale linearity, zero-fault
-  pass-through);
+  invariants (permutation, interval count, scale linearity);
 * :mod:`repro.verify.shrink` — greedy minimisation of failing cases;
 * :mod:`repro.verify.corpus` — replayable repro files and the
   committed regression corpus under ``tests/corpus/``;

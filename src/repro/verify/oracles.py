@@ -2,7 +2,7 @@
 
 An **oracle** takes a :class:`~repro.verify.cases.Case` and raises
 :class:`~repro.errors.VerificationError` when two execution paths that
-promise identical results disagree.  Three families are registered:
+promise identical results disagree.  Five families are registered:
 
 * *cross-engine report identity* — serial ``AcceleratorMachine.run``
   vs ``fold_many`` vs ``run_grid`` vs a cache-warm replay vs the
@@ -14,8 +14,7 @@ promise identical results disagree.  Three families are registered:
   the sum-based ones, matching tests/test_blocked_identity.py);
 * *metamorphic invariants* — vertex-relabeling permutation invariance,
   interval-count ``P`` invariance of algorithm results, exact traffic
-  linearity under power-of-two ``edge_scale``, and zero-fault-profile
-  pass-through;
+  linearity under power-of-two ``edge_scale``;
 * *infrastructure-chaos recovery* — runs against a result store under
   injected torn writes, bit flips and slow I/O
   (:mod:`repro.faults.chaos`) must recover to bit-identical reports,
@@ -49,7 +48,6 @@ from ..arch.report import EnergyReport
 from ..arch.scheduler import ScheduleCounts
 from ..arch.sweep import SweepPoint, points_to_csv, sweep
 from ..errors import VerificationError
-from ..faults import FaultProfile
 from ..faults.chaos import ChaosProfile, chaos_context
 from ..perf.batch import run_grid, scheduled_counts
 from ..perf.cache import get_run_cache, temporary_run_cache
@@ -552,26 +550,6 @@ def shard_identity(case: Case) -> None:
             ]
             fail("merged per-shard counts are not bit-identical to the "
                  "whole-graph counts — " + "; ".join(diffs))
-
-
-@oracle(
-    "zero-fault",
-    "an all-zero fault profile is bit-identical to no profile at all",
-)
-def zero_fault_passthrough(case: Case) -> None:
-    graph = case.graph()
-    workload = case.workload(graph)
-    config = case.config()
-    plain = AcceleratorMachine(config).run(
-        case.make_algorithm(graph), workload
-    )
-    zeroed = AcceleratorMachine(
-        config, faults=FaultProfile.zero(seed=case.seed)
-    ).run(case.make_algorithm(graph), workload)
-    assert_reports_identical(plain.report, zeroed.report,
-                             "zero-fault profile")
-    assert_values_match(case, plain.run.values, zeroed.run.values,
-                        "zero-fault profile values")
 
 
 #: Pricing-only axes the tuner oracle cross-products over the case's

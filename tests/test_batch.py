@@ -3,8 +3,7 @@
 The contract under test is *bit-identity*: the memoized counts plus the
 vectorized fold must reproduce the serial pipeline exactly — same
 report fields, same energy-dict insertion order, same ``repr`` of every
-float — across machines, algorithms, workloads, fault profiles, and
-the sweep driver.
+float — across machines, algorithms, workloads, and the sweep driver.
 """
 
 import dataclasses
@@ -18,7 +17,6 @@ from repro.arch.config import NAMED_CONFIGS, HyVEConfig, Workload
 from repro.arch.machine import AcceleratorMachine, fold_many
 from repro.arch.sweep import SweepPoint, points_to_csv, sweep
 from repro.errors import ConfigError
-from repro.faults import make_profile
 from repro.memory.powergate import PowerGatingPolicy
 from repro.perf.batch import (
     counts_cache_key,
@@ -98,20 +96,6 @@ class TestFoldManyIdentity:
         groups = group_by_counts_key(run, workload, configs)
         # SRAM size is a pricing knob at fixed P: indices 0 and 2 share.
         assert sorted(map(sorted, groups.values())) == [[0, 2], [1]]
-
-
-class TestFaultFallback:
-    def test_faulted_grid_matches_serial(self, workloads):
-        workload = workloads["small"]
-        faults = make_profile("mild", seed=7)
-        configs = [make() for make in NAMED_CONFIGS.values()]
-        batched = run_grid(PageRank(), workload, configs, faults=faults)
-        for config, result in zip(configs, batched):
-            serial = AcceleratorMachine(config, faults=faults).run(
-                PageRank(), workload
-            )
-            _assert_reports_identical(result.report, serial.report)
-            assert result.faults is not None
 
 
 class TestCountsCache:

@@ -83,39 +83,6 @@ class TestCompare:
         assert first_line.startswith("acc+HyVE-opt")
 
 
-class TestFaultsFlag:
-    def test_run_with_faults_prints_summary(self, capsys):
-        assert main(["run", "--dataset", "YT", "--faults", "harsh",
-                     "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "faults:" in out
-        assert "injected" in out
-
-    def test_run_faults_json_payload(self, capsys):
-        assert main(["run", "--dataset", "YT", "--faults", "mild",
-                     "--seed", "1", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["faults"]["total_injected"] > 0
-
-    def test_faults_deterministic_across_invocations(self, capsys):
-        argv = ["run", "--dataset", "YT", "--faults", "worn",
-                "--seed", "42", "--json"]
-        assert main(argv) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert main(argv) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert first == second
-
-    def test_rejects_unknown_profile(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--faults", "apocalyptic"])
-
-    def test_cpu_machine_ignores_faults(self, capsys):
-        assert main(["run", "--dataset", "YT", "--machine", "CPU+DRAM",
-                     "--faults", "harsh"]) == 0
-        assert "faults:" not in capsys.readouterr().out
-
-
 class TestErrorExits:
     def test_unknown_dataset_rejected_by_parser(self):
         with pytest.raises(SystemExit):

@@ -48,6 +48,31 @@ class TestRepoDocs:
             f"{page}:2: stale API name -> repro.graph.NoSuchName",
         ]
 
+    def test_cli_lines_parse(self):
+        files = sorted((REPO_ROOT / "docs").glob("*.md"))
+        files.append(REPO_ROOT / "README.md")
+        assert check_docs.check_cli_lines(files) == []
+
+    def test_checker_flags_unparseable_cli_line(self, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "`python -m repro run --faults harsh` outside a fence\n"
+            "```\n"
+            "$ PYTHONPATH=src python -m repro run --dataset YT [--json]\n"
+            "python -m repro cache info|clear  # alternatives\n"
+            "python -m repro run --graph <file> --faults harsh\n"
+            "python -m repro compare --dataset YT \\\n"
+            "    --faults mild\n"
+            "python -m repro cache info|defrag\n"
+            "```\n"
+        )
+        problems = check_docs.check_cli_lines([page])
+        assert [p.split(" (")[0] for p in problems] == [
+            f"{page}:6: CLI line does not parse -> "
+            "repro compare --dataset YT --faults mild",
+            f"{page}:8: CLI line does not parse -> repro cache defrag",
+        ]
+
     def test_doc_doctests_pass(self):
         assert check_docs.run_doctests(check_docs.DOCTEST_FILES) == []
 

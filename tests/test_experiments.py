@@ -171,30 +171,6 @@ class TestWarmPass:
         assert (warm.stats.misses, warm.stats.counts_misses) == (0, 0)
 
 
-class TestResilienceExperiment:
-    @pytest.fixture
-    def result(self, experiment_results):
-        return experiment_results["resilience"]
-
-    def test_shape(self, result):
-        from repro.experiments.resilience import MACHINE_ORDER, PROFILE_ORDER
-
-        assert len(result.rows) == len(MACHINE_ORDER) * len(PROFILE_ORDER)
-
-    def test_none_rows_retain_everything(self, result):
-        for row in result.rows:
-            if row[0] == "none":
-                assert row[3] == "100.0%"
-                assert row[7] == 0  # nothing injected
-
-    def test_faults_never_raise_efficiency(self, result):
-        from repro.experiments.resilience import MACHINE_ORDER
-
-        eff = {(row[0], row[1]): row[2] for row in result.rows}
-        for machine in MACHINE_ORDER:
-            assert eff[("harsh", machine)] <= eff[("none", machine)]
-
-
 class TestTable1:
     def test_navg_close_to_paper(self, experiment_results):
         result = experiment_results["table1"]

@@ -2,8 +2,7 @@
 
 The kernel resolves each distinct device object of a grid once and
 prices every config as a row of NumPy columns.  The contract is the
-scalar model's: every report, fault report and objective column is
-bit-identical to pricing each config alone with ``machine.run``, and
+scalar model's: every report and objective column is bit-identical to pricing each config alone with ``machine.run``, and
 the metrics counters add up to the same totals.
 """
 
@@ -27,9 +26,7 @@ from repro.arch.config import (
 from repro.arch.machine import AcceleratorMachine, fold_many
 from repro.arch.router import RouterModel
 from repro.errors import ConfigError, MemoryModelError
-from repro.faults import make_profile
 from repro.memory.powergate import PowerGatingPolicy
-from repro.memory.reram import ReRAMConfig
 from repro.obs import get_tracer, set_tracer
 from repro.obs import metrics as obs_metrics
 from repro.perf import batch
@@ -87,17 +84,13 @@ def _exact(value):
 
 
 class TestGridIdentity:
-    @pytest.mark.parametrize("profile", ["none", "mild", "worn"])
     @pytest.mark.parametrize("factory", [PageRank, BFS], ids=["pr", "bfs"])
-    def test_grid_matches_run_loop(self, workload, factory, profile):
-        faults = make_profile(profile, seed=7)
+    def test_grid_matches_run_loop(self, workload, factory):
         configs = _mixed_grid()
-        batched = run_grid(factory(), workload, configs, faults=faults)
-        fold = price_grid(factory(), workload, configs, faults=faults)
+        batched = run_grid(factory(), workload, configs)
+        fold = price_grid(factory(), workload, configs)
         for i, config in enumerate(configs):
-            serial = AcceleratorMachine(config, faults=faults).run(
-                factory(), workload
-            )
+            serial = AcceleratorMachine(config).run(factory(), workload)
             for report in (batched[i].report, fold.reports[i]):
                 assert report.__dict__ == serial.report.__dict__
                 assert list(report.energy.items()) == list(
@@ -107,12 +100,28 @@ class TestGridIdentity:
             assert repr(fold.total_energy[i].item()) == repr(
                 serial.report.total_energy
             )
-            got = batched[i].faults
-            assert (got is None) == (serial.faults is None)
-            if got is not None:
-                assert _exact(got.to_dict()) == _exact(
-                    serial.faults.to_dict()
-                )
+
+    @pytest.mark.parametrize("factory", [PageRank, BFS], ids=["pr", "bfs"])
+    def test_secded_grid_matches_run_loop(self, workload, factory):
+        # No driver prices a SECDED grid, but the kernel's SECDED rows
+        # and scratchpad edits are columnar like every other term.
+        configs = _mixed_grid()
+        run = run_cached(factory(), workload.graph)
+        table, group = [], []
+        for config in configs:
+            counts = scheduled_counts(run, workload, config)
+            if counts not in table:
+                table.append(counts)
+            group.append(table.index(counts))
+        fold = machine._fold_kernel(run, table, workload, configs, True,
+                                    np.array(group, np.intp))
+        for i, config in enumerate(configs):
+            want = AcceleratorMachine(config, secded=True).run(
+                factory(), workload).report
+            assert _exact(fold.reports[i].__dict__) == _exact(want.__dict__)
+            assert list(fold.reports[i].energy) == list(want.energy)
+            ideal = AcceleratorMachine(config).run(factory(), workload)
+            assert want.total_energy > ideal.report.total_energy
 
     def test_columns_follow_grid_order(self, workload):
         configs = list(reversed(_mixed_grid()))
@@ -128,17 +137,19 @@ class TestGridIdentity:
         assert fold.reports == [] and fold.time.shape == (0,)
 
     def test_secded_wraps_only_protected_devices(self, workload):
-        # ReRAM levels need ECC under this profile; DRAM levels do not.
-        faults = replace(make_profile("mild", seed=7), dram_upset_rate=0.0)
+        # Ideal machines wrap nothing; a SECDED machine wraps exactly
+        # its off-chip devices (the scratchpad is priced, not wrapped).
+        config = HyVEConfig(label="opt")
         machine.clear_device_memos()
         try:
-            price_grid(PageRank(), workload, _mixed_grid(), faults=faults)
-            wrapped = [device for device, secded in machine._DEVICE_MEMO
-                       if secded]
+            AcceleratorMachine(config).run(PageRank(), workload)
+            assert not [key for key in machine._DEVICE_MEMO if key[1]]
+            AcceleratorMachine(config, secded=True).run(PageRank(), workload)
+            wrapped = {device for device, secded in machine._DEVICE_MEMO
+                       if secded}
         finally:
             machine.clear_device_memos()
-        assert wrapped
-        assert all(isinstance(device, ReRAMConfig) for device in wrapped)
+        assert wrapped == {config.reram, config.dram}
 
 
 def _structural_shuffled() -> list[HyVEConfig]:
@@ -170,9 +181,7 @@ def _traced_attribution(price) -> tuple[list, list]:
 
 
 class TestInterleavedGrid:
-    @pytest.mark.parametrize("profile", [None, "worn"])
-    def test_grid_matches_run_loop(self, workload, profile):
-        faults = make_profile(profile, seed=7) if profile else None
+    def test_grid_matches_run_loop(self, workload):
         configs = _structural_shuffled()
         for flags in ([c.has_onchip for c in configs],
                       [c.schedule_shape for c in configs]):
@@ -183,30 +192,24 @@ class TestInterleavedGrid:
         try:
             obs_metrics.set_metrics(None)
             serial, serial_events = _traced_attribution(lambda: [
-                AcceleratorMachine(config, faults=faults).run(
-                    PageRank(), workload)
+                AcceleratorMachine(config).run(PageRank(), workload)
                 for config in configs
             ])
             loop = obs_metrics.get_metrics().snapshot()
             obs_metrics.set_metrics(None)
             batched, grid_events = _traced_attribution(
-                lambda: run_grid(PageRank(), workload, configs, faults=faults)
+                lambda: run_grid(PageRank(), workload, configs)
             )
             grid = obs_metrics.get_metrics().snapshot()
         finally:
             obs_metrics.set_metrics(None)
-        fold = price_grid(PageRank(), workload, configs, faults=faults)
+        fold = price_grid(PageRank(), workload, configs)
         for i, want in enumerate(serial):
             for report in (batched[i].report, fold.reports[i]):
                 assert _exact(report.__dict__) == _exact(want.report.__dict__)
             assert repr(fold.time[i].item()) == repr(want.report.time)
             assert repr(fold.total_energy[i].item()) == repr(
                 want.report.total_energy)
-            for got in (batched[i].faults, fold.faults[i]):
-                assert (got is None) == (want.faults is None)
-                if got is not None:
-                    assert _exact(got.to_dict()) == _exact(
-                        want.faults.to_dict())
         # Event by event, so a failure reports one event, not a diff of
         # the whole trace.
         assert len(grid_events) == len(serial_events)
@@ -238,7 +241,6 @@ class TestInterleavedGrid:
 
 class TestOnDemandReports:
     def test_report_matches_run_grid(self, workload):
-        faults = make_profile("worn", seed=7)
         configs = _mixed_grid() + [
             replace(c, label=f"{c.label}-n4", num_pus=4)
             for c in _mixed_grid()
@@ -246,16 +248,13 @@ class TestOnDemandReports:
         run = run_cached(PageRank(), workload.graph)
         assert len(batch.group_by_counts_key(run, workload, configs)) > 2
         assert {c.has_onchip for c in configs} == {True, False}
-        assert not faults.is_zero
-        want = run_grid(PageRank(), workload, configs, faults=faults)
-        fold = price_grid(PageRank(), workload, configs, faults=faults)
+        want = run_grid(PageRank(), workload, configs)
+        fold = price_grid(PageRank(), workload, configs)
         # Out of order, and before anything builds the whole list.
         for i in reversed(range(len(configs))):
             got = fold.report(i)
             assert _exact(got.__dict__) == _exact(want[i].report.__dict__)
             assert list(got.energy) == list(want[i].report.energy)
-            assert _exact(fold.faults[i].to_dict()) == _exact(
-                want[i].faults.to_dict())
         assert fold.reports[0] is fold.report(0)
 
     def test_search_builds_only_frontier_reports(self, workload,

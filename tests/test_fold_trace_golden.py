@@ -4,12 +4,12 @@
 ``phase_detail`` and ``report`` events the HyVE pricing kernel emits
 while tracing, plus their :func:`fold_records` totals, for a small grid
 that mixes BPG-gated and ungated ReRAM edges, DRAM edges and
-scratchpad-less machines, with and without fault profiles.  Floats are
-stored as their ``repr``, so the comparison is bit-exact and includes
-event order and tag order.
+scratchpad-less machines, with and without SECDED protection.  Floats
+are stored as their ``repr``, so the comparison is bit-exact and
+includes event order and tag order.
 
-The grid path (``run_grid``) and a per-config ``machine.run`` loop must
-both reproduce the recorded events.
+A per-config ``machine.run`` loop must reproduce every recorded entry,
+and the grid path (``run_grid``) every ideal-device (``none``) entry.
 
 To regenerate after an intentional model change::
 
@@ -29,7 +29,6 @@ import pytest
 from repro.algorithms import make_algorithm
 from repro.arch.config import NAMED_CONFIGS, Workload
 from repro.arch.machine import AcceleratorMachine
-from repro.faults import make_profile
 from repro.memory.powergate import PowerGatingPolicy
 from repro.obs import fold_records, get_tracer, set_tracer
 from repro.perf.batch import run_grid
@@ -38,8 +37,6 @@ from repro.units import US
 GOLDEN = Path(__file__).parent / "golden" / "fold-trace.json"
 
 ALGORITHMS = ("pr", "bfs")
-PROFILES = ("none", "mild", "worn")
-FAULT_SEED = 7
 ATTRIBUTION_EVENTS = ("phase_time", "energy", "phase_detail", "report")
 
 
@@ -108,44 +105,46 @@ def _totals(records: list[dict]) -> dict:
 
 
 def _record_all(workload: Workload) -> tuple[dict, dict]:
-    """(entries via run_grid, entries via a machine.run loop)."""
+    """(entries via a machine.run loop, ideal entries via run_grid)."""
     configs = _grid()
     grid: dict[str, dict] = {}
     serial: dict[str, dict] = {}
     for algorithm in ALGORITHMS:
-        for profile_name in PROFILES:
-            faults = make_profile(profile_name, seed=FAULT_SEED)
-            key = f"{algorithm}|{profile_name}"
-            records = _traced(lambda: run_grid(
-                make_algorithm(algorithm), workload, configs, faults=faults
-            ))
-            grid[key] = {"events": _events(records),
-                         "totals": _totals(records)}
+        for protection, secded in (("none", False), ("secded", True)):
+            key = f"{algorithm}|{protection}"
             records = _traced(lambda: [
-                AcceleratorMachine(config, faults=faults).run(
+                AcceleratorMachine(config, secded=secded).run(
                     make_algorithm(algorithm), workload
                 )
                 for config in configs
             ])
             serial[key] = {"events": _events(records),
                            "totals": _totals(records)}
-    return grid, serial
+            if not secded:
+                records = _traced(lambda: run_grid(
+                    make_algorithm(algorithm), workload, configs
+                ))
+                grid[key] = {"events": _events(records),
+                             "totals": _totals(records)}
+    return serial, grid
 
 
 @pytest.mark.golden
 def test_fold_trace_matches_golden(weighted_graph):
     workload = Workload(weighted_graph, reported_vertices=256_000,
                         reported_edges=1_024_000)
-    grid, serial = _record_all(workload)
+    serial, grid = _record_all(workload)
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text(json.dumps(grid, indent=1) + "\n")
+        GOLDEN.write_text(json.dumps(serial, indent=1) + "\n")
         pytest.skip(f"regenerated {GOLDEN}")
     expected = json.loads(GOLDEN.read_text())
-    assert list(grid) == list(expected)
+    assert list(serial) == list(expected)
     for key, entry in expected.items():
         want = json.dumps(entry)
-        assert json.dumps(grid[key]) == want, f"run_grid trace drifted: {key}"
         assert json.dumps(serial[key]) == want, (
             f"machine.run trace drifted: {key}"
         )
+        if key in grid:
+            assert json.dumps(grid[key]) == want, (
+                f"run_grid trace drifted: {key}")

@@ -10,7 +10,6 @@ from repro.graph.stats import (
     DegreeStats,
     GraphShape,
     average_edges_per_nonempty_block,
-    block_occupancy_histogram,
     fixed_block_keys,
     nonempty_block_count,
     skew_gini,
@@ -67,19 +66,6 @@ class TestNavg:
     def test_at_most_tile_capacity_times_duplicates(self):
         g = complete(8)
         assert average_edges_per_nonempty_block(g) <= 64.0
-
-
-class TestHistogram:
-    def test_sums_to_edge_count(self, small_rmat):
-        hist = block_occupancy_histogram(small_rmat)
-        total = sum(k * count for k, count in enumerate(hist))
-        assert total == small_rmat.num_edges
-
-    def test_index_zero_empty(self, small_rmat):
-        assert block_occupancy_histogram(small_rmat)[0] == 0
-
-    def test_empty_graph(self):
-        assert block_occupancy_histogram(Graph.empty(8)).tolist() == [0]
 
 
 class TestDegreeStats:

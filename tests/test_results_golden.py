@@ -190,6 +190,16 @@ def _ablation_placement(result):
         assert hash_eff >= natural_eff
 
 
+def _resilience(result):
+    # SECDED never raises a machine's efficiency, and protected
+    # acc+HyVE-opt still beats ideal acc+DRAM by at least 3x.
+    eff = {(protection, machine): value
+           for protection, machine, value, _ in result.rows}
+    for (protection, machine), value in eff.items():
+        assert value <= eff[("none", machine)]
+    assert eff[("secded", "acc+HyVE-opt")] >= 3 * eff[("none", "acc+DRAM")]
+
+
 def _headline(result):
     assert len(result.rows) == 14
 
@@ -224,6 +234,7 @@ CLAIMS = {
     "ablation_density": _ablation_density,
     "ablation_init_cost": _ablation_init_cost,
     "ablation_placement": _ablation_placement,
+    "resilience": _resilience,
     "headline": _headline,
     "sensitivity": _sensitivity,
 }

@@ -10,7 +10,6 @@ from repro.arch.config import HyVEConfig, Workload
 from repro.arch.machine import AcceleratorMachine
 from repro.arch.sweep import sweep
 from repro.errors import ConfigError, SweepPointError
-from repro.faults import make_profile
 from repro.graph import rmat
 from repro.obs import metrics as obs_metrics
 from repro.perf import batch
@@ -58,14 +57,27 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep("num_pus", [], PageRank, workload)
 
+    def test_one_kernel_pass_identical_to_run(self, workload):
+        priced = obs_metrics.get_metrics().counter(
+            obs_metrics.FOLD_MANY_CONFIGS
+        )
+        # A pricing-only axis: every point shares one counts key.
+        values = [0.5, 0.85, 1.0]
+        before = priced.value
+        points = sweep("region_hit_rate", values, PageRank, workload)
+        assert priced.value - before == len(values)
+        for point, direct in zip(points, _direct_reports(
+                "region_hit_rate", values, workload)):
+            assert_reports_identical(direct, point.report,
+                                     point.config.label)
 
-def _direct_reports(field, values, workload, faults=None):
+
+def _direct_reports(field, values, workload):
     """The per-value ``run()`` loop a sweep must reproduce."""
     return [
         AcceleratorMachine(
             dataclasses.replace(HyVEConfig(), **{field: value,
                                                  "label": f"{field}={value}"}),
-            faults=faults,
         ).run(PageRank(), workload).report
         for value in values
     ]
@@ -175,23 +187,3 @@ class TestGridFallback:
         assert evaluated == [2, 8, 4]
         assert [p.ok for p in points] == [True, False, False]
         assert points[1].error == "RuntimeError: cannot price num_pus=8"
-
-
-class TestFaultedSweep:
-    @pytest.mark.parametrize("profile", ["mild", "worn"])
-    def test_one_kernel_pass_identical_to_run(self, workload, profile):
-        priced = obs_metrics.get_metrics().counter(
-            obs_metrics.FOLD_MANY_CONFIGS
-        )
-        faults = make_profile(profile, seed=3)
-        # A pricing-only axis: every point shares one counts key.
-        values = [0.5, 0.85, 1.0]
-        before = priced.value
-        points = sweep("region_hit_rate", values, PageRank, workload,
-                       faults=faults)
-        assert priced.value - before == len(values)
-        for point, direct in zip(points, _direct_reports(
-                "region_hit_rate", values, workload, faults)):
-            assert_reports_identical(direct, point.report,
-                                     f"{profile} {point.config.label}")
-

@@ -93,7 +93,7 @@ class TestRegistry:
         expected = {
             "engine-identity", "sweep-identity",
             "algorithm-equivalence", "permutation-invariance",
-            "interval-invariance", "scale-linearity", "zero-fault",
+            "interval-invariance", "scale-linearity",
         }
         assert expected <= set(ORACLES)
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs gate: check markdown links/anchors, API names and doc doctests.
+"""Docs gate: check links/anchors, API names, CLI lines and doctests.
 
-Three checks, the first two over ``docs/*.md`` plus ``README.md``:
+Four checks, the first three over ``docs/*.md`` plus ``README.md``:
 
 1. **Links** — every relative markdown link must point at an existing
    file (resolved from the linking file's directory), and every
@@ -12,7 +12,13 @@ Three checks, the first two over ``docs/*.md`` plus ``README.md``:
 2. **API names** — every backticked dotted ``repro.…`` name outside
    code fences must import as a module or resolve as an attribute, so
    a rename or deletion cannot leave a stale name behind.
-3. **Doctests** — fenced ``>>>`` examples in ``docs/observability.md``
+3. **CLI lines** — every ``python -m repro …`` command inside a code
+   fence must parse with :func:`repro.cli.build_parser`, so a deleted
+   command or flag cannot linger in the docs.  A ``\\`` continues a
+   command on the next line, ``[...]`` marks an optional part (checked
+   as if given), ``a|b`` lists alternatives (each checked), and a line
+   holding a ``<placeholder>`` is skipped.
+4. **Doctests** — fenced ``>>>`` examples in ``docs/observability.md``
    are executed with :mod:`doctest` so the documented API stays real.
 
 Usage (CI runs exactly this)::
@@ -25,9 +31,13 @@ failing example.
 
 from __future__ import annotations
 
+import contextlib
 import doctest
 import importlib
+import io
+import itertools
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -46,6 +56,7 @@ _LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 _CODE_FENCE_RE = re.compile(r"^(```|~~~)")
 _API_NAME_RE = re.compile(r"`(repro(?:\.\w+)+)[`(]")
+_CLI_RE = re.compile(r"\bpython -m repro\b(.*)$")
 _MISSING = object()
 
 
@@ -158,6 +169,66 @@ def check_api_names(files: list[Path]) -> list[str]:
     return problems
 
 
+def iter_cli_commands(path: Path):
+    """Yield (lineno, argument string) for every ``python -m repro``
+    command inside a code fence of ``path``, continuations joined."""
+    in_fence = False
+    pending: tuple[int, str] | None = None
+    for lineno, line in enumerate(
+        path.read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        if _CODE_FENCE_RE.match(line):
+            in_fence = not in_fence
+            continue
+        if not in_fence:
+            continue
+        if pending is not None:
+            pending = (pending[0], pending[1] + " " + line)
+        elif match := _CLI_RE.search(line):
+            pending = (lineno, match.group(1))
+        else:
+            continue
+        # A trailing backslash (before any comment) continues the line.
+        if pending[1].split("#")[0].rstrip().endswith("\\"):
+            pending = (pending[0], pending[1].split("#")[0].rstrip()[:-1])
+            continue
+        yield pending
+        pending = None
+
+
+def cli_variants(args: str) -> list[list[str]]:
+    """Every argv a documented command stands for: optional ``[...]``
+    parts included, one argv per combination of ``a|b`` choices."""
+    tokens = shlex.split(args.replace("[", " ").replace("]", " "),
+                         comments=True)
+    choices = [token.split("|") for token in tokens]
+    return [list(argv) for argv in itertools.product(*choices)]
+
+
+def check_cli_lines(files: list[Path]) -> list[str]:
+    """Every fenced ``python -m repro`` command parses with the CLI's
+    own parser."""
+    from repro.cli import build_parser
+
+    problems: list[str] = []
+    for path in files:
+        for lineno, args in iter_cli_commands(path):
+            if re.search(r"<[^<>\s]+>", args):
+                continue
+            for argv in cli_variants(args):
+                err = io.StringIO()
+                try:
+                    with contextlib.redirect_stderr(err):
+                        build_parser().parse_args(argv)
+                except SystemExit:
+                    reason = err.getvalue().strip().splitlines()[-1:]
+                    problems.append(
+                        f"{display_path(path)}:{lineno}: CLI line does not "
+                        f"parse -> repro {' '.join(argv)}"
+                        + (f" ({reason[0]})" if reason else ""))
+    return problems
+
+
 def run_doctests(files: tuple[str, ...]) -> list[str]:
     problems: list[str] = []
     for name in files:
@@ -183,6 +254,7 @@ def main() -> int:
     files.append(REPO_ROOT / "README.md")
     problems = check_links(files)
     problems += check_api_names(files)
+    problems += check_cli_lines(files)
     problems += run_doctests(DOCTEST_FILES)
     if problems:
         for problem in problems:
@@ -190,7 +262,7 @@ def main() -> int:
         print(f"{len(problems)} docs problem(s)", file=sys.stderr)
         return 1
     checked = len(files)
-    print(f"docs ok: {checked} file(s) link- and name-checked, "
+    print(f"docs ok: {checked} file(s) link-, name- and CLI-checked, "
           f"{len(DOCTEST_FILES)} doctested")
     return 0
 
