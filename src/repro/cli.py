@@ -493,8 +493,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         except StoreError as exc:
             print(f"vacuum failed: {exc}", file=sys.stderr)
             return 1
-        print(f"dropped {result['quarantine_dropped']} quarantined "
-              f"row(s); {result['bytes_before']:,} B -> "
+        print(f"{result['bytes_before']:,} B -> "
               f"{result['bytes_after']:,} B")
         return 0
     info = cache.info()
@@ -505,7 +504,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     print(f"disk bytes:     {info['disk_bytes']:,}"
           + (f" (budget {info['max_bytes']:,})"
              if info['max_bytes'] else ""))
-    print(f"quarantined:    {info['quarantined']}")
     print(f"memory entries: {info['memory_entries']} "
           f"(limit {info['memory_limit']})")
     print(f"session stats:  {cache.stats.summary()}")
@@ -690,9 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="info: show location/size/stats; "
                             "clear: delete all cached runs; "
                             "verify: integrity-scan the store "
-                            "(exit 1 if anything was quarantined); "
-                            "vacuum: drop quarantined rows and "
-                            "compact the database")
+                            "(exit 1 on any checksum mismatch); "
+                            "vacuum: compact the database")
     return parser
 
 

@@ -61,7 +61,3 @@ class StreamError(ReproError):
     algorithm the stream engine was not asked to maintain (see
     :mod:`repro.dynamic.stream`)."""
 
-
-class ChaosError(ReproError):
-    """Invalid infrastructure-chaos configuration (rates outside [0, 1],
-    unknown profile name; see :mod:`repro.faults.chaos`)."""

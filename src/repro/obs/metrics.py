@@ -61,15 +61,13 @@ TUNE_FRONTIER_SIZE = "tune_frontier_size"
 IMBALANCE_CACHE_SIZE = "imbalance_cache_size"
 #: Algorithm convergence sweeps executed (iterations histogram source).
 CONVERGENCE_ITERATIONS = "convergence_iterations"
-#: Result-store entries that failed their checksum on read and were
-#: moved to the quarantine table (then recomputed by the caller).
-STORE_QUARANTINED = "store_quarantined_entries"
+#: Result-store entries that failed their checksum on a read or scan
+#: and were dropped (then recomputed and overwritten by the caller).
+STORE_CHECKSUM_MISMATCHES = "store_checksum_mismatches"
 #: Entries evicted from the result store to stay under the size budget.
 STORE_EVICTIONS = "store_evictions"
 #: SQLite busy/locked retries absorbed by the jittered-backoff loop.
 STORE_BUSY_RETRIES = "store_busy_retries"
-#: Infrastructure faults injected by the chaos layer (all kinds).
-CHAOS_INJECTIONS = "chaos_injections"
 #: Streaming updates applied to a stream engine's edge state
 #: (add/del events accepted by :meth:`StreamEngine.ingest`).
 UPDATES_APPLIED = "updates_applied"

@@ -9,7 +9,8 @@ changing any reproduced number:
   processes (the CLI, benchmarks, pool workers) skip re-convergence.
 * :mod:`repro.perf.store` — the disk level itself: one WAL-mode SQLite
   database per cache directory with checksummed entries, provenance
-  columns, LRU size budgeting and quarantine-on-corruption.
+  columns and LRU size budgeting; an entry that fails its checksum is
+  dropped and recomputed.
 * :mod:`repro.perf.batch` — grid pricing: one schedule-counts expansion
   per counts key, every config folded in one vectorized pass.
 

@@ -15,11 +15,11 @@ cached at two levels:
 The disk level is one WAL-mode ``store.sqlite`` per cache directory:
 entries are checksummed payloads (npz bytes for runs and datasets,
 JSON for scalars and schedule counts) with provenance columns,
-verified on every read — a corrupt entry is quarantined and
-recomputed, never served.  The store is the only disk level: files of
-the pre-store file-per-entry layout are ignored.  Every record kind
-(runs, vertex-centric runs, scalars, schedule counts, evaluation
-datasets) goes through one lookup: memory hits first, one batched
+verified on every read — an entry that fails its checksum is dropped,
+recomputed and overwritten, never served.  The store is the only disk
+level: files of the pre-store file-per-entry layout are ignored.  Every
+record kind (runs, vertex-centric runs, scalars, schedule counts,
+evaluation datasets) goes through one lookup: memory hits first, one batched
 store read for the rest, and a miss computes, stores and remembers.
 A checksum-clean entry that does not decode into its kind is counted
 as an error, recomputed and overwritten.  Concurrent misses on one
@@ -227,7 +227,7 @@ class RunCache:
 
     def _disk_get_many(self, keys: list[str]) -> dict[str, bytes]:
         """Checksum-verified store read of many keys in one round-trip
-        (a key is absent on a miss or a quarantined entry); a
+        (a key is absent on a miss or a checksum mismatch); a
         misbehaving disk counts one error per key."""
         store = self._disk()
         if store is None:
@@ -562,12 +562,10 @@ class RunCache:
         store = self._disk()
         entries = 0
         disk_bytes = 0
-        quarantined = 0
         if store is not None:
             try:
                 entries = store.entry_count()
                 disk_bytes = store.total_bytes()
-                quarantined = store.quarantine_count()
             except _STORE_ERRORS:
                 self.stats.errors += 1
         return {
@@ -576,7 +574,6 @@ class RunCache:
             "salt": self.salt,
             "disk_entries": entries,
             "disk_bytes": disk_bytes,
-            "quarantined": quarantined,
             "max_bytes": self.max_bytes,
             "memory_entries": len(self._memory),
             "memory_limit": self.max_entries,

@@ -11,10 +11,10 @@ directory (``store.sqlite``), designed around four promises:
   loss) leaves either the old entry or the new one, never a torn row,
   and concurrent readers are never blocked by a writer.
 * **Integrity** — every entry stores a BLAKE2b checksum of its
-  payload, verified on every read.  A mismatch (bit rot, a torn write
-  that slipped past the journal) *quarantines* the entry — the row
-  moves to a ``quarantine`` table for later inspection and the caller
-  recomputes — instead of crashing or silently serving garbage.
+  payload, verified on every read.  A mismatch (bit rot: the one
+  damage the WAL commit cannot rule out) is counted, the row is
+  deleted and left out of the result, and the caller recomputes and
+  overwrites it — the store never serves a bad payload.
 * **Provenance** — entries carry ``kind``, ``salt`` (code version),
   optional ``seed``, ``created_at`` and ``last_used_at`` columns, so a
   store can be audited and evicted meaningfully.
@@ -30,8 +30,8 @@ inherit a store object but talk to the database through their own
 handle.
 
 The store is the cache's only disk level: files of the pre-store
-layout are neither read nor adopted.  The durability model, quarantine
-semantics and chaos-testing story are documented in docs/robustness.md.
+layout are neither read nor adopted.  The durability model and what a
+checksum mismatch does are documented in docs/robustness.md.
 """
 
 from __future__ import annotations
@@ -91,15 +91,9 @@ CREATE TABLE IF NOT EXISTS entries (
     last_used_at REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_entries_lru ON entries (last_used_at);
-CREATE TABLE IF NOT EXISTS quarantine (
-    key TEXT NOT NULL,
-    kind TEXT NOT NULL,
-    payload BLOB,
-    checksum_expected TEXT,
-    checksum_actual TEXT,
-    reason TEXT NOT NULL,
-    quarantined_at REAL NOT NULL
-);
+-- Older stores kept the payloads that failed their checksum in a
+-- table nothing read; opening such a store sheds it.
+DROP TABLE IF EXISTS quarantine;
 """
 
 
@@ -119,24 +113,17 @@ class VerifyReport:
 
     entries: int = 0
     ok: int = 0
-    quarantined: list[str] = field(default_factory=list)
+    mismatched: list[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not self.quarantined
+        return not self.mismatched
 
     def format(self) -> str:
         lines = [f"scanned {self.entries} entr(ies): {self.ok} ok, "
-                 f"{len(self.quarantined)} quarantined"]
-        for key in self.quarantined:
-            lines.append(f"  quarantined: {key}")
+                 f"{len(self.mismatched)} checksum mismatch(es)"]
+        lines += [f"  mismatched: {key}" for key in self.mismatched]
         return "\n".join(lines)
-
-
-def _chaos():
-    from ..faults.chaos import get_chaos
-
-    return get_chaos()
 
 
 class SQLiteStore:
@@ -259,16 +246,13 @@ class SQLiteStore:
         recency touch and one commit for all the keys served.
 
         Absent keys are left out of the result.  A checksum mismatch
-        quarantines that row alone and leaves it out (the caller
-        recomputes), so a corrupt store degrades to a cold one instead
-        of propagating bad data.
+        drops that row alone and leaves it out (the caller recomputes
+        and overwrites it), so a corrupt store degrades to a cold one
+        instead of propagating bad data.
         """
         keys = list(keys)
         if not keys:
             return {}
-        chaos = _chaos()
-        if chaos is not None:
-            chaos.io_delay()
         found: dict[str, bytes] = {}
         with self._lock:
             conn = self._connection()
@@ -276,17 +260,16 @@ class SQLiteStore:
             for start in range(0, len(keys), _READ_CHUNK):
                 chunk = keys[start:start + _READ_CHUNK]
                 rows += self._with_retry(lambda: conn.execute(
-                    "SELECT key, payload, checksum, kind FROM entries "
+                    "SELECT key, payload, checksum FROM entries "
                     f"WHERE key IN ({', '.join('?' * len(chunk))})",
                     chunk,
                 ).fetchall())
-            for key, payload, checksum, kind in rows:
+            for key, payload, checksum in rows:
                 payload = bytes(payload)
                 if payload_checksum(payload) == checksum:
                     found[key] = payload
                 else:
-                    self._quarantine(key, kind, payload, checksum,
-                                     reason="checksum mismatch on read")
+                    self._drop_mismatched(key)
             if not found:
                 return found
             now = time.time()
@@ -315,15 +298,7 @@ class SQLiteStore:
     ) -> None:
         """Insert or replace one entry (checksummed, provenance-stamped),
         then evict down to the size budget."""
-        chaos = _chaos()
         checksum = payload_checksum(payload)
-        stored = payload
-        if chaos is not None:
-            chaos.io_delay()
-            # A torn write persists a prefix of the payload while the
-            # checksum (journalled first in this simulation) describes
-            # the whole: exactly what the read-side check must catch.
-            stored = chaos.filter_payload(key, payload)
         now = time.time()
         with self._lock:
             conn = self._connection()
@@ -333,15 +308,13 @@ class SQLiteStore:
                     "INSERT OR REPLACE INTO entries "
                     f"({', '.join(_ENTRY_COLUMNS)}) "
                     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (key, kind, stored, checksum, len(payload),
+                    (key, kind, payload, checksum, len(payload),
                      self.salt, seed, now, now),
                 )
                 conn.commit()
 
             self._with_retry(write)
             self._evict_to_budget(protect=key)
-        if chaos is not None:
-            chaos.after_put(self, key)
 
     def delete(self, key: str) -> bool:
         with self._lock:
@@ -385,15 +358,8 @@ class SQLiteStore:
                 "SELECT COALESCE(SUM(size), 0) FROM entries"
             ).fetchone()[0]
 
-    def quarantine_count(self) -> int:
-        with self._lock:
-            conn = self._connection()
-            return conn.execute(
-                "SELECT COUNT(*) FROM quarantine"
-            ).fetchone()[0]
-
     def clear(self) -> int:
-        """Drop every entry (quarantine included); returns entries removed."""
+        """Drop every entry; returns the number removed."""
         with self._lock:
             conn = self._connection()
 
@@ -402,7 +368,6 @@ class SQLiteStore:
                     "SELECT COUNT(*) FROM entries"
                 ).fetchone()[0]
                 conn.execute("DELETE FROM entries")
-                conn.execute("DELETE FROM quarantine")
                 conn.commit()
                 return count
 
@@ -410,43 +375,32 @@ class SQLiteStore:
 
     # --- corruption handling ----------------------------------------------
 
-    def _quarantine(
-        self,
-        key: str,
-        kind: str,
-        payload: bytes,
-        expected: str,
-        reason: str,
-    ) -> None:
+    def _drop_mismatched(self, key: str) -> None:
+        """Delete a row that failed its checksum and count it; the
+        caller's recompute overwrites it with a clean payload."""
         conn = self._connection()
 
-        def move() -> None:
-            conn.execute(
-                "INSERT INTO quarantine (key, kind, payload, "
-                "checksum_expected, checksum_actual, reason, "
-                "quarantined_at) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (key, kind, payload, expected,
-                 payload_checksum(payload), reason, time.time()),
-            )
+        def drop() -> None:
             conn.execute("DELETE FROM entries WHERE key=?", (key,))
             conn.commit()
 
         try:
-            self._with_retry(move)
+            self._with_retry(drop)
         except sqlite3.OperationalError:
-            # Unable to record the quarantine (hot contention): still
-            # refuse to serve the entry; a later read retries the move.
+            # Unable to delete under hot contention: the row is still
+            # never served, and the recompute's put replaces it.
             pass
         obs_metrics.get_metrics().counter(
-            obs_metrics.STORE_QUARANTINED
+            obs_metrics.STORE_CHECKSUM_MISMATCHES
         ).add(1)
 
     def corrupt_bit(self, key: str, bit_index: int) -> bool:
         """Flip one payload bit *without* updating the checksum.
 
-        This deliberately breaks the entry — it exists for the chaos
-        injector and the crash-consistency tests, which assert the next
-        read quarantines rather than serves it.
+        This deliberately breaks the entry, as bit rot would — it is the
+        store's one fault hook, for the ``chaos-recovery`` oracle and
+        the tests, which assert the next read drops rather than serves
+        it.
         """
         with self._lock:
             conn = self._connection()
@@ -511,44 +465,38 @@ class SQLiteStore:
     # --- maintenance ------------------------------------------------------
 
     def verify(self) -> VerifyReport:
-        """Integrity-scan every entry, quarantining checksum failures."""
+        """Integrity-scan every entry, dropping checksum failures."""
         report = VerifyReport()
         with self._lock:
             conn = self._connection()
             rows = conn.execute(
-                "SELECT key, kind, payload, checksum FROM entries "
-                "ORDER BY key"
+                "SELECT key, payload, checksum FROM entries ORDER BY key"
             ).fetchall()
             report.entries = len(rows)
-            for key, kind, payload, checksum in rows:
-                payload = bytes(payload)
-                if payload_checksum(payload) == checksum:
+            for key, payload, checksum in rows:
+                if payload_checksum(bytes(payload)) == checksum:
                     report.ok += 1
                 else:
-                    self._quarantine(key, kind, payload, checksum,
-                                     reason="checksum mismatch on scan")
-                    report.quarantined.append(key)
+                    self._drop_mismatched(key)
+                    report.mismatched.append(key)
         return report
 
+    def _file_bytes(self) -> int:
+        """On-disk size of the database and its write-ahead log."""
+        return sum(path.stat().st_size for path in (
+            self.path, self.path.with_name(STORE_FILENAME + "-wal"))
+            if path.exists())
+
     def vacuum(self) -> dict:
-        """Drop quarantined rows and compact the database file."""
+        """Compact the database file and truncate its write-ahead log."""
         with self._lock:
             conn = self._connection()
-            before = self.path.stat().st_size if self.path.exists() else 0
-            dropped = conn.execute(
-                "SELECT COUNT(*) FROM quarantine"
-            ).fetchone()[0]
+            before = self._file_bytes()
 
             def compact() -> None:
-                conn.execute("DELETE FROM quarantine")
-                conn.commit()
                 conn.execute("VACUUM")
                 conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
             self._with_retry(compact)
-            after = self.path.stat().st_size if self.path.exists() else 0
-        return {
-            "quarantine_dropped": dropped,
-            "bytes_before": before,
-            "bytes_after": after,
-        }
+            after = self._file_bytes()
+        return {"bytes_before": before, "bytes_after": after}

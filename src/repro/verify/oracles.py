@@ -15,10 +15,9 @@ promise identical results disagree.  Five families are registered:
 * *metamorphic invariants* — vertex-relabeling permutation invariance,
   interval-count ``P`` invariance of algorithm results, exact traffic
   linearity under power-of-two ``edge_scale``;
-* *infrastructure-chaos recovery* — runs against a result store under
-  injected torn writes, bit flips and slow I/O
-  (:mod:`repro.faults.chaos`) must recover to bit-identical reports,
-  and an all-zero chaos profile must be an exact pass-through;
+* *store recovery* — runs through a result store whose entries carry
+  flipped bits (:meth:`repro.perf.store.SQLiteStore.corrupt_bit`) must
+  detect the damage and recover to bit-identical reports;
 * *streaming conformance* — a :class:`repro.dynamic.stream.StreamEngine`
   replaying a seeded update log must match a from-scratch rebuild of
   the same log prefix at every queried instant
@@ -48,9 +47,10 @@ from ..arch.report import EnergyReport
 from ..arch.scheduler import ScheduleCounts
 from ..arch.sweep import SweepPoint, points_to_csv, sweep
 from ..errors import VerificationError
-from ..faults.chaos import ChaosProfile, chaos_context
+from ..obs import metrics as obs_metrics
 from ..perf.batch import run_grid, scheduled_counts
 from ..perf.cache import get_run_cache, temporary_run_cache
+from ..perf.store import SQLiteStore
 from .cases import Case
 
 #: Algorithms whose executors are bit-identical everywhere (min-based
@@ -367,23 +367,31 @@ def scale_linearity(case: Case) -> None:
                  f"under 2x edge scale: {va!r} -> {vb!r}")
 
 
-# --- infrastructure-chaos recovery -------------------------------------------
+# --- store recovery ----------------------------------------------------------
 
-#: Chaos rates for the recovery oracle: hostile enough that most cases
-#: actually tear/flip something, but with slow-I/O kept cheap so the
-#: oracle stays fuzz-smoke friendly.
-_RECOVERY_CHAOS = dict(
-    torn_write_rate=0.30,
-    bit_flip_rate=0.25,
-    slow_io_rate=0.10,
-    slow_io_max_s=0.0005,
-)
+def _damage_store(directory: str, seed: int) -> int:
+    """Flip one bit in a seeded, non-empty subset of the store's
+    entries, leaving at least one clean when there are two or more (so
+    a batched read serves good and bad rows together); returns how
+    many were damaged."""
+    store = SQLiteStore(directory)
+    try:
+        keys = store.keys()
+        if not keys:
+            fail("the cold run left the store empty: nothing to damage")
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, max(len(keys), 2)))
+        for key in rng.choice(keys, size=count, replace=False):
+            store.corrupt_bit(str(key), int(rng.integers(0, 1 << 20)))
+    finally:
+        store.close()
+    return count
 
 
 @oracle(
     "chaos-recovery",
-    "runs against a store under torn writes / bit flips / slow I/O "
-    "recover to bit-identical reports",
+    "runs through a store with bit-flipped entries read the checksum "
+    "mismatches and recover to bit-identical reports",
     stride=2,
 )
 def chaos_recovery(case: Case) -> None:
@@ -391,7 +399,7 @@ def chaos_recovery(case: Case) -> None:
     workload = case.workload(graph)
     config = case.config()
     # Three distinct counts keys, read by the grid in one batched store
-    # read that may meet torn or bit-flipped rows.
+    # read that meets damaged and clean rows together.
     grid = [
         config,
         dataclasses.replace(config, label=f"{config.label}/2x-pus",
@@ -410,24 +418,34 @@ def chaos_recovery(case: Case) -> None:
     with tempfile.TemporaryDirectory() as clean_dir:
         with temporary_run_cache(clean_dir):
             baseline = evaluate()
-    profile = ChaosProfile(seed=case.seed, **_RECOVERY_CHAOS)
-    with tempfile.TemporaryDirectory() as chaos_dir:
-        with temporary_run_cache(chaos_dir) as cache:
-            with chaos_context(profile):
-                cold = evaluate()
-                # Drop the memory level so the warm run must go through
-                # the (possibly damaged) disk store: a torn or
-                # bit-flipped entry is quarantined and recomputed.
-                cache.clear(disk=False)
-                warm = evaluate()
-            # Chaos off: recovery against whatever damage remains.
+    mismatches = obs_metrics.get_metrics().counter(
+        obs_metrics.STORE_CHECKSUM_MISMATCHES)
+    with tempfile.TemporaryDirectory() as damaged_dir:
+        with temporary_run_cache(damaged_dir) as cache:
+            cold = evaluate()
+            damaged = _damage_store(damaged_dir, case.seed)
+            # Drop the memory level so the warm run must read through
+            # the damaged store: every bad row is dropped and recomputed.
             cache.clear(disk=False)
+            before = mismatches.value
+            warm = evaluate()
+            warm_mismatches = mismatches.value - before
+            cache.clear(disk=False)
+            before = mismatches.value
             recovered = evaluate()
+            recovered_mismatches = mismatches.value - before
+    if warm_mismatches < 1:
+        fail(f"{damaged} bit-flipped entr(ies) but the warm run read "
+             f"no checksum mismatch")
+    if recovered_mismatches:
+        fail(f"{recovered_mismatches} checksum mismatch(es) after "
+             f"recovery: a damaged row was neither dropped nor "
+             f"overwritten")
     clean_single, clean_grid = baseline
-    for context, (single, gridded) in (("chaos cold run", cold),
-                                       ("chaos warm run", warm),
-                                       ("post-chaos recovery run",
-                                        recovered)):
+    for context, (single, gridded) in (("cold run", cold),
+                                       ("warm run through the damaged "
+                                        "store", warm),
+                                       ("recovery run", recovered)):
         assert_reports_identical(clean_single.report, single.report,
                                  context)
         assert_values_match(case, clean_single.run.values,
@@ -436,41 +454,6 @@ def chaos_recovery(case: Case) -> None:
             assert_reports_identical(
                 want.report, got.report,
                 f"{context} grid config {want.report.machine}")
-
-
-@oracle(
-    "zero-chaos",
-    "an all-zero chaos profile draws no entropy and is bit-identical "
-    "to no injector at all",
-    stride=2,
-)
-def zero_chaos_passthrough(case: Case) -> None:
-    graph = case.graph()
-    workload = case.workload(graph)
-    config = case.config()
-
-    def evaluate():
-        return AcceleratorMachine(config).run(
-            case.make_algorithm(graph), workload
-        )
-
-    with tempfile.TemporaryDirectory() as scratch:
-        with temporary_run_cache(scratch):
-            plain = evaluate()
-    with tempfile.TemporaryDirectory() as scratch:
-        with temporary_run_cache(scratch):
-            with chaos_context(
-                ChaosProfile.zero(seed=case.seed)
-            ) as injector:
-                zeroed = evaluate()
-    if injector.total_injections:
-        fail(f"zero chaos profile injected "
-             f"{injector.total_injections} fault(s): "
-             f"{injector.summary()}")
-    assert_reports_identical(plain.report, zeroed.report,
-                             "zero-chaos profile")
-    assert_values_match(case, plain.run.values, zeroed.run.values,
-                        "zero-chaos profile values")
 
 
 # --- out-of-core shard identity ----------------------------------------------

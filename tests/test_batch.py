@@ -229,22 +229,23 @@ class TestBatchedCountsRead:
         conn.commit()
         assert store.corrupt_bit(keys[1], 77)
         _rewarm_run(disk_cache, workload)
-        registry = obs_metrics.get_metrics()
-        quarantined = registry.counter(obs_metrics.STORE_QUARANTINED).value
+        mismatches = obs_metrics.get_metrics().counter(
+            obs_metrics.STORE_CHECKSUM_MISMATCHES)
+        before = mismatches.value
         stats = dataclasses.replace(disk_cache.stats)
 
         results = run_grid(PageRank(), workload, configs)
 
-        assert store.quarantine_count() == 1
-        assert (registry.counter(obs_metrics.STORE_QUARANTINED).value
-                == quarantined + 1)
+        assert mismatches.value == before + 1
         assert disk_cache.stats.counts_disk_hits == stats.counts_disk_hits + 2
         assert disk_cache.stats.counts_misses == stats.counts_misses + 1
         used = dict(conn.execute(
             "SELECT key, last_used_at FROM entries WHERE kind='counts'"))
-        # Served rows were touched; the quarantined one was recomputed.
+        # Served rows were touched; the damaged one was recomputed and
+        # overwritten with a checksum-clean payload.
         assert set(used) == set(keys)
         assert all(stamp > 0 for stamp in used.values())
+        assert store.verify().clean
         for got, want in zip(results, clean):
             _assert_reports_identical(got.report, want.report)
 

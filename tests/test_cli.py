@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -199,29 +200,34 @@ class TestCacheCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", action])
 
-    def test_verify_flags_quarantine(self, capsys, tmp_path):
+    def test_verify_flags_mismatch(self, capsys, tmp_path):
         from repro.perf.cache import temporary_run_cache
 
         with temporary_run_cache(tmp_path / "store") as cache:
             store = cache._disk()
             store.put("k", b"x" * 32, kind="run")
             assert main(["cache", "verify"]) == 0
-            assert "1 ok" in capsys.readouterr().out
+            assert "1 ok, 0 checksum mismatch(es)" in capsys.readouterr().out
             store.corrupt_bit("k", 5)
             assert main(["cache", "verify"]) == 1
-            assert "quarantined" in capsys.readouterr().out
+            out = capsys.readouterr().out
+            assert "0 ok, 1 checksum mismatch(es)" in out
+            assert "mismatched: k" in out
+            assert main(["cache", "verify"]) == 0  # the bad row is gone
 
     def test_vacuum_reports_compaction(self, capsys, tmp_path):
         from repro.perf.cache import temporary_run_cache
 
         with temporary_run_cache(tmp_path / "store") as cache:
             store = cache._disk()
-            store.put("k", b"x" * 32, kind="run")
-            store.corrupt_bit("k", 5)
-            store.get("k")  # quarantines
+            for i in range(20):
+                store.put(f"k{i}", bytes(4096), kind="run")
+            store.clear()
             assert main(["cache", "vacuum"]) == 0
             out = capsys.readouterr().out
-            assert "dropped 1 quarantined row(s)" in out
+        before, after = re.fullmatch(r"([\d,]+) B -> ([\d,]+) B\n",
+                                     out).groups()
+        assert int(after.replace(",", "")) < int(before.replace(",", ""))
 
     def test_maintenance_fails_cleanly_without_store(self, capsys):
         from repro.perf.cache import temporary_run_cache

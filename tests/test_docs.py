@@ -73,6 +73,28 @@ class TestRepoDocs:
             f"{page}:8: CLI line does not parse -> repro cache defrag",
         ]
 
+    def test_oracle_table_matches_registry(self):
+        page = REPO_ROOT / check_docs.ORACLE_DOC
+        assert check_docs.check_oracle_table(page) == []
+
+    def test_checker_flags_oracle_table_drift(self, tmp_path):
+        from repro.verify import ORACLES
+
+        rows = "".join(f"| `{name}` | checks |\n" for name in ORACLES
+                       if name != "engine-identity")
+        page = tmp_path / "page.md"
+        page.write_text(
+            "| oracle | checks |\n|---|---|\n" + rows
+            + "| `zero-chaos` | a deleted oracle |\n"
+            "\n| `engine-identity` | another table |\n"
+        )
+        assert check_docs.check_oracle_table(page) == [
+            f"{page}: oracle table lists an unregistered oracle -> "
+            "zero-chaos",
+            f"{page}: oracle table misses a registered oracle -> "
+            "engine-identity",
+        ]
+
     def test_doc_doctests_pass(self):
         assert check_docs.run_doctests(check_docs.DOCTEST_FILES) == []
 

@@ -1,7 +1,8 @@
 """Unit tests for the crash-safe SQLite result store.
 
-Covers checksummed round-trips, batched reads, quarantine-on-corruption,
-LRU size budgeting, provenance columns, verify/vacuum maintenance and
+Covers checksummed round-trips, batched reads, dropping entries that
+fail their checksum, LRU size budgeting, provenance columns,
+verify/vacuum maintenance, opening a store written by older code, and
 the busy-retry loop.  The
 multi-process stress and kill-mid-write scenarios live in
 tests/test_store_stress.py and tests/test_crash_consistency.py.
@@ -54,14 +55,13 @@ class TestRoundTrip:
         assert store.keys() == ["a", "b"]
         assert store.keys(kind="scalar") == ["b"]
 
-    def test_clear_returns_count_and_wipes_quarantine(self, store):
+    def test_clear_returns_count(self, store):
         store.put("a", b"1", kind="run")
         store.put("b", b"2", kind="run")
         store.corrupt_bit("a", 0)
-        assert store.get("a") is None  # quarantined
+        assert store.get("a") is None  # dropped on the mismatch
         assert store.clear() == 1  # only b is still a live entry
         assert store.entry_count() == 0
-        assert store.quarantine_count() == 0
 
 
 class TestProvenance:
@@ -95,40 +95,30 @@ class TestProvenance:
         assert touched > 0
 
 
-class TestQuarantine:
-    def test_corrupt_entry_quarantined_not_served(self, store):
+def _mismatches() -> int:
+    return obs_metrics.get_metrics().counter(
+        obs_metrics.STORE_CHECKSUM_MISMATCHES
+    ).value
+
+
+class TestChecksumMismatch:
+    def test_bad_row_not_served_counted_and_dropped(self, store):
         store.put("k", b"a" * 64, kind="run")
         assert store.corrupt_bit("k", 13)
-        registry = obs_metrics.get_metrics()
-        before = registry.counter(obs_metrics.STORE_QUARANTINED).value
+        before = _mismatches()
         assert store.get("k") is None
-        assert store.entry_count() == 0
-        assert store.quarantine_count() == 1
-        after = registry.counter(obs_metrics.STORE_QUARANTINED).value
-        assert after == before + 1
+        assert _mismatches() == before + 1
+        assert store.keys() == []
+        assert store.get("k") is None  # gone: a plain miss now
+        assert _mismatches() == before + 1
 
-    def test_recompute_after_quarantine_round_trips(self, store):
+    def test_recompute_round_trips(self, store):
         store.put("k", b"a" * 64, kind="run")
         store.corrupt_bit("k", 7)
         assert store.get("k") is None
         store.put("k", b"a" * 64, kind="run")  # the "recompute"
         assert store.get("k") == b"a" * 64
-
-    def test_quarantine_row_records_checksums(self, store, tmp_path):
-        store.put("k", b"b" * 32, kind="scalar")
-        store.corrupt_bit("k", 3)
-        store.get("k")
-        conn = sqlite3.connect(tmp_path / "cache" / "store.sqlite")
-        row = conn.execute(
-            "SELECT key, kind, checksum_expected, checksum_actual, "
-            "reason FROM quarantine"
-        ).fetchone()
-        conn.close()
-        assert row[0] == "k"
-        assert row[1] == "scalar"
-        assert row[2] == payload_checksum(b"b" * 32)
-        assert row[2] != row[3]
-        assert "checksum" in row[4]
+        assert store.verify().clean
 
 
 def _traced(store):
@@ -186,20 +176,17 @@ class TestBatchedRead:
         assert len(_entry_selects(statements)) == 2
         assert statements.count("COMMIT") == 1
 
-    def test_corrupt_row_quarantined_alone(self, store):
+    def test_corrupt_row_dropped_alone(self, store):
         for key in "abcd":
             store.put(key, key.encode() * 32, kind="counts")
         conn = store._connection()
         conn.execute("UPDATE entries SET last_used_at=0")
         conn.commit()
         assert store.corrupt_bit("c", 21)
-        registry = obs_metrics.get_metrics()
-        before = registry.counter(obs_metrics.STORE_QUARANTINED).value
+        before = _mismatches()
         got = store.get_many("abcd")
         assert got == {key: key.encode() * 32 for key in "abd"}
-        assert store.quarantine_count() == 1
-        after = registry.counter(obs_metrics.STORE_QUARANTINED).value
-        assert after == before + 1
+        assert _mismatches() == before + 1
         used = dict(conn.execute("SELECT key, last_used_at FROM entries"))
         assert set(used) == set("abd")
         assert all(stamp > 0 for stamp in used.values())
@@ -255,24 +242,28 @@ class TestVerifyVacuum:
         assert report.clean
         assert report.entries == 2 and report.ok == 2
 
-    def test_verify_quarantines_corruption(self, store):
+    def test_verify_counts_and_drops_mismatches(self, store):
         store.put("a", b"fine", kind="run")
         store.put("b", b"x" * 64, kind="run")
         store.corrupt_bit("b", 100)
+        before = _mismatches()
         report = store.verify()
         assert not report.clean
-        assert report.quarantined == ["b"]
-        assert store.entry_count() == 1
-        assert "quarantined" in report.format()
+        assert report.mismatched == ["b"]
+        assert _mismatches() == before + 1
+        assert store.keys() == ["a"]
+        assert "1 checksum mismatch(es)" in report.format()
+        again = store.verify()
+        assert again.clean
+        assert again.entries == 1 and again.ok == 1
 
-    def test_vacuum_drops_quarantine(self, store):
-        store.put("a", b"x" * 64, kind="run")
-        store.corrupt_bit("a", 0)
-        store.get("a")
-        assert store.quarantine_count() == 1
+    def test_vacuum_compacts(self, store):
+        for i in range(50):
+            store.put(f"k{i}", bytes(4096), kind="run")
+        store.clear()
         result = store.vacuum()
-        assert result["quarantine_dropped"] == 1
-        assert store.quarantine_count() == 0
+        assert set(result) == {"bytes_before", "bytes_after"}
+        assert result["bytes_after"] < result["bytes_before"]
 
 
 class TestSchemaGuard:
@@ -285,6 +276,32 @@ class TestSchemaGuard:
         conn.close()
         with pytest.raises(StoreError, match="newer"):
             SQLiteStore(tmp_path / "cache")
+
+
+class TestOlderStore:
+    def test_open_drops_table_and_serves_entries(self, tmp_path):
+        """A store written when checksum failures were kept in a table
+        of their own still serves its entries, and that table is gone
+        once the store is opened."""
+        directory = tmp_path / "cache"
+        SQLiteStore(directory).put("k", b"good" * 8, kind="run")
+        conn = sqlite3.connect(directory / "store.sqlite")
+        conn.executescript("""
+            CREATE TABLE quarantine (
+                key TEXT NOT NULL, kind TEXT NOT NULL, payload BLOB,
+                checksum_expected TEXT, checksum_actual TEXT,
+                reason TEXT NOT NULL, quarantined_at REAL NOT NULL);
+            INSERT INTO quarantine VALUES ('bad', 'run', x'00ff', 'aa',
+                'bb', 'checksum mismatch on read', 0);
+        """)
+        conn.close()
+        store = SQLiteStore(directory)
+        assert store.get("k") == b"good" * 8
+        conn = sqlite3.connect(directory / "store.sqlite")
+        tables = {row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type='table'")}
+        conn.close()
+        assert tables == {"meta", "entries"}
 
 
 class _FlakyConn:

@@ -189,6 +189,31 @@ class TestHarness:
         assert replay_file(failure.path).ok
 
 
+class TestChaosRecovery:
+    def test_passes_on_small_case(self):
+        assert run_oracle_on_case(ORACLES["chaos-recovery"],
+                                  SMALL_CASE) is None
+
+    def test_catches_unchecked_reads(self, monkeypatch):
+        """A store that serves rows without comparing checksums hands
+        the damaged payloads back; the oracle must notice."""
+        from repro.perf.store import SQLiteStore
+
+        def unchecked_get_many(self, keys):
+            keys = list(keys)
+            if not keys:
+                return {}
+            rows = self._connection().execute(
+                "SELECT key, payload FROM entries "
+                f"WHERE key IN ({', '.join('?' * len(keys))})", keys,
+            ).fetchall()
+            return {key: bytes(payload) for key, payload in rows}
+
+        monkeypatch.setattr(SQLiteStore, "get_many", unchecked_get_many)
+        with pytest.raises(VerificationError):
+            ORACLES["chaos-recovery"].fn(SMALL_CASE)
+
+
 class TestReproFiles:
     def test_roundtrip(self, tmp_path):
         record = repro_record("engine-identity", SMALL_CASE,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs gate: check links/anchors, API names, CLI lines and doctests.
 
-Four checks, the first three over ``docs/*.md`` plus ``README.md``:
+Five checks, the first three over ``docs/*.md`` plus ``README.md``:
 
 1. **Links** — every relative markdown link must point at an existing
    file (resolved from the linking file's directory), and every
@@ -18,7 +18,11 @@ Four checks, the first three over ``docs/*.md`` plus ``README.md``:
    command on the next line, ``[...]`` marks an optional part (checked
    as if given), ``a|b`` lists alternatives (each checked), and a line
    holding a ``<placeholder>`` is skipped.
-4. **Doctests** — fenced ``>>>`` examples in ``docs/observability.md``
+4. **Oracle table** — the ``| oracle | checks |`` table of
+   ``docs/verification.md`` must list exactly the oracles registered in
+   :data:`repro.verify.ORACLES`, so adding or deleting one cannot
+   leave the table behind.
+5. **Doctests** — fenced ``>>>`` examples in ``docs/observability.md``
    are executed with :mod:`doctest` so the documented API stays real.
 
 Usage (CI runs exactly this)::
@@ -44,6 +48,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+#: The page whose oracle table must match the oracle registry.
+ORACLE_DOC = "docs/verification.md"
+
 #: Files whose fenced ``>>>`` examples must execute cleanly.
 DOCTEST_FILES = (
     "docs/autotuning.md",
@@ -57,6 +64,8 @@ _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 _CODE_FENCE_RE = re.compile(r"^(```|~~~)")
 _API_NAME_RE = re.compile(r"`(repro(?:\.\w+)+)[`(]")
 _CLI_RE = re.compile(r"\bpython -m repro\b(.*)$")
+_ORACLE_HEADER_RE = re.compile(r"^\|\s*oracle\s*\|")
+_ORACLE_ROW_RE = re.compile(r"^\|\s*`([\w-]+)`\s*\|")
 _MISSING = object()
 
 
@@ -229,6 +238,34 @@ def check_cli_lines(files: list[Path]) -> list[str]:
     return problems
 
 
+def documented_oracles(path: Path) -> list[str]:
+    """The backticked names in the first column of ``path``'s
+    ``| oracle | checks |`` table."""
+    names: list[str] = []
+    in_table = False
+    for _, line in iter_prose(path):
+        if _ORACLE_HEADER_RE.match(line):
+            in_table = True
+        elif in_table and not line.startswith("|"):
+            break
+        elif in_table and (match := _ORACLE_ROW_RE.match(line)):
+            names.append(match.group(1))
+    return names
+
+
+def check_oracle_table(path: Path) -> list[str]:
+    """The oracle table lists every registered oracle and no other."""
+    from repro.verify import ORACLES
+
+    documented = documented_oracles(path)
+    rel = display_path(path)
+    problems = [f"{rel}: oracle table lists an unregistered oracle -> "
+                f"{name}" for name in documented if name not in ORACLES]
+    problems += [f"{rel}: oracle table misses a registered oracle -> "
+                 f"{name}" for name in ORACLES if name not in documented]
+    return problems
+
+
 def run_doctests(files: tuple[str, ...]) -> list[str]:
     problems: list[str] = []
     for name in files:
@@ -255,6 +292,7 @@ def main() -> int:
     problems = check_links(files)
     problems += check_api_names(files)
     problems += check_cli_lines(files)
+    problems += check_oracle_table(REPO_ROOT / ORACLE_DOC)
     problems += run_doctests(DOCTEST_FILES)
     if problems:
         for problem in problems:
@@ -263,7 +301,7 @@ def main() -> int:
         return 1
     checked = len(files)
     print(f"docs ok: {checked} file(s) link-, name- and CLI-checked, "
-          f"{len(DOCTEST_FILES)} doctested")
+          f"oracle table checked, {len(DOCTEST_FILES)} doctested")
     return 0
 
 
